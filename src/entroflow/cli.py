@@ -118,6 +118,8 @@ def _cmd_simulate(args):
     horizon = float(_resolve(args, config, "T", 1.5))
     if horizon < dt:
         raise ConfigError("T", f"horizon {horizon} shorter than dt {dt}")
+    if abs(round(horizon / dt) * dt - horizon) > 1e-9 * horizon:
+        raise ConfigError("T", f"horizon {horizon} is not a multiple of dt {dt}")
     snapshot_every = int(_resolve(args, config, "snapshot_every", 50))
     _positive(snapshot_every, "snapshot_every")
 

@@ -181,6 +181,10 @@ def normalize(samples, grid: Grid) -> GridDensity:
     if np.any(samples < 0.0):
         raise ValueError("cannot normalize samples with negative entries")
     mass = integrate(samples, grid)
+    if mass == 0.0 and samples.max() > 0.0:
+        # subnormal samples: their products with the weights underflow
+        samples = samples / samples.max()
+        mass = integrate(samples, grid)
     if not mass > 0.0:
         raise ValueError("cannot normalize an all-zero sample array")
     return GridDensity(grid, samples / mass)

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .functionals import BOLTZMANN, FOKKER_PLANCK, FreeEnergy
 from .grids import (
@@ -43,6 +42,7 @@ from .grids import (
     fmt_float,
     midpoint_q_nodes,
 )
+from .pde import solve_banded
 
 INCREMENT_FLOOR = 1e-12
 

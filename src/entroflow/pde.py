@@ -32,9 +32,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.linalg import solve_banded
-from scipy.optimize import brentq
+from numpy.polynomial.legendre import leggauss
 
 from .functionals import FreeEnergy, boltzmann_entropy
 from .grids import (
@@ -55,6 +53,24 @@ FAST_DIFFUSION = "fast_diffusion"
 
 class SolverError(RuntimeError):
     pass
+
+
+_scipy_solve_banded = None
+
+
+def solve_banded(l_and_u, ab, b, **kwargs):
+    """``scipy.linalg.solve_banded``, imported at the first call.
+
+    scipy.linalg costs ~0.3 s to import, which commands that never solve a
+    banded system (w2, check, diagnose) should not pay.  The function is
+    cached in a module global because a function-local import on every
+    call costs ~7 us, a sixth of a small solve.
+    """
+    global _scipy_solve_banded
+    if _scipy_solve_banded is None:
+        from scipy.linalg import solve_banded as scipy_solve_banded
+        _scipy_solve_banded = scipy_solve_banded
+    return _scipy_solve_banded(l_and_u, ab, b, **kwargs)
 
 
 @dataclass
@@ -213,14 +229,76 @@ def solve(spec: FlowSpec, mu0: GridDensity) -> DensityTrajectory:
     )
 
 
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
+    """Root of f in [xa, xb] by Brent's method (Brent 1973, ch. 4).
+
+    A line-by-line port of scipy's ``brentq.c``: the same float operations
+    in the same order, so the root equals ``scipy.optimize.brentq`` bit for
+    bit.  Converged when the bracket half-width drops below
+    (xtol + rtol |x|) / 2 within scipy's default 100 iterations.
+    """
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise SolverError("root is not bracketed")
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:        # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:                   # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise SolverError("Brent's method did not converge in 100 iterations")
+
+
+def _fd_tail_mass(ambient_dim: int, c: float, radius: float) -> float:
+    """Continuum mass of (c + s^2/2)^(-n) beyond ``radius``.
+
+    With t = R/s the tail is omega R^n int_0^1 t^(n-1) (c t^2 + R^2/2)^(-n)
+    dt, a smooth integrand on a finite interval; 64-point Gauss-Legendre
+    matches adaptive quadrature to ~1e-10 relative error.
+    """
+    n = ambient_dim
+    nodes, weights = leggauss(64)
+    t = 0.5 * (nodes + 1.0)
+    integrand = t ** (n - 1) * (c * t**2 + 0.5 * radius**2) ** (-n)
+    return sphere_area(n) * radius**n * 0.5 * float(np.dot(weights, integrand))
+
+
 def stationary_fd(ambient_dim: int, grid: Grid) -> GridDensity:
     """Stationary state (C + r^2/2)^(-n) with C tuned so the grid mass is 1.
 
-    C is located by bisection on the grid quadrature; the resulting density
-    is exactly unit mass under ``integrate``.  If the continuum tail beyond
-    the truncation radius exceeds 1e-6 the deficit is reported as a warning
-    (the truncated state is still an exact fixed point of the discrete
-    flow, whose flux potential is constant in r).
+    C is located by Brent's method on the grid quadrature; the resulting
+    density is exactly unit mass under ``integrate``.  If the continuum tail
+    beyond the truncation radius exceeds 1e-6 the deficit is reported as a
+    warning (the truncated state is still an exact fixed point of the
+    discrete flow, whose flux potential is constant in r).
     """
     if not grid.is_radial:
         raise ValueError("stationary state lives on a radial grid")
@@ -237,12 +315,10 @@ def stationary_fd(ambient_dim: int, grid: Grid) -> GridDensity:
         hi *= 2.0
         if hi > 1e12:
             raise SolverError("failed to bracket the normalization constant")
-    c = brentq(lambda cc: grid_mass(cc) - 1.0, lo, hi, xtol=1e-14, rtol=8.9e-16)
+    c = _brentq(lambda cc: grid_mass(cc) - 1.0, lo, hi, xtol=1e-14, rtol=8.9e-16)
 
     radius = r[-1] + 0.5 * grid.spacing
-    omega = sphere_area(n)
-    tail, _ = quad(lambda s: omega * s ** (n - 1) * (c + 0.5 * s**2) ** (-n),
-                   radius, np.inf)
+    tail = _fd_tail_mass(n, c, radius)
     if tail > 1e-6:
         warnings.warn(
             f"truncation radius {radius:g} leaves ~{tail:.2e} of the continuum "

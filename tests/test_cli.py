@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import entroflow
 from entroflow.cli import main
 
 
@@ -135,3 +140,54 @@ def test_config_key_aliases(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["flow"] == "heat"
     assert manifest["num_nodes"] == 129
+
+
+def test_simulate_rejects_horizon_off_the_time_grid(tmp_path, capsys):
+    code = main(["simulate", "--flow", "heat", "--T", "0.0015", "--dt", "0.001",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert "config error: T:" in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_simulate_accepts_horizon_multiple_up_to_roundoff(tmp_path):
+    # 1.5 / 1e-3 is 1500 only up to roundoff
+    code = main(["simulate", "--flow", "heat", "--T", "1.5", "--dt", "1e-3",
+                 "--N", "129", "--snapshot-every", "500", "--out", str(tmp_path)])
+    assert code == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["final_time"] == pytest.approx(1.5, rel=1e-12)
+    assert summary["snapshots"] == 4
+
+
+SCIPY_PROBE = """
+import sys
+import entroflow.cli
+argv = sys.argv[1:]
+if argv:
+    code = entroflow.cli.main(argv)
+    assert code == 0, code
+print("scipy_modules=" + ",".join(
+    sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+@pytest.mark.parametrize("argv, loads_scipy", [
+    ([], False),
+    (["w2"], False),
+    (["check", "--inequality", "eep_fd", "--count", "5"], False),
+    (["diagnose", "--T", "0.1"], False),
+    (["simulate", "--flow", "heat", "--N", "129", "--T", "0.01"], True),
+])
+def test_scipy_loaded_only_by_banded_solves(argv, loads_scipy, tmp_path):
+    src = str(Path(entroflow.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "ENTROFLOW_OUT": str(tmp_path), "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.splitlines()[-1].removeprefix("scipy_modules=")
+    if loads_scipy:
+        assert "scipy.linalg" in loaded.split(",")
+    else:
+        assert loaded == ""

@@ -1,0 +1,126 @@
+"""Golden bytes: the sha256 of every artifact of a few small CLI runs.
+
+A change that is meant to keep the numerics (a faster solver path, a lazy
+import, a rewritten writer) must leave these digests alone.  A change that
+alters the numerics on purpose updates them and states the new error
+against an oracle.  The digests hold for the reference toolchain (CPython
+3.11, numpy 2.4, scipy 1.17 with OpenBLAS); another LAPACK may move the
+last printed digit of a banded solve.
+"""
+
+import hashlib
+
+import pytest
+
+from entroflow.cli import main
+
+RUNS = {
+    "heat": ["simulate", "--flow", "heat", "--init", "gaussian:0.5:0.8",
+             "--N", "129", "--dt", "0.005", "--T", "0.1",
+             "--snapshot-every", "5", "--diagnose"],
+    "fokker_planck": ["simulate", "--flow", "fokker_planck",
+                      "--init", "gaussian:2:1", "--N", "129", "--dt", "0.01",
+                      "--T", "0.3", "--snapshot-every", "10", "--diagnose"],
+    "fast_diffusion": ["simulate", "--flow", "fast_diffusion", "--dim", "3",
+                       "--N", "64", "--dt", "0.005", "--T", "0.1",
+                       "--snapshot-every", "5", "--diagnose"],
+    "jko": ["jko", "--functional", "fokker_planck", "--init", "gaussian:1:1",
+            "--tau", "0.05", "--steps", "4", "--quantiles", "128",
+            "--N", "129", "--compare-pde"],
+    "w2": ["w2", "--mu", "gaussian:0:1", "--nu", "gaussian:1:1.5"],
+}
+
+GOLDEN = {
+    "fast_diffusion": {
+        "<stdout>":
+            "f6d9f1d70d8adefe86e8a060260e257e9e30d6ed32d374b4888afc55eb23b589",
+        "manifest.json":
+            "0ee4c3b7c5bf4d36fbf6c0d0841f2ab34cf353b7e2e5b7ea031da5bcfa09ab5e",
+        "report.csv":
+            "18881387346276db28e53cd7317eeacac0ef3c6da97eb6cf8b70664527b68ec3",
+        "snapshot_0000.csv":
+            "4c0f028e7a55e5c3da4840579462cee32b71d372e89f46a52f1a90462f55cedc",
+        "snapshot_0001.csv":
+            "d9e8bf34d1f25681bce15d57425dd7b0837b16f48f9c6cf4f7fba9dd51a1c4d6",
+        "snapshot_0002.csv":
+            "86b985ee129de88ad0dbded705dcf0ce2d309dc44f44a8373b541f2b2b349a4f",
+        "snapshot_0003.csv":
+            "3583cfd5ef0363c84c3c6025e9b53be3e7b26509f289fc04739ac305a904bd62",
+        "snapshot_0004.csv":
+            "9d3fb50f0b194fce2aa0ace7d3e878fef5f839ff347d63e2493a227150e6f939",
+        "summary.json":
+            "988f2cb0418046e8623b976c9ea7e6695358e747ba9c00fb216399deea0be9d0",
+    },
+    "fokker_planck": {
+        "<stdout>":
+            "f23554bf2c01321047c3c48bf749ba9a4b6c797db46aeae8684a9baac390287e",
+        "manifest.json":
+            "e0069317d76c6aa91fc4ac914e491545e1c1c276401ca3d205602a0c5360f59f",
+        "report.csv":
+            "30bae177067fbc620d365d42c8e5e1dd16bdc4f9cdef792372743fb1cf63a429",
+        "snapshot_0000.csv":
+            "9ac546c98e3d114a64d9134a80a23e7fd5be465a72bbe54280def85cd2d02ef3",
+        "snapshot_0001.csv":
+            "d89b52c0b19f5f34348bd351e245f7109659d8ee2c9d87fc902952591ce207b4",
+        "snapshot_0002.csv":
+            "33c9e89646c45a4b81c9885a71538a4a94e6c21d16f096b3f158e5118bfe841e",
+        "snapshot_0003.csv":
+            "b68080ccf55dd3ca79deae2eb743ac2683c35199dead6d9fb7b2a29f48f40ac1",
+        "summary.json":
+            "9c0b096f7b02d341cd8583cca5a8cfd10cad252bde4907da0c4317f352451ab1",
+    },
+    "heat": {
+        "<stdout>":
+            "14c380b8cc2655908386b9202988a003e69942e038b096fd4b5eb2166aaafeb6",
+        "manifest.json":
+            "b01ddbc59b9aef87a9c9c6c91783124429deda41238440957dcf46422f178829",
+        "report.csv":
+            "ef73be2f6e6513a2340da7dd591ade390ec157fe702948aeb1c2749def38f942",
+        "snapshot_0000.csv":
+            "acf2daf5e309fb7a3ee5a186ed86da6ea4e1ee6c68a20c56f50988996d41e81f",
+        "snapshot_0001.csv":
+            "ab1252880560e47d78787aed22d5902f8916a4519389013e366aa53e86b34f68",
+        "snapshot_0002.csv":
+            "5dd6eededf2909232f355386efdb10c48efa7f076bded1bb68c36fcf1caef8f2",
+        "snapshot_0003.csv":
+            "89c69c3e7c67e5e70c16ab754a469b226f25f8dfa20dc6da6471729e8748d108",
+        "snapshot_0004.csv":
+            "9dc51f25919d4134c0f1b220ab90ba41d2b9431908a5d68abaa8d64312594935",
+        "summary.json":
+            "7f1ac8958e84f708de79b1dbaffe1526b1ca704825ff643649b566c76e9d31ce",
+    },
+    "jko": {
+        "<stdout>":
+            "c13159f3f0c142878e82c45eb41f3ed7f2b23de59cecfc51917ae78ee7519e5f",
+        "final_density.csv":
+            "77b6e6bcdcc045653a763212ccb458b9d93429f1caeff6261d4aa5759045c27f",
+        "jko_steps.csv":
+            "cdb638fc1c6037d65a2daef58ab37c5d83697b8e7e434b0fcdf14b6551640a77",
+        "manifest.json":
+            "b3279cdf97dda88e2573a2bdbbc3fa785af5b24166a3f93b2c57595b16341724",
+        "summary.json":
+            "6ceb5ccac8765a94a786fc14ceb3b80e5fc878e73a75027ff7cb394e01c5e4d7",
+    },
+    "w2": {
+        "<stdout>":
+            "359397c2b5bcaef728b4a58396e1fd05e47f034d700bea09e9f37a5bbaf38d23",
+        "manifest.json":
+            "e24dc6034982cdbd3c1512772270a666c7542fbf9b3018291005d1cae6658ec1",
+    },
+}
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_golden_bytes(name, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("ENTROFLOW_OUT", raising=False)
+    code = main(RUNS[name] + ["--out", str(tmp_path)])
+    stdout = capsys.readouterr().out
+    assert code == 0
+    digests = {path.name: _digest(path.read_bytes())
+               for path in sorted(tmp_path.iterdir())}
+    digests["<stdout>"] = _digest(stdout.encode())
+    assert digests == GOLDEN[name]

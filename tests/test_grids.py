@@ -167,6 +167,18 @@ def test_normalize_rejects_bad_input():
         normalize(bad, g)
 
 
+def test_normalize_subnormal_samples():
+    # 5e-324 times any quadrature weight underflows to a mass of 0
+    g = make_uniform_grid(0.0, 1.0, 16)
+    tiny = np.zeros(16)
+    tiny[0] = 5e-324
+    one = np.zeros(16)
+    one[0] = 1.0
+    d = normalize(tiny, g)
+    assert d.mass == pytest.approx(1.0, abs=1e-14)
+    assert np.array_equal(d.values, normalize(one, g).values)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.floats(0.0, 10.0), min_size=16, max_size=64))
 def test_normalize_idempotent(vals):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,10 +15,14 @@ from entroflow.grids import (
     integrate,
     make_uniform_grid,
     normalize,
+    sphere_area,
     staggered_radial_grid,
 )
 from entroflow.pde import (
     FlowSpec,
+    SolverError,
+    _brentq,
+    _fd_tail_mass,
     de_bruijn_pde_check,
     dirac_like_density,
     dissipation_report,
@@ -228,3 +233,72 @@ def test_fd_relaxation_rate_and_conservation(fd_setup):
     assert report.value_monotone
     assert report.fitted_value_rate is not None
     assert report.fitted_value_rate >= 2.0 * (2.0 / 3.0) * 0.95
+
+
+# ---------------------------------------------------------------- scipy oracles
+# The stationary constant and its tail check use numpy-only replacements of
+# scipy.optimize.brentq and scipy.integrate.quad; scipy is the oracle here.
+
+STATIONARY_CASES = [(dim, cells, radius) for dim in (3, 5, 10)
+                    for cells in (64, 512, 65536) for radius in (5.0, 10.0, 200.0)]
+
+
+def _scipy_stationary_constant(dim, grid):
+    """The normalization constant as located before the numpy port."""
+    from scipy.optimize import brentq
+
+    def excess(c):
+        return integrate((c + 0.5 * grid.nodes**2) ** (-dim), grid) - 1.0
+
+    hi = 1.0
+    while excess(hi) > 0.0:
+        hi *= 2.0
+    return brentq(excess, 1e-8, hi, xtol=1e-14, rtol=8.9e-16)
+
+
+@pytest.mark.parametrize("dim, cells, radius", STATIONARY_CASES)
+def test_stationary_fd_constant_is_scipy_brentq_bitwise(dim, cells, radius):
+    grid = staggered_radial_grid(radius, cells, dim)
+    c = _scipy_stationary_constant(dim, grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        stat = stationary_fd(dim, grid)
+    assert np.array_equal(stat.values, (c + 0.5 * grid.nodes**2) ** (-dim))
+
+
+@pytest.mark.parametrize("dim, cells, radius", STATIONARY_CASES)
+def test_fd_tail_mass_matches_adaptive_quadrature(dim, cells, radius):
+    from scipy.integrate import quad
+
+    grid = staggered_radial_grid(radius, cells, dim)
+    c = _scipy_stationary_constant(dim, grid)
+    omega = sphere_area(dim)
+    exact, _ = quad(lambda s: omega * s ** (dim - 1) * (c + 0.5 * s**2) ** (-dim),
+                    radius, np.inf, epsabs=0.0, epsrel=1e-13)
+    assert _fd_tail_mass(dim, c, radius) == pytest.approx(exact, rel=1e-10)
+
+
+@pytest.mark.parametrize("f, a, b", [
+    (lambda x: x**2 - 2.0, 0.0, 2.0),
+    (lambda x: math.cos(x) - x, 0.0, 1.0),
+    (lambda x: math.exp(x) - 10.0, -3.0, 5.0),
+    (lambda x: x**3 - x - 1.0, 1.0, 2.0),
+])
+def test_brentq_port_is_scipy_bitwise(f, a, b):
+    from scipy.optimize import brentq
+
+    assert _brentq(f, a, b, xtol=1e-14, rtol=8.9e-16) == brentq(
+        f, a, b, xtol=1e-14, rtol=8.9e-16)
+
+
+def test_brentq_port_failures_are_solver_errors():
+    from scipy.optimize import brentq
+
+    with pytest.raises(SolverError, match="not bracketed"):
+        _brentq(lambda x: x**2 + 1.0, -1.0, 1.0, xtol=1e-14, rtol=8.9e-16)
+    # a triple root: scipy's brentq runs out of iterations here too
+    triple = (lambda x: (x - 0.3) ** 3, -1.0, 2.0)
+    with pytest.raises(RuntimeError, match="converge"):
+        brentq(*triple, xtol=1e-14, rtol=8.9e-16)
+    with pytest.raises(SolverError, match="did not converge"):
+        _brentq(*triple, xtol=1e-14, rtol=8.9e-16)
