@@ -28,9 +28,35 @@ RUNS = {
             "--tau", "0.05", "--steps", "4", "--quantiles", "128",
             "--N", "129", "--compare-pde"],
     "w2": ["w2", "--mu", "gaussian:0:1", "--nu", "gaussian:1:1.5"],
+    "diagnose": ["diagnose"],
+    "check_lsi": ["check", "--inequality", "lsi"],
 }
 
 GOLDEN = {
+    "check_lsi": {
+        "<stdout>":
+            "083e204d690a3fc25bedc6ad0e43c1bb6cbd38822f359493364a6765a06283ef",
+        "manifest.json":
+            "5483ce24ac00d5a2d296ccac1691c1a007990ac78f08eeeeade536a51d42490b",
+        "report.csv":
+            "0b43bacf4fac367397de1000ed712808ad9c56c0215f24401ac2badd2ca61416",
+        "summary.json":
+            "c108286e81abce09c24f80a9fa366672fa7f5b5deb05ee38e7eadbc16127c696",
+    },
+    "diagnose": {
+        "<stdout>":
+            "799cb254b595a4145884b5819eea8eaec45cc1af9e77a5504b07c8b33e397a6b",
+        "finite_checks.csv":
+            "cdeb93d231d04809eb54ab48f2964a10cde167d6476ddb9d7838e58dfbf56eb2",
+        "manifest.json":
+            "b6f255c2b8ab18c83854309e25d6b7dc4d4e5f8e33b9b6b4f7c7bf8c8d6dc97d",
+        "trajectory_anisotropic_quadratic.csv":
+            "bfac5d5984ce927272839faf33d3c6d8218abca0090955882496381a4245d249",
+        "trajectory_quadratic.csv":
+            "c015b0a3f504c7bed7ca127c29286f9702e89c3b647f65b3f9b1fb8b91b3025f",
+        "trajectory_quartic.csv":
+            "946b60b7b27745f93a68b3a9f3acd2123794ce48f7c038eca9f6d9ef60ef86e1",
+    },
     "fast_diffusion": {
         "<stdout>":
             "f6d9f1d70d8adefe86e8a060260e257e9e30d6ed32d374b4888afc55eb23b589",
