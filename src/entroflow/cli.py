@@ -28,6 +28,7 @@ from .grids import (
     normalize,
     read_density_csv,
     staggered_radial_grid,
+    write_csv,
     write_density_csv,
 )
 
@@ -116,10 +117,10 @@ def _cmd_simulate(args):
     dt = float(_resolve(args, config, "dt", 1e-3))
     _positive(dt, "dt")
     horizon = float(_resolve(args, config, "T", 1.5))
-    if horizon < dt:
-        raise ConfigError("T", f"horizon {horizon} shorter than dt {dt}")
-    if abs(round(horizon / dt) * dt - horizon) > 1e-9 * horizon:
-        raise ConfigError("T", f"horizon {horizon} is not a multiple of dt {dt}")
+    try:
+        pde.step_count(horizon, dt)
+    except ValueError as err:
+        raise ConfigError("T", str(err)) from None
     snapshot_every = int(_resolve(args, config, "snapshot_every", 50))
     _positive(snapshot_every, "snapshot_every")
 
@@ -223,11 +224,10 @@ def _cmd_diagnose(args):
             rows.append((spec.name, name, value, passed))
             all_pass &= bool(passed)
 
-    lines = ["potential,check,value,pass"]
-    for potential, check, value, passed in rows:
-        lines.append(f"{potential},{check},{fmt_float(value)},"
-                     f"{'true' if passed else 'false'}")
-    (out / "finite_checks.csv").write_text("\n".join(lines) + "\n")
+    write_csv(out / "finite_checks.csv", "potential,check,value,pass",
+              "%s,%s,%.17g,%s",
+              ((potential, check, value, "true" if passed else "false")
+               for potential, check, value, passed in rows))
     _emit("all_pass", all_pass)
     return 0 if all_pass else 1
 
@@ -312,11 +312,10 @@ def _cmd_check(args):
                                    "seed": seed, "count": count})
     rows = banks.run_inequality_bank(inequality, seed=seed, count=count)
 
-    lines = ["case_id,lhs,rhs,margin,pass"]
-    for row in rows:
-        lines.append(f"{row.case_id},{fmt_float(row.lhs)},{fmt_float(row.rhs)},"
-                     f"{fmt_float(row.margin)},{'true' if row.passed else 'false'}")
-    (out / "report.csv").write_text("\n".join(lines) + "\n")
+    write_csv(out / "report.csv", "case_id,lhs,rhs,margin,pass",
+              "%s,%.17g,%.17g,%.17g,%s",
+              ((row.case_id, row.lhs, row.rhs, row.margin,
+                "true" if row.passed else "false") for row in rows))
 
     worst = min(rows, key=lambda r: r.margin)
     failures = [r for r in rows if not r.passed]

@@ -16,12 +16,11 @@ rho-convex potentials in the built-in bank).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .grids import fmt_float
+from .grids import write_csv
 
 DIVERGENCE_LIMIT = 1e12
 
@@ -202,13 +201,13 @@ def eep_inequality_check(spec: PotentialSpec, x) -> tuple[float, float]:
 def write_trajectory_csv(spec: PotentialSpec, traj: Trajectory, path) -> None:
     """Dump ``t,x_1..x_n,E,gradnorm2`` rows."""
     cols = ",".join(f"x_{i + 1}" for i in range(spec.dim))
-    lines = [f"t,{cols},E,gradnorm2"]
-    for t, x in zip(traj.times, traj.states):
+
+    def row(t, x):
         g = np.asarray(spec.grad(x))
-        fields = [fmt_float(t), *(fmt_float(c) for c in x),
-                  fmt_float(spec.energy(x)), fmt_float(float(np.dot(g, g)))]
-        lines.append(",".join(fields))
-    Path(path).write_text("\n".join(lines) + "\n")
+        return (t, *x, spec.energy(x), float(np.dot(g, g)))
+
+    write_csv(path, f"t,{cols},E,gradnorm2", ",".join(["%.17g"] * (spec.dim + 3)),
+              (row(t, x) for t, x in zip(traj.times, traj.states)))
 
 
 def quadratic_potential(dim: int = 2) -> PotentialSpec:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,16 @@ RADIAL = "radial"
 def fmt_float(x: float) -> str:
     """Format with 17 significant digits (round-trips float64 in CSV)."""
     return format(float(x), ".17g")
+
+
+def write_csv(path, header: str, row_format: str, rows) -> None:
+    """Write ``header`` and one ``row_format % row`` line per row tuple.
+
+    Float fields use ``%.17g``, the same digits as :func:`fmt_float`; other
+    fields use ``%s``.
+    """
+    lines = [header, *(row_format % row for row in rows)]
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def sphere_area(dim: int) -> float:
@@ -89,6 +100,14 @@ class Grid:
     @property
     def is_radial(self) -> bool:
         return self.geometry == RADIAL
+
+    @cached_property
+    def csv_template(self) -> str:
+        """Density CSV text with the header and node column filled in and a
+        ``%.17g`` slot per value; built at the first write on this grid."""
+        coord = "r" if self.is_radial else "x"
+        return f"{coord},value\n" + "".join(
+            [fmt_float(x) + ",%.17g\n" for x in self.nodes.tolist()])
 
 
 def make_uniform_grid(a: float, b: float, num_nodes: int, ambient_dim: int = 1,
@@ -309,21 +328,33 @@ class DensityTrajectory:
 
 def write_density_csv(density: GridDensity, path) -> None:
     """CSV dump with header ``x,value`` (line) or ``r,value`` (radial)."""
-    coord = "r" if density.grid.is_radial else "x"
-    lines = [f"{coord},value"]
-    for x, v in zip(density.grid.nodes, density.values):
-        lines.append(f"{fmt_float(x)},{fmt_float(v)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    values = tuple(density.values.tolist())
+    Path(path).write_text(density.grid.csv_template % values)
 
 
 def read_density_csv(path, ambient_dim: int = 1) -> GridDensity:
     """Read a density written by :func:`write_density_csv`."""
-    raw = Path(path).read_text().strip().splitlines()
-    header = raw[0].strip().split(",")
-    if len(header) != 2 or header[1] != "value" or header[0] not in ("x", "r"):
-        raise ValueError(f"unrecognized density CSV header: {raw[0]!r}")
-    geometry = RADIAL if header[0] == "r" else LINE
-    data = np.array([[float(c) for c in line.split(",")] for line in raw[1:]])
+    header, _, body = Path(path).read_text().strip().partition("\n")
+    fields = header.strip().split(",")
+    if len(fields) != 2 or fields[1] != "value" or fields[0] not in ("x", "r"):
+        raise ValueError(f"unrecognized density CSV header: {header!r}")
+    geometry = RADIAL if fields[0] == "r" else LINE
+    # Every row is "node,value": commas and line ends must alternate, and
+    # the last row ends in a value.  A row with one or three fields would
+    # otherwise shift every later row of the flat parse below.
+    chars = np.frombuffer(body.encode(), np.uint8)
+    seps = chars[(chars == ord(",")) | (chars == ord("\n"))]
+    alternating = np.resize(np.frombuffer(b",\n", np.uint8), seps.size)
+    bad = np.flatnonzero(seps != alternating)
+    if bad.size or seps.size % 2 == 0:
+        row = int(bad[0] if bad.size else seps.size) // 2
+        line = body.split("\n")[row]
+        raise ValueError(f"density CSV line {row + 2} does not have two "
+                         f"fields: {line!r}")
+    tokens = body.replace("\n", ",").split(",")
+    data = np.fromiter(map(float, tokens), float, len(tokens)).reshape(-1, 2)
+    if data.shape[0] < 2:
+        raise ValueError("density CSV needs at least two rows")
     nodes, values = data[:, 0], data[:, 1]
     spacing = float(nodes[1] - nodes[0])
     grid = Grid(nodes, spacing, ambient_dim, geometry)

@@ -28,7 +28,6 @@ quantiles carry the usual O(1/M + h) representation error on top.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -39,8 +38,8 @@ from .grids import (
     QuantileRep,
     cdf_and_quantile,
     density_from_quantile,
-    fmt_float,
     midpoint_q_nodes,
+    write_csv,
 )
 from .pde import solve_banded
 
@@ -227,8 +226,6 @@ def jko_trajectory(functional: FreeEnergy, mu0: GridDensity,
 
 def write_step_log_csv(traj: DensityTrajectory, path) -> None:
     """Per-step log ``k,F,W2_step,inner_iters``."""
-    lines = ["k,F,W2_step,inner_iters"]
-    for row in traj.metadata.get("steps", []):
-        lines.append(f"{row['k']},{fmt_float(row['F'])},"
-                     f"{fmt_float(row['W2_step'])},{row['inner_iters']}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_csv(path, "k,F,W2_step,inner_iters", "%s,%.17g,%.17g,%s",
+              ((row["k"], row["F"], row["W2_step"], row["inner_iters"])
+               for row in traj.metadata.get("steps", [])))

@@ -39,11 +39,11 @@ from .grids import (
     DensityTrajectory,
     Grid,
     GridDensity,
-    fmt_float,
     gaussian_density,
     integrate,
     normalize,
     sphere_area,
+    write_csv,
 )
 
 HEAT = "heat"
@@ -58,19 +58,60 @@ class SolverError(RuntimeError):
 _scipy_solve_banded = None
 
 
+class TridiagonalLU:
+    """LAPACK ``dgttrf`` factors of a tridiagonal band array, for repeated solves.
+
+    ``dgttrs`` with these factors repeats, operation by operation, the
+    elimination that ``dgtsv`` (what scipy's ``solve_banded`` runs for
+    (1, 1) bands) does in one shot, so each solve equals the one-shot solve
+    bit for bit at the cost of the back-substitution only.
+    """
+
+    def __init__(self, ab: np.ndarray):
+        from scipy.linalg.lapack import dgttrf, dgttrs
+        *self._factors, info = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
+        if info != 0:
+            raise SolverError(f"dgttrf failed with info={info}")
+        self._dgttrs = dgttrs
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        x, info = self._dgttrs(*self._factors, b)
+        if info != 0:
+            raise SolverError(f"dgttrs failed with info={info}")
+        return x
+
+
 def solve_banded(l_and_u, ab, b, **kwargs):
-    """``scipy.linalg.solve_banded``, imported at the first call.
+    """``scipy.linalg.solve_banded``, imported at the first call; ``ab`` may
+    also be a :class:`TridiagonalLU`, whose factors are then reused.
 
     scipy.linalg costs ~0.3 s to import, which commands that never solve a
     banded system (w2, check, diagnose) should not pay.  The function is
     cached in a module global because a function-local import on every
     call costs ~7 us, a sixth of a small solve.
     """
+    if isinstance(ab, TridiagonalLU):
+        return ab.solve(b)
     global _scipy_solve_banded
     if _scipy_solve_banded is None:
         from scipy.linalg import solve_banded as scipy_solve_banded
         _scipy_solve_banded = scipy_solve_banded
     return _scipy_solve_banded(l_and_u, ab, b, **kwargs)
+
+
+def step_count(horizon: float, dt: float) -> int:
+    """Number of steps of size ``dt`` that end at ``horizon``.
+
+    A horizon off the time grid raises ``ValueError`` instead of being
+    rounded to the nearest step.  The relative tolerance admits multiples
+    up to roundoff, such as ``steps * tau`` with ``dt = tau / per_step``.
+    """
+    if horizon < dt:
+        raise ValueError(f"horizon {horizon} shorter than dt {dt}")
+    steps = round(horizon / dt)
+    if abs(steps * dt - horizon) > 1e-9 * horizon:
+        raise ValueError(f"horizon {horizon} is not a multiple of dt {dt}")
+    return steps
 
 
 @dataclass
@@ -89,8 +130,7 @@ class FlowSpec:
             raise ValueError(f"unknown flow kind {self.kind!r}")
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
-        if self.horizon < self.dt:
-            raise ValueError("horizon must cover at least one step")
+        step_count(self.horizon, self.dt)
         if self.snapshot_every < 1:
             raise ValueError("snapshot_every must be >= 1")
         if self.kind == FAST_DIFFUSION:
@@ -202,17 +242,20 @@ def solve(spec: FlowSpec, mu0: GridDensity) -> DensityTrajectory:
     if np.any(mu0.values <= 0.0):
         raise ValueError("initial density must be strictly positive")
 
-    steps = int(round(spec.horizon / spec.dt))
+    steps = step_count(spec.horizon, spec.dt)
     mu = mu0.values.copy()
     times = [0.0]
     states = [GridDensity(spec.grid, mu)]
-    banded = _linear_step_matrix(spec) if spec.kind != FAST_DIFFUSION else None
+    lu = None
+    if spec.kind != FAST_DIFFUSION:
+        # heat and Fokker-Planck step with one constant matrix: factor it once
+        lu = TridiagonalLU(_linear_step_matrix(spec))
 
     for k in range(1, steps + 1):
         if spec.kind == FAST_DIFFUSION:
             mu = _fd_newton_step(spec, mu)
         else:
-            mu = solve_banded((1, 1), banded, mu, check_finite=False)
+            mu = solve_banded((1, 1), lu, mu)
         if k % spec.snapshot_every == 0 or k == steps:
             state = GridDensity(spec.grid, mu)
             if abs(state.mass - 1.0) > 1e-8:
@@ -426,8 +469,5 @@ def dissipation_report(traj: DensityTrajectory, functional: FreeEnergy,
 
 
 def write_report_csv(report: DissipationReport, path) -> None:
-    lines = ["t,value,production,bound"]
-    for row in zip(report.times, report.values, report.productions, report.bounds):
-        lines.append(",".join(fmt_float(v) for v in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, "t,value,production,bound", "%.17g,%.17g,%.17g,%.17g",
+              zip(report.times, report.values, report.productions, report.bounds))

@@ -11,6 +11,7 @@ from entroflow.grids import (
     QuantileRep,
     cdf_and_quantile,
     density_from_quantile,
+    fmt_float,
     gaussian_density,
     gradient_fd,
     integrate,
@@ -274,3 +275,74 @@ def test_radial_csv_header(tmp_path):
     back = read_density_csv(path, ambient_dim=3)
     assert back.grid.is_radial
     assert np.allclose(back.values, d.values)
+
+
+EXTREMES = [5e-324, 1e-300, 1e300, 1.0, 1.0 / 3.0]
+
+
+def reference_density_csv(density):
+    """The row-by-row writer the template replaced, kept as the oracle."""
+    coord = "r" if density.grid.is_radial else "x"
+    lines = [f"{coord},value"]
+    for x, v in zip(density.grid.nodes, density.values):
+        lines.append(f"{fmt_float(x)},{fmt_float(v)}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("grid", [
+    make_uniform_grid(-8.0, 8.0, 257),
+    staggered_radial_grid(10.0, 64, 3),
+], ids=["line", "radial"])
+def test_density_csv_bytes_match_row_reference(tmp_path, grid):
+    values = np.resize(np.array(EXTREMES), grid.num_nodes)
+    for density in (GridDensity(grid, values), normalize(np.exp(-grid.nodes), grid)):
+        path = tmp_path / "density.csv"
+        write_density_csv(density, path)
+        assert path.read_text() == reference_density_csv(density)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.floats(min_value=0.0, max_value=1e300, allow_subnormal=True)
+                | st.sampled_from(EXTREMES), min_size=8, max_size=64),
+       st.booleans())
+def test_density_csv_write_read_bitwise(tmp_path_factory, samples, radial):
+    samples[0] = 1.0  # positive mass
+    n = len(samples)
+    grid = (staggered_radial_grid(10.0, n, 3) if radial
+            else make_uniform_grid(-3.0, 5.0, n))
+    density = GridDensity(grid, samples)
+    path = tmp_path_factory.mktemp("csv") / "density.csv"
+    write_density_csv(density, path)
+    back = read_density_csv(path, ambient_dim=grid.ambient_dim)
+    assert back.grid.is_radial == radial
+    assert np.array_equal(back.grid.nodes, grid.nodes)
+    assert np.array_equal(back.values, density.values)
+
+
+@pytest.mark.parametrize("body, line", [
+    ("0,1\n1,1,7\n2,1\n3,1", 3),     # three fields
+    ("0,1\n1\n2,1\n3,1", 3),         # one field
+    ("0,1\n1,1\n2,1\n3", 5),         # last row lacks its value
+    ("0,1,1\n1\n2,1\n3,1", 2),       # two bad rows that balance out
+    ("", 2),                         # no rows
+])
+def test_read_density_csv_names_row_without_two_fields(tmp_path, body, line):
+    path = tmp_path / "bad.csv"
+    path.write_text("x,value\n" + body + "\n")
+    with pytest.raises(ValueError, match=f"line {line} does not have two fields"):
+        read_density_csv(path)
+
+
+def test_read_density_csv_rejects_a_single_row(tmp_path):
+    path = tmp_path / "one.csv"
+    path.write_text("x,value\n0,1\n")
+    with pytest.raises(ValueError, match="at least two rows"):
+        read_density_csv(path)
+
+
+def test_read_density_csv_accepts_crlf(tmp_path):
+    d = gaussian_density(line_grid(65))
+    path = tmp_path / "density.csv"
+    write_density_csv(d, path)
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert np.array_equal(read_density_csv(path).values, d.values)

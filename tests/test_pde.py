@@ -21,12 +21,15 @@ from entroflow.grids import (
 from entroflow.pde import (
     FlowSpec,
     SolverError,
+    TridiagonalLU,
     _brentq,
     _fd_tail_mass,
+    _linear_step_matrix,
     de_bruijn_pde_check,
     dirac_like_density,
     dissipation_report,
     solve,
+    solve_banded,
     stationary_fd,
     write_report_csv,
 )
@@ -75,6 +78,26 @@ def test_flow_spec_rejections():
                  horizon=1.0)
     with pytest.raises(ValueError):
         FlowSpec("porous", line, dt=0.1, horizon=1.0)
+
+
+@pytest.mark.parametrize("horizon", [0.0015, 0.0014])
+def test_flow_spec_rejects_horizon_off_the_time_grid(horizon):
+    grid = make_uniform_grid(-8.0, 8.0, 65)
+    with pytest.raises(ValueError, match="not a multiple of dt"):
+        FlowSpec("heat", grid, dt=0.001, horizon=horizon)
+
+
+@pytest.mark.parametrize("tau, steps", [(0.05, 4), (0.02, 50), (0.03, 7),
+                                        (0.07, 3), (0.011, 13)])
+def test_flow_spec_accepts_compare_pde_horizons(tau, steps):
+    # the horizons ``jko --compare-pde`` builds: multiples only up to roundoff
+    per_step = max(1, round(tau / min(1e-3, tau / 10.0)))
+    dt = tau / per_step
+    grid = make_uniform_grid(-8.0, 8.0, 65)
+    traj = solve(FlowSpec("fokker_planck", grid, dt=dt, horizon=tau * steps,
+                          snapshot_every=per_step), gaussian_density(grid))
+    assert len(traj) == steps + 1
+    assert traj.times[-1] == pytest.approx(tau * steps, rel=1e-12)
 
 
 # ---------------------------------------------------------------- heat flow
@@ -302,3 +325,29 @@ def test_brentq_port_failures_are_solver_errors():
         brentq(*triple, xtol=1e-14, rtol=8.9e-16)
     with pytest.raises(SolverError, match="did not converge"):
         _brentq(*triple, xtol=1e-14, rtol=8.9e-16)
+
+
+@pytest.mark.parametrize("kind", ["heat", "fokker_planck"])
+@pytest.mark.parametrize("n", [129, 1025, 16385])
+def test_prefactored_solve_is_one_shot_solve_banded_bitwise(kind, n):
+    from scipy.linalg import solve_banded as scipy_solve_banded
+    grid = make_uniform_grid(-8.0, 8.0, n)
+    spec = FlowSpec(kind, grid, dt=1e-3, horizon=0.2, snapshot_every=50)
+    mu0 = gaussian_density(grid, mean=1.5, sigma=0.7)
+    traj = solve(spec, mu0)
+    banded = _linear_step_matrix(spec)
+    mu = mu0.values
+    for k in range(1, 201):
+        mu = scipy_solve_banded((1, 1), banded, mu, check_finite=False)
+        if k % 50 == 0:
+            assert np.array_equal(traj.states[k // 50].values, mu)
+    assert len(traj) == 5
+
+
+def test_tridiagonal_lu_solves_and_fails_as_solver_error():
+    band = np.array([[0.0, -1.0, -1.0], [4.0, 4.0, 4.0], [-1.0, -1.0, 0.0]])
+    x = solve_banded((1, 1), TridiagonalLU(band), np.ones(3))
+    assert np.allclose(x, np.array([5.0, 6.0, 5.0]) / 14.0, rtol=1e-15)
+    singular = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+    with pytest.raises(SolverError, match="dgttrf"):
+        TridiagonalLU(singular)
