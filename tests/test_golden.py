@@ -27,6 +27,13 @@ RUNS = {
     "jko": ["jko", "--functional", "fokker_planck", "--init", "gaussian:1:1",
             "--tau", "0.05", "--steps", "4", "--quantiles", "128",
             "--N", "129", "--compare-pde"],
+    "jko_entropy": ["jko", "--functional", "entropy", "--init",
+                    "gaussian:0.5:0.8", "--tau", "0.05", "--steps", "4",
+                    "--quantiles", "128", "--N", "129", "--compare-pde"],
+    "fast_diffusion_dim5": ["simulate", "--flow", "fast_diffusion",
+                            "--dim", "5", "--N", "64", "--dt", "0.005",
+                            "--T", "0.1", "--snapshot-every", "5",
+                            "--diagnose"],
     "w2": ["w2", "--mu", "gaussian:0:1", "--nu", "gaussian:1:1.5"],
     "diagnose": ["diagnose"],
     "check_lsi": ["check", "--inequality", "lsi"],
@@ -77,6 +84,26 @@ GOLDEN = {
         "summary.json":
             "988f2cb0418046e8623b976c9ea7e6695358e747ba9c00fb216399deea0be9d0",
     },
+    "fast_diffusion_dim5": {
+        "<stdout>":
+            "68d3ea2ba98e5479c379c3d71f1270e2a51d849d800c19197f19c894f1c1d9f5",
+        "manifest.json":
+            "8125aca4acee0dc4ef78c9a7d32ee145fc3acd68fe75bc1f61f3651bfb58a939",
+        "report.csv":
+            "ff13ed03580085a946502c988af1d25034e19675f37a605488caac32d884e5ba",
+        "snapshot_0000.csv":
+            "41d174ca19ece5cb58974089602d8b67a6c8199740b4b07fa718bdf267025830",
+        "snapshot_0001.csv":
+            "d7670fedff3ebc9cc82438db727f231702305d45b746d9cc43f92023b66b8ae9",
+        "snapshot_0002.csv":
+            "3bfdd1a0a49d3b6a51004312c5cfe51875040648ee1eb4c58cc94e9234483331",
+        "snapshot_0003.csv":
+            "8ee704586ce53d3d98a79be03155358ad0f63974c4db02beb5df2a08556e7caf",
+        "snapshot_0004.csv":
+            "021b3126f672d8a090cb3bb59b5cbe8e662814e31bb7e25abd11a1ef783a208b",
+        "summary.json":
+            "adc6437af33577e975b22c86bf763f9a52b283e16ebc77fabce0a2394fbff0e6",
+    },
     "fokker_planck": {
         "<stdout>":
             "f23554bf2c01321047c3c48bf749ba9a4b6c797db46aeae8684a9baac390287e",
@@ -126,6 +153,18 @@ GOLDEN = {
             "b3279cdf97dda88e2573a2bdbbc3fa785af5b24166a3f93b2c57595b16341724",
         "summary.json":
             "6ceb5ccac8765a94a786fc14ceb3b80e5fc878e73a75027ff7cb394e01c5e4d7",
+    },
+    "jko_entropy": {
+        "<stdout>":
+            "0b85461e57951777d1ab47799cfb716eecb1db00a59f755337f0b04584fcbdb2",
+        "final_density.csv":
+            "46b1f729799a810037c81b9605bd72c795923d4a6b7441b01b460e6bb29e702e",
+        "jko_steps.csv":
+            "c91c85e12f4b820ea85c94a6b6e81283a3936bec47866b14d874bc56ffe1b933",
+        "manifest.json":
+            "2b82d4982731508b7670b1e3557a6ffda42d436c49ff8b549e7f59eb377a506b",
+        "summary.json":
+            "484c7487c027892bacb2c195c128b2f5052a8d0bbf89603794f44d42ce3f6cc2",
     },
     "w2": {
         "<stdout>":
