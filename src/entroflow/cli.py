@@ -45,6 +45,15 @@ def _positive(value, field):
     return value
 
 
+def _time_grid(horizon, dt):
+    """Reject a ``--T`` that is not a multiple of ``--dt``."""
+    try:
+        pde.step_count(horizon, dt)
+    except ValueError as err:
+        raise ConfigError("T", str(err)) from None
+    return horizon
+
+
 def _resolve(args, config, key, default, aliases=()):
     cli_value = getattr(args, key, None)
     if cli_value is not None:
@@ -116,11 +125,7 @@ def _cmd_simulate(args):
                        3 if flow == pde.FAST_DIFFUSION else 1, aliases=("n",)))
     dt = float(_resolve(args, config, "dt", 1e-3))
     _positive(dt, "dt")
-    horizon = float(_resolve(args, config, "T", 1.5))
-    try:
-        pde.step_count(horizon, dt)
-    except ValueError as err:
-        raise ConfigError("T", str(err)) from None
+    horizon = _time_grid(float(_resolve(args, config, "T", 1.5)), dt)
     snapshot_every = int(_resolve(args, config, "snapshot_every", 50))
     _positive(snapshot_every, "snapshot_every")
 
@@ -197,7 +202,7 @@ def _cmd_diagnose(args):
     config = _load_config(args.config)
     dt = float(_resolve(args, config, "dt", 1e-3))
     _positive(dt, "dt")
-    horizon = float(_resolve(args, config, "T", 3.0))
+    horizon = _time_grid(float(_resolve(args, config, "T", 3.0)), dt)
     seed = int(_resolve(args, config, "seed", 0))
     out = _out_dir(args, config)
     _write_manifest(out, "diagnose", {"dt": dt, "T": horizon, "seed": seed})

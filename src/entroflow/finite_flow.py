@@ -15,12 +15,14 @@ rho-convex potentials in the built-in bank).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .grids import write_csv
+from .pde import step_count
 
 DIVERGENCE_LIMIT = 1e12
 
@@ -94,13 +96,15 @@ def validate_potential(spec: PotentialSpec, box: np.ndarray, seed: int = 0,
 
 
 def integrate_flow(spec: PotentialSpec, x0, dt: float, horizon: float) -> Trajectory:
-    """Classical RK4 trajectory of dx/dt = -grad E from x0."""
+    """Classical RK4 trajectory of dx/dt = -grad E from x0.
+
+    A horizon that is not a multiple of ``dt`` raises ``ValueError``
+    (see ``pde.step_count``).
+    """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    if horizon < dt:
-        raise ValueError("horizon must cover at least one step")
+    steps = step_count(horizon, dt)
     x = np.asarray(x0, dtype=float).reshape(spec.dim)
-    steps = int(round(horizon / dt))
     states = np.empty((steps + 1, spec.dim))
     states[0] = x
 
@@ -130,8 +134,9 @@ def locate_minimizer(spec: PotentialSpec, x0=None) -> np.ndarray:
         return spec.minimizer
     start = np.zeros(spec.dim) if x0 is None else np.asarray(x0, dtype=float)
     horizon = 20.0 / spec.rho
-    dt = min(1e-2, horizon / 64.0)
-    traj = integrate_flow(spec, start, dt, horizon)
+    # dt <= 1e-2 that divides the horizon, at least 64 steps
+    steps = max(64, math.ceil(horizon / 1e-2))
+    traj = integrate_flow(spec, start, horizon / steps, horizon)
     x = traj.states[-1]
     x = x - np.linalg.solve(np.atleast_2d(spec.hess(x)), np.asarray(spec.grad(x)))
     if np.linalg.norm(spec.grad(x)) > 1e-10:

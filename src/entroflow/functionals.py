@@ -196,29 +196,3 @@ def hessian_identity_check(mu: GridDensity, phi) -> tuple[float, float]:
     lhs = integrate((0.5 * lap_grad_sq - d1 * grad_lap) * mu.values, grid)
     rhs = integrate(d2**2 * mu.values, grid)
     return lhs, rhs
-
-
-def standard_phi_bank(grid: Grid, seed: int = 2061) -> list[tuple[str, np.ndarray]]:
-    """Fixed, seeded potentials for Hessian-bound sweeps.
-
-    Affine, quadratic, a few sin/cos frequencies, and two compactly
-    supported Gaussian bumps drawn from ``default_rng(seed)`` (PCG64).
-    """
-    x = grid.nodes
-    rng = np.random.default_rng(seed)
-    bank = [
-        ("affine", 0.8 * x),
-        ("quadratic", 0.5 * x**2),
-        ("sin_half", np.sin(0.5 * x)),
-        ("sin_1", np.sin(x)),
-        ("sin_2", np.sin(2.0 * x)),
-        ("cos_3_halves", np.cos(1.5 * x)),
-    ]
-    lo, hi = x[0], x[-1]
-    span = hi - lo
-    for k in range(2):
-        center = lo + span * rng.uniform(0.3, 0.7)
-        width = span * rng.uniform(0.04, 0.1)
-        amp = rng.uniform(0.5, 1.5)
-        bank.append((f"bump_{k}", amp * np.exp(-0.5 * ((x - center) / width) ** 2)))
-    return bank

@@ -14,8 +14,10 @@ midpoint q-grid,
 so for the Boltzmann entropy and the Fokker-Planck free energy the
 objective is strictly convex in X (this convexity in quantile coordinates
 is displacement convexity).  The unique minimizer is found by damped
-Newton with a pool-adjacent-violators monotonicity projection; dX/dq uses
-forward differences of X with a positivity floor.
+Newton with feasibility backtracking: a trial step is halved both when it
+raises the objective and when it takes an increment of X below
+INCREMENT_FLOOR (for a start with tied quantiles, below its smallest
+increment).  dX/dq uses forward differences of X with that floor.
 
 Energy monotonicity F(mu_{k+1}) <= F(mu_k) and the step bound
 W2(mu_{k+1}, mu_k)^2 <= 2 tau (F(mu_k) - F(mu_{k+1})) are exact
@@ -41,9 +43,11 @@ from .grids import (
     midpoint_q_nodes,
     write_csv,
 )
-from .pde import solve_banded
+from .pde import flux_bands, solve_banded
 
 INCREMENT_FLOOR = 1e-12
+INNER_TOL = 1e-9         # relative objective decrease that counts as progress
+MAX_INNER = 60
 
 
 @dataclass(frozen=True)
@@ -51,8 +55,6 @@ class JkoConfig:
     tau: float
     steps: int
     num_quantiles: int = 1024
-    inner_tol: float = 1e-9
-    max_inner: int = 60
 
     def __post_init__(self):
         if self.tau <= 0.0:
@@ -100,68 +102,38 @@ def _grad_hess(functional, x, x_prev, tau):
     grad = np.zeros(m)
     grad[1:] -= dq * inv      # d/dX_{j+1} of -dq log d_j
     grad[:-1] += dq * inv     # d/dX_j of -dq log d_j
-    diag = np.zeros(m)
     cross = dq * inv**2       # log-barrier coupling on (j, j+1)
-    diag[1:] += cross
-    diag[:-1] += cross
-    upper = np.zeros(m)
-    upper[1:] = -cross
-    lower = np.zeros(m)
-    lower[:-1] = -cross
+    bands = flux_bands(np.zeros(m), cross, cross)
     if functional.kind == FOKKER_PLANCK:
         grad += dq * x
-        diag += dq
+        bands[1] += dq
     grad += dq * (x - x_prev) / tau
-    diag += dq / tau
-    return grad, np.vstack([upper, diag, lower])
-
-
-def project_monotone(x: np.ndarray) -> np.ndarray:
-    """Pool-adjacent-violators projection onto nondecreasing sequences."""
-    values = x.astype(float).copy()
-    weights = np.ones_like(values)
-    heads = []
-    for v in range(values.size):
-        values[v], weights[v] = x[v], 1.0
-        heads.append(v)
-        while len(heads) > 1:
-            j = heads[-1]
-            i = heads[-2]
-            if values[i] <= values[j]:
-                break
-            total = weights[i] + weights[j]
-            values[i] = (weights[i] * values[i] + weights[j] * values[j]) / total
-            weights[i] = total
-            heads.pop()
-    out = np.empty_like(values)
-    for idx, start in enumerate(heads):
-        end = heads[idx + 1] if idx + 1 < len(heads) else values.size
-        out[start:end] = values[start]
-    return out
+    bands[1] += dq / tau
+    return grad, bands
 
 
 def _jko_step_quantiles(functional, x_prev, cfg):
     """Solve the proximal problem in quantile coordinates by damped Newton."""
     x = x_prev.copy()
     obj = _objective(functional, x, x_prev, cfg.tau)
+    # a trial with an increment below the floor is rejected like an
+    # objective increase; a start with tied quantiles lowers the floor to
+    # its smallest increment, so that the step can still move
+    floor = min(INCREMENT_FLOOR, float(np.min(np.diff(x_prev))))
     iters = 0
-    for iters in range(1, cfg.max_inner + 1):
+    for iters in range(1, MAX_INNER + 1):
         grad, bands = _grad_hess(functional, x, x_prev, cfg.tau)
-        delta = solve_banded((1, 1), bands, -grad, check_finite=False)
+        delta = solve_banded(bands, -grad)
         lam = 1.0
         improved = False
         for _ in range(50):
             trial = x + lam * delta
-            if np.any(np.diff(trial) < INCREMENT_FLOOR):
-                trial = project_monotone(trial)
-                if np.any(np.diff(trial) < INCREMENT_FLOOR):
-                    # nudge flat runs apart to keep the barrier finite
-                    trial = trial + INCREMENT_FLOOR * np.arange(trial.size)
-            trial_obj = _objective(functional, trial, x_prev, cfg.tau)
-            if trial_obj <= obj:
-                improved = trial_obj < obj - cfg.inner_tol * max(1.0, abs(obj))
-                x, obj = trial, trial_obj
-                break
+            if np.all(np.diff(trial) >= floor):
+                trial_obj = _objective(functional, trial, x_prev, cfg.tau)
+                if trial_obj <= obj:
+                    improved = trial_obj < obj - INNER_TOL * max(1.0, abs(obj))
+                    x, obj = trial, trial_obj
+                    break
             lam *= 0.5
         step = float(np.max(np.abs(lam * delta)))
         if not improved and step <= 1e-11 * max(1.0, float(np.max(np.abs(x)))):

@@ -81,9 +81,11 @@ class TridiagonalLU:
         return x
 
 
-def solve_banded(l_and_u, ab, b, **kwargs):
-    """``scipy.linalg.solve_banded``, imported at the first call; ``ab`` may
-    also be a :class:`TridiagonalLU`, whose factors are then reused.
+def solve_banded(ab, b):
+    """Solve the tridiagonal system with (1, 1) band array ``ab`` by scipy's
+    ``solve_banded`` (``dgtsv``, no finiteness check), imported at the first
+    call; ``ab`` may also be a :class:`TridiagonalLU`, whose factors are then
+    reused.
 
     scipy.linalg costs ~0.3 s to import, which commands that never solve a
     banded system (w2, check, diagnose) should not pay.  The function is
@@ -96,7 +98,29 @@ def solve_banded(l_and_u, ab, b, **kwargs):
     if _scipy_solve_banded is None:
         from scipy.linalg import solve_banded as scipy_solve_banded
         _scipy_solve_banded = scipy_solve_banded
-    return _scipy_solve_banded(l_and_u, ab, b, **kwargs)
+    return _scipy_solve_banded((1, 1), ab, b, check_finite=False)
+
+
+def flux_bands(diag, left, right, row_scale=1.0) -> np.ndarray:
+    """``[upper, diag, lower]`` band array of the tridiagonal operator
+
+        u -> diag u + row_scale (J_{i+1/2} - J_{i-1/2}),
+
+    with face flux J_{i+1/2} = left_i u_i - right_i u_{i+1} on the n - 1
+    interior faces and no flux through the ends.  ``row_scale`` is a
+    scalar or one factor per row (a step over the cell measure).  It never
+    solves: every solve goes through ``solve_banded``, whose calls
+    ``perfbench/traced_entry.py`` counts per caller.
+    """
+    scale = np.broadcast_to(row_scale, np.shape(diag))
+    bands = np.zeros((3, np.size(diag)))
+    upper, main, lower = bands
+    main[:] = diag
+    main[:-1] += scale[:-1] * left
+    main[1:] += scale[1:] * right
+    upper[1:] = -(scale[:-1] * right)
+    lower[:-1] = -(scale[1:] * left)
+    return bands
 
 
 def step_count(horizon: float, dt: float) -> int:
@@ -114,16 +138,17 @@ def step_count(horizon: float, dt: float) -> int:
     return steps
 
 
+NEWTON_TOL = 1e-12       # fast-diffusion residual tolerance, relative to max(w mu)
+NEWTON_MAX_ITER = 40
+
+
 @dataclass
 class FlowSpec:
     kind: str
     grid: Grid
     dt: float
     horizon: float
-    ambient_dim: int = 1
     snapshot_every: int = 1
-    newton_tol: float = 1e-12
-    newton_max_iter: int = 40
 
     def __post_init__(self):
         if self.kind not in (HEAT, FOKKER_PLANCK, FAST_DIFFUSION):
@@ -136,8 +161,7 @@ class FlowSpec:
         if self.kind == FAST_DIFFUSION:
             if not self.grid.is_radial:
                 raise ValueError("fast diffusion runs on radial grids")
-            self.ambient_dim = self.grid.ambient_dim
-            if self.ambient_dim <= 2:
+            if self.grid.ambient_dim <= 2:
                 raise ValueError("fast diffusion requires ambient dimension n > 2")
         else:
             if self.grid.is_radial:
@@ -155,33 +179,24 @@ def _bernoulli(z: np.ndarray) -> np.ndarray:
 
 
 def _linear_step_matrix(spec: FlowSpec) -> np.ndarray:
-    """Banded backward-Euler matrix for heat / Fokker-Planck."""
+    """Banded backward-Euler matrix I + dt M for heat / Fokker-Planck, with
+    (M mu)_i = (J_{i+1/2} - J_{i-1/2}) / w_i."""
     grid = spec.grid
     x = grid.nodes
-    h = grid.spacing
-    w = grid.quad_weights
     n = grid.num_nodes
     if spec.kind == FOKKER_PLANCK:
         dv = 0.5 * (x[1:] ** 2 - x[:-1] ** 2)
     else:
         dv = np.zeros(n - 1)
-    bplus = _bernoulli(dv)      # weight on mu_i in face flux J_{i+1/2}
-    bminus = _bernoulli(-dv)    # weight on mu_{i+1}
-    # (I + dt*M) with (M mu)_i = (J_{i+1/2} - J_{i-1/2}) / w_i
-    diag = np.ones(n)
-    diag[:-1] += spec.dt / (w[:-1] * h) * bplus
-    diag[1:] += spec.dt / (w[1:] * h) * bminus
-    upper = np.zeros(n)
-    upper[1:] = -spec.dt / (w[:-1] * h) * bminus
-    lower = np.zeros(n)
-    lower[:-1] = -spec.dt / (w[1:] * h) * bplus
-    return np.vstack([upper, diag, lower])
+    # B(dV) weighs mu_i and B(-dV) mu_{i+1} in the face flux J_{i+1/2}
+    return flux_bands(np.ones(n), _bernoulli(dv), _bernoulli(-dv),
+                      row_scale=spec.dt / (grid.quad_weights * grid.spacing))
 
 
 def _fd_newton_step(spec: FlowSpec, mu_old: np.ndarray) -> np.ndarray:
     """One backward-Euler step of the fast-diffusion flow by damped Newton."""
     grid = spec.grid
-    n = spec.ambient_dim
+    n = grid.ambient_dim
     r = grid.nodes
     h = grid.spacing
     w = grid.quad_weights
@@ -190,6 +205,7 @@ def _fd_newton_step(spec: FlowSpec, mu_old: np.ndarray) -> np.ndarray:
     area = sphere_area(n) * faces ** (n - 1)
     mobility = 0.5 * (mu_old[1:] + mu_old[:-1])   # lagged
     cface = area * mobility / h
+    coupling = kappa * cface
 
     def residual(mu):
         psi = -(mu ** (-1.0 / n)) + 0.5 * r**2
@@ -201,22 +217,15 @@ def _fd_newton_step(spec: FlowSpec, mu_old: np.ndarray) -> np.ndarray:
 
     mu = mu_old.copy()
     scale = float(np.max(w * np.abs(mu_old)))
-    tol = spec.newton_tol * max(scale, 1e-30)
+    tol = NEWTON_TOL * max(scale, 1e-30)
     res = residual(mu)
-    for _ in range(spec.newton_max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         norm = float(np.max(np.abs(res)))
         if norm <= tol:
             return mu
         dpsi = mu ** (-1.0 / n - 1.0) / n
-        diag = w.copy()
-        diag[:-1] += kappa * cface * dpsi[:-1]
-        diag[1:] += kappa * cface * dpsi[1:]
-        upper = np.zeros_like(mu)
-        upper[1:] = -kappa * cface * dpsi[1:]
-        lower = np.zeros_like(mu)
-        lower[:-1] = -kappa * cface * dpsi[:-1]
-        delta = solve_banded((1, 1), np.vstack([upper, diag, lower]), -res,
-                             check_finite=False)
+        delta = solve_banded(flux_bands(w, coupling * dpsi[:-1],
+                                        coupling * dpsi[1:]), -res)
         lam = 1.0
         for _ in range(40):
             trial = mu + lam * delta
@@ -255,7 +264,7 @@ def solve(spec: FlowSpec, mu0: GridDensity) -> DensityTrajectory:
         if spec.kind == FAST_DIFFUSION:
             mu = _fd_newton_step(spec, mu)
         else:
-            mu = solve_banded((1, 1), lu, mu)
+            mu = solve_banded(lu, mu)
         if k % spec.snapshot_every == 0 or k == steps:
             state = GridDensity(spec.grid, mu)
             if abs(state.mass - 1.0) > 1e-8:
@@ -267,7 +276,8 @@ def solve(spec: FlowSpec, mu0: GridDensity) -> DensityTrajectory:
 
     return DensityTrajectory(
         np.asarray(times), states,
-        metadata={"kind": spec.kind, "dt": spec.dt, "ambient_dim": spec.ambient_dim,
+        metadata={"kind": spec.kind, "dt": spec.dt,
+                  "ambient_dim": spec.grid.ambient_dim,
                   "boundary_flux_max": 0.0},
     )
 

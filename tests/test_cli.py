@@ -150,6 +150,14 @@ def test_simulate_rejects_horizon_off_the_time_grid(tmp_path, capsys):
     assert not (tmp_path / "manifest.json").exists()
 
 
+def test_diagnose_rejects_horizon_off_the_time_grid(tmp_path, capsys):
+    code = main(["diagnose", "--T", "1.0004", "--dt", "0.001",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert "config error: T:" in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_simulate_accepts_horizon_multiple_up_to_roundoff(tmp_path):
     # 1.5 / 1e-3 is 1500 only up to roundoff
     code = main(["simulate", "--flow", "heat", "--T", "1.5", "--dt", "1e-3",

@@ -190,6 +190,27 @@ def test_locate_minimizer_quartic():
     assert abs(beta[0]) <= 1e-10
 
 
+def test_locate_minimizer_rho_3_horizon_off_the_1e_2_grid():
+    # the flow horizon 20 / rho = 6.67 is no multiple of 1e-2
+    shifted = PotentialSpec(
+        "shifted", 1,
+        energy=lambda x: 1.5 * float((x[0] - 1.0) ** 2),
+        grad=lambda x: np.array([3.0 * (x[0] - 1.0)]),
+        hess=lambda x: np.array([[3.0]]),
+        rho=3.0,
+    )
+    assert locate_minimizer(shifted)[0] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_integrate_flow_rejects_horizon_off_the_time_grid():
+    with pytest.raises(ValueError, match="not a multiple"):
+        integrate_flow(quadratic_potential(), np.ones(2), dt=1e-3,
+                       horizon=1.0004)
+    with pytest.raises(ValueError, match="shorter than dt"):
+        integrate_flow(quadratic_potential(), np.ones(2), dt=1e-3,
+                       horizon=5e-4)
+
+
 def test_anisotropic_rho_is_smallest_eigenvalue():
     spec = anisotropic_quadratic_potential()
     assert spec.rho == pytest.approx(np.linalg.eigvalsh(spec.hess(np.zeros(2))).min())

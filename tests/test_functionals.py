@@ -9,7 +9,6 @@ from entroflow.functionals import (
     fp_free_energy,
     hessian_identity_check,
     lp_norm,
-    standard_phi_bank,
 )
 from entroflow.grids import (
     gaussian_density,
@@ -146,6 +145,32 @@ def test_fd_hessian_quadratic_potential_hits_lower_bound(radial_setup):
     value = fd_free_energy(3).otto_hessian_quadform(stat, phi)
     grad_norm = integrate(rg.nodes**2 * stat.values, rg)
     assert value == pytest.approx((2.0 / 3.0) * grad_norm, rel=1e-12)
+
+
+def standard_phi_bank(grid, seed=2061):
+    """Fixed, seeded potentials for Hessian-bound sweeps.
+
+    Affine, quadratic, a few sin/cos frequencies, and two compactly
+    supported Gaussian bumps drawn from ``default_rng(seed)`` (PCG64).
+    """
+    x = grid.nodes
+    rng = np.random.default_rng(seed)
+    bank = [
+        ("affine", 0.8 * x),
+        ("quadratic", 0.5 * x**2),
+        ("sin_half", np.sin(0.5 * x)),
+        ("sin_1", np.sin(x)),
+        ("sin_2", np.sin(2.0 * x)),
+        ("cos_3_halves", np.cos(1.5 * x)),
+    ]
+    lo, hi = x[0], x[-1]
+    span = hi - lo
+    for k in range(2):
+        center = lo + span * rng.uniform(0.3, 0.7)
+        width = span * rng.uniform(0.04, 0.1)
+        amp = rng.uniform(0.5, 1.5)
+        bank.append((f"bump_{k}", amp * np.exp(-0.5 * ((x - center) / width) ** 2)))
+    return bank
 
 
 def test_fp_hessian_bound_over_phi_bank(grid, gauss):

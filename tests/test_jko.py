@@ -9,14 +9,17 @@ from entroflow.grids import (
     normalize,
 )
 from entroflow.jko import (
+    INCREMENT_FLOOR,
     JkoConfig,
+    _grad_hess,
+    _jko_step_quantiles,
+    _objective,
     jko_step,
     jko_trajectory,
-    project_monotone,
     quantile_free_energy,
     write_step_log_csv,
 )
-from entroflow.pde import FlowSpec, solve
+from entroflow.pde import FlowSpec, solve, solve_banded
 
 
 @pytest.fixture(scope="module")
@@ -39,12 +42,59 @@ def test_unsupported_functional_rejected(grid):
         jko_step(lp_norm(2.0), gaussian_density(grid), JkoConfig(tau=0.1, steps=1))
 
 
-def test_project_monotone_matches_isotonic_regression():
-    x = np.array([1.0, 3.0, 2.0, 2.0, 5.0, 4.0])
-    proj = project_monotone(x)
-    assert np.all(np.diff(proj) >= 0.0)
-    # known PAV result: pools (3,2,2) -> 7/3 and (5,4) -> 4.5
-    assert np.allclose(proj, [1.0, 7.0 / 3.0, 7.0 / 3.0, 7.0 / 3.0, 4.5, 4.5])
+def test_infeasible_newton_step_is_backtracked():
+    """A far outlier makes the full Newton step cross quantiles; the line
+    search halves it until every increment stays above the floor."""
+    functional = fp_free_energy()
+    m, tau = 256, 1.0
+    x_prev = np.sort(np.random.default_rng(3).standard_normal(m))
+    x_prev[0] -= 50.0
+    grad, bands = _grad_hess(functional, x_prev, x_prev, tau)
+    full_step = x_prev + solve_banded(bands, -grad)
+    assert np.any(np.diff(full_step) < INCREMENT_FLOOR)
+
+    x, _ = _jko_step_quantiles(functional, x_prev,
+                               JkoConfig(tau=tau, steps=1, num_quantiles=m))
+    assert np.all(np.diff(x) >= INCREMENT_FLOOR)
+    assert (_objective(functional, x, x_prev, tau)
+            <= _objective(functional, x_prev, x_prev, tau))
+
+
+def test_tied_start_moves_off_the_stay_put_candidate():
+    """Tied quantiles start below the increment floor; the floor drops to
+    the start's smallest increment, so the step still makes progress."""
+    functional = boltzmann_entropy()
+    m, tau = 256, 1.0
+    x_prev = np.sort(np.random.default_rng(1).standard_normal(m))
+    x_prev[101] = x_prev[100]
+    x, _ = _jko_step_quantiles(functional, x_prev,
+                               JkoConfig(tau=tau, steps=1, num_quantiles=m))
+    assert np.all(np.diff(x) >= 0.0)
+    assert (_objective(functional, x, x_prev, tau)
+            < _objective(functional, x_prev, x_prev, tau) - 0.1)
+
+
+@pytest.mark.parametrize("kind", ["entropy", "fp"])
+def test_hessian_equals_hand_assembled_bands_bitwise(kind):
+    functional = fp_free_energy() if kind == "fp" else boltzmann_entropy()
+    rng = np.random.default_rng(4)
+    m, tau = 512, 0.05
+    x_prev = np.sort(rng.standard_normal(m))
+    x = x_prev + 0.01 * rng.standard_normal(m)
+    dq = 1.0 / m
+    cross = dq * (1.0 / np.maximum(np.diff(x), INCREMENT_FLOOR)) ** 2
+    diag = np.zeros(m)
+    diag[1:] += cross
+    diag[:-1] += cross
+    upper = np.zeros(m)
+    upper[1:] = -cross
+    lower = np.zeros(m)
+    lower[:-1] = -cross
+    if kind == "fp":
+        diag += dq
+    diag += dq / tau
+    _, bands = _grad_hess(functional, x, x_prev, tau)
+    assert np.array_equal(bands, np.vstack([upper, diag, lower]))
 
 
 def test_fp_fixed_point(grid):

@@ -22,12 +22,14 @@ from entroflow.pde import (
     FlowSpec,
     SolverError,
     TridiagonalLU,
+    _bernoulli,
     _brentq,
     _fd_tail_mass,
     _linear_step_matrix,
     de_bruijn_pde_check,
     dirac_like_density,
     dissipation_report,
+    flux_bands,
     solve,
     solve_banded,
     stationary_fd,
@@ -346,8 +348,63 @@ def test_prefactored_solve_is_one_shot_solve_banded_bitwise(kind, n):
 
 def test_tridiagonal_lu_solves_and_fails_as_solver_error():
     band = np.array([[0.0, -1.0, -1.0], [4.0, 4.0, 4.0], [-1.0, -1.0, 0.0]])
-    x = solve_banded((1, 1), TridiagonalLU(band), np.ones(3))
+    x = solve_banded(TridiagonalLU(band), np.ones(3))
     assert np.allclose(x, np.array([5.0, 6.0, 5.0]) / 14.0, rtol=1e-15)
     singular = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
     with pytest.raises(SolverError, match="dgttrf"):
         TridiagonalLU(singular)
+
+
+def _dense(bands):
+    return (np.diag(bands[1]) + np.diag(bands[0, 1:], 1)
+            + np.diag(bands[2, :-1], -1))
+
+
+def test_flux_bands_is_the_divergence_of_face_fluxes():
+    rng = np.random.default_rng(11)
+    n = 9
+    diag, u, scale = rng.uniform(0.5, 2.0, (3, n))
+    left, right = rng.uniform(0.1, 1.0, (2, n - 1))
+    flux = np.zeros(n + 1)          # J at the n + 1 faces, zero at both ends
+    flux[1:-1] = left * u[:-1] - right * u[1:]
+    expected = diag * u + scale * (flux[1:] - flux[:-1])
+    bands = flux_bands(diag, left, right, row_scale=scale)
+    assert np.allclose(_dense(bands) @ u, expected, rtol=1e-14, atol=0.0)
+    assert np.allclose(solve_banded(bands, expected), u, rtol=1e-12)
+
+
+def test_flux_bands_symmetric_for_equal_face_weights():
+    cross = np.random.default_rng(12).uniform(0.1, 3.0, 15)
+    dense = _dense(flux_bands(np.full(16, 0.5), cross, cross))
+    assert np.array_equal(dense, dense.T)
+
+
+@pytest.mark.parametrize("kind", ["heat", "fokker_planck"])
+def test_linear_step_matrix_equals_hand_assembled_bands_bitwise(kind):
+    grid = make_uniform_grid(-8.0, 8.0, 1025)
+    spec = FlowSpec(kind, grid, dt=1e-3, horizon=1e-3)
+    x, h, w = grid.nodes, grid.spacing, grid.quad_weights
+    dv = 0.5 * (x[1:] ** 2 - x[:-1] ** 2) if kind == "fokker_planck" \
+        else np.zeros(x.size - 1)
+    bplus, bminus = _bernoulli(dv), _bernoulli(-dv)
+    diag = np.ones(x.size)
+    diag[:-1] += spec.dt / (w[:-1] * h) * bplus
+    diag[1:] += spec.dt / (w[1:] * h) * bminus
+    upper = np.zeros(x.size)
+    upper[1:] = -spec.dt / (w[:-1] * h) * bminus
+    lower = np.zeros(x.size)
+    lower[:-1] = -spec.dt / (w[1:] * h) * bplus
+    assert np.array_equal(_linear_step_matrix(spec),
+                          np.vstack([upper, diag, lower]))
+
+
+@pytest.mark.parametrize("kind", ["heat", "fokker_planck"])
+def test_linear_step_conserves_weighted_mass(kind):
+    """sum_i w_i ((I + dt M) mu)_i = sum_i w_i mu_i: the flux part of every
+    column has zero w-weighted sum."""
+    grid = make_uniform_grid(-8.0, 8.0, 257)
+    spec = FlowSpec(kind, grid, dt=1e-2, horizon=1e-2)
+    flux_part = _dense(_linear_step_matrix(spec)) - np.eye(grid.num_nodes)
+    column_sums = grid.quad_weights @ flux_part
+    scale = np.max(np.abs(grid.quad_weights[:, None] * flux_part))
+    assert np.max(np.abs(column_sums)) <= 1e-14 * scale
