@@ -35,6 +35,12 @@ RUNS = {
                             "--T", "0.1", "--snapshot-every", "5",
                             "--diagnose"],
     "w2": ["w2", "--mu", "gaussian:0:1", "--nu", "gaussian:1:1.5"],
+    "fast_diffusion_n4096": ["simulate", "--flow", "fast_diffusion",
+                             "--dim", "3", "--N", "4096", "--T", "0.05",
+                             "--snapshot-every", "25", "--diagnose"],
+    "jko_entropy_m65536": ["jko", "--functional", "entropy", "--init",
+                           "gaussian:0.5:0.8", "--quantiles", "65536",
+                           "--steps", "3"],
     "diagnose": ["diagnose"],
     "check_lsi": ["check", "--inequality", "lsi"],
 }
@@ -104,6 +110,22 @@ GOLDEN = {
         "summary.json":
             "adc6437af33577e975b22c86bf763f9a52b283e16ebc77fabce0a2394fbff0e6",
     },
+    "fast_diffusion_n4096": {
+        "<stdout>":
+            "4b6544b4166091a5a73f65f15f16f73e32490bcee77cfcb4e4f03cdf96acd813",
+        "manifest.json":
+            "f4993cbbdbadc69695cde44320c1b2488a60f85395e114ddb0fb09b2e046c617",
+        "report.csv":
+            "8ef3ce73d55e5d4efc1e111d7d730ebd93a93fcd9a2efe4efef97b83826c7995",
+        "snapshot_0000.csv":
+            "9c18707d04f31583a1f0a2358c12fdbd58193ee1073d2051b2fcee760a301f96",
+        "snapshot_0001.csv":
+            "8aebf42026a893cc3c08b78632326439dda5f556f613ecdeadd9efe6d3ffa5eb",
+        "snapshot_0002.csv":
+            "add51b4cb8744dc380bdff7381d76ac14d3cacf1b5c3b04135a2ca85d380ac73",
+        "summary.json":
+            "0deb0015ad32f8eabae7bec7d988c3dc29d5116235102ba5e1acfe1feb93c84e",
+    },
     "fokker_planck": {
         "<stdout>":
             "f23554bf2c01321047c3c48bf749ba9a4b6c797db46aeae8684a9baac390287e",
@@ -165,6 +187,18 @@ GOLDEN = {
             "2b82d4982731508b7670b1e3557a6ffda42d436c49ff8b549e7f59eb377a506b",
         "summary.json":
             "484c7487c027892bacb2c195c128b2f5052a8d0bbf89603794f44d42ce3f6cc2",
+    },
+    "jko_entropy_m65536": {
+        "<stdout>":
+            "d074eab18e845e4aaadd9f7cc7e30b808ba84500c410e64cbb22ad3a5ec17f24",
+        "final_density.csv":
+            "6af36161d903d976e0564601861addd6cd5651992df2e9e76051c2ba892ecefa",
+        "jko_steps.csv":
+            "060bfc71c4d42f6bc6c7f620506d39f7dcfa09ca3daf8c90e5d3f0b0a1afc873",
+        "manifest.json":
+            "0e07ecf6ac5e0d5c31082b99a785f1384aed6cfe9890a5d9499c7e5f3ba86620",
+        "summary.json":
+            "7ee3c35df96fc10cb2d10ed233a8b5041a4aca302a25219f4897beb721c9d3fd",
     },
     "w2": {
         "<stdout>":
