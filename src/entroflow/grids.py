@@ -102,6 +102,23 @@ class Grid:
         return self.geometry == RADIAL
 
     @cached_property
+    def face_areas(self) -> np.ndarray:
+        """omega_n r^(n-1) at the cell faces r = (r_i + r_{i+1}) / 2 between
+        consecutive nodes; built at the first use on this grid."""
+        faces = 0.5 * (self.nodes[1:] + self.nodes[:-1])
+        areas = sphere_area(self.ambient_dim) * faces ** (self.ambient_dim - 1)
+        areas.setflags(write=False)
+        return areas
+
+    @cached_property
+    def harmonic_potential(self) -> np.ndarray:
+        """The confining potential r^2 / 2 at the nodes; built at the first
+        use on this grid."""
+        potential = 0.5 * self.nodes**2
+        potential.setflags(write=False)
+        return potential
+
+    @cached_property
     def csv_template(self) -> str:
         """Density CSV text with the header and node column filled in and a
         ``%.17g`` slot per value; built at the first write on this grid."""

@@ -75,70 +75,96 @@ def _require_supported(functional: FreeEnergy) -> None:
                          "Fokker-Planck free energy on the line")
 
 
+def _increments(x: np.ndarray) -> np.ndarray:
+    """Forward differences of the quantiles, floored at INCREMENT_FLOOR."""
+    d = np.diff(x)
+    return np.maximum(d, INCREMENT_FLOOR, out=d)
+
+
 def quantile_free_energy(functional: FreeEnergy, x: np.ndarray) -> float:
     """F(mu) evaluated in quantile coordinates (forward-difference dX/dq)."""
     _require_supported(functional)
-    m = x.size
-    dq = 1.0 / m
-    d = np.maximum(np.diff(x), INCREMENT_FLOOR)
-    value = -dq * float(np.sum(np.log(d / dq)))
+    return _free_energy(functional, x, _increments(x))
+
+
+def _free_energy(functional, x, d):
+    """F at quantiles ``x`` whose floored increments are ``d``."""
+    dq = 1.0 / x.size
+    logs = d / dq
+    value = -dq * float(np.sum(np.log(logs, out=logs)))
     if functional.kind == FOKKER_PLANCK:
-        value += dq * float(np.sum(0.5 * x**2))
+        squares = np.square(x)
+        squares *= 0.5
+        value += dq * float(np.sum(squares))
     return value
 
 
-def _objective(functional, x, x_prev, tau):
+def _objective(functional, x, x_prev, tau, d):
+    """Proximal objective at ``x``; ``d`` are its floored increments."""
     dq = 1.0 / x.size
-    prox = 0.5 * dq * float(np.sum((x - x_prev) ** 2)) / tau
-    return quantile_free_energy(functional, x) + prox
+    moved = x - x_prev
+    prox = 0.5 * dq * float(np.sum(np.square(moved, out=moved))) / tau
+    return _free_energy(functional, x, d) + prox
 
 
-def _grad_hess(functional, x, x_prev, tau):
-    """Gradient and tridiagonal Hessian bands of the proximal objective."""
+def _grad_hess(functional, x, x_prev, tau, d):
+    """Gradient and tridiagonal Hessian bands of the proximal objective at
+    ``x``; ``d`` are its floored increments."""
     m = x.size
     dq = 1.0 / m
-    d = np.maximum(np.diff(x), INCREMENT_FLOOR)
     inv = 1.0 / d
+    barrier = dq * inv
     grad = np.zeros(m)
-    grad[1:] -= dq * inv      # d/dX_{j+1} of -dq log d_j
-    grad[:-1] += dq * inv     # d/dX_j of -dq log d_j
-    cross = dq * inv**2       # log-barrier coupling on (j, j+1)
-    bands = flux_bands(np.zeros(m), cross, cross)
+    grad[1:] -= barrier       # d/dX_{j+1} of -dq log d_j
+    grad[:-1] += barrier      # d/dX_j of -dq log d_j
+    cross = np.square(inv, out=inv)
+    cross *= dq               # log-barrier coupling on (j, j+1)
+    bands = flux_bands(0.0, cross, cross)
     if functional.kind == FOKKER_PLANCK:
         grad += dq * x
         bands[1] += dq
-    grad += dq * (x - x_prev) / tau
+    moved = x - x_prev
+    moved *= dq
+    moved /= tau
+    grad += moved
     bands[1] += dq / tau
     return grad, bands
 
 
 def _jko_step_quantiles(functional, x_prev, cfg):
-    """Solve the proximal problem in quantile coordinates by damped Newton."""
+    """Solve the proximal problem in quantile coordinates by damped Newton.
+
+    Each accepted trial hands its floored increments to the next Hessian,
+    and the stay-put objective is the objective of the start.
+    """
     x = x_prev.copy()
-    obj = _objective(functional, x, x_prev, cfg.tau)
+    d = _increments(x)
+    obj = stay = _objective(functional, x, x_prev, cfg.tau, d)
     # a trial with an increment below the floor is rejected like an
     # objective increase; a start with tied quantiles lowers the floor to
     # its smallest increment, so that the step can still move
     floor = min(INCREMENT_FLOOR, float(np.min(np.diff(x_prev))))
     iters = 0
     for iters in range(1, MAX_INNER + 1):
-        grad, bands = _grad_hess(functional, x, x_prev, cfg.tau)
-        delta = solve_banded(bands, -grad)
+        grad, bands = _grad_hess(functional, x, x_prev, cfg.tau, d)
+        delta = solve_banded(bands, np.negative(grad, out=grad))
         lam = 1.0
         improved = False
         for _ in range(50):
-            trial = x + lam * delta
-            if np.all(np.diff(trial) >= floor):
-                trial_obj = _objective(functional, trial, x_prev, cfg.tau)
+            trial = delta * lam
+            trial += x
+            trial_d = np.diff(trial)
+            if trial_d.min() >= floor:
+                np.maximum(trial_d, INCREMENT_FLOOR, out=trial_d)
+                trial_obj = _objective(functional, trial, x_prev, cfg.tau, trial_d)
                 if trial_obj <= obj:
                     improved = trial_obj < obj - INNER_TOL * max(1.0, abs(obj))
-                    x, obj = trial, trial_obj
+                    x, obj, d = trial, trial_obj, trial_d
                     break
             lam *= 0.5
-        step = float(np.max(np.abs(lam * delta)))
+        step = lam * float(np.max(np.abs(delta)))
         if not improved and step <= 1e-11 * max(1.0, float(np.max(np.abs(x)))):
             break
-    stay = _objective(functional, x_prev, x_prev, cfg.tau)
     if obj > stay + 1e-12 * max(1.0, abs(stay)):
         raise RuntimeError("proximal objective increased over the stay-put "
                            "candidate; inner solver bug")

@@ -55,7 +55,7 @@ class SolverError(RuntimeError):
     pass
 
 
-_scipy_solve_banded = None
+_dgtsv = None
 
 
 class TridiagonalLU:
@@ -82,40 +82,55 @@ class TridiagonalLU:
 
 
 def solve_banded(ab, b):
-    """Solve the tridiagonal system with (1, 1) band array ``ab`` by scipy's
-    ``solve_banded`` (``dgtsv``, no finiteness check), imported at the first
-    call; ``ab`` may also be a :class:`TridiagonalLU`, whose factors are then
-    reused.
+    """Solve the tridiagonal system with (1, 1) band array ``ab`` (rows
+    upper, diagonal, lower) by LAPACK ``dgtsv``, consuming ``ab``; ``ab``
+    may also be a :class:`TridiagonalLU`, whose factors are then reused.
+
+    ``dgtsv`` is what scipy's ``solve_banded`` runs for (1, 1) bands, so the
+    result is the same bit for bit, without that wrapper's validation and
+    copies.  Its elimination overwrites the bands of ``ab``, which every
+    caller builds for one solve; ``b`` is left alone.  A singular matrix
+    raises ``SolverError``.
 
     scipy.linalg costs ~0.3 s to import, which commands that never solve a
-    banded system (w2, check, diagnose) should not pay.  The function is
+    banded system (w2, check, diagnose) should not pay.  ``dgtsv`` is
     cached in a module global because a function-local import on every
     call costs ~7 us, a sixth of a small solve.
     """
     if isinstance(ab, TridiagonalLU):
         return ab.solve(b)
-    global _scipy_solve_banded
-    if _scipy_solve_banded is None:
-        from scipy.linalg import solve_banded as scipy_solve_banded
-        _scipy_solve_banded = scipy_solve_banded
-    return _scipy_solve_banded((1, 1), ab, b, check_finite=False)
+    global _dgtsv
+    if _dgtsv is None:
+        from scipy.linalg.lapack import dgtsv
+        _dgtsv = dgtsv
+    *_, x, info = _dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b, 1, 1, 1)
+    if info != 0:
+        raise SolverError(f"dgtsv failed with info={info}")
+    return x
 
 
-def flux_bands(diag, left, right, row_scale=1.0) -> np.ndarray:
+def flux_bands(diag, left, right, row_scale=None) -> np.ndarray:
     """``[upper, diag, lower]`` band array of the tridiagonal operator
 
         u -> diag u + row_scale (J_{i+1/2} - J_{i-1/2}),
 
     with face flux J_{i+1/2} = left_i u_i - right_i u_{i+1} on the n - 1
-    interior faces and no flux through the ends.  ``row_scale`` is a
-    scalar or one factor per row (a step over the cell measure).  It never
-    solves: every solve goes through ``solve_banded``, whose calls
+    interior faces and no flux through the ends.  ``diag`` is a scalar or
+    one value per row; ``row_scale`` is None (no scale), a scalar or one
+    factor per row (a step over the cell measure).  It never solves: every
+    solve goes through ``solve_banded``, whose calls
     ``perfbench/traced_entry.py`` counts per caller.
     """
-    scale = np.broadcast_to(row_scale, np.shape(diag))
-    bands = np.zeros((3, np.size(diag)))
+    bands = np.zeros((3, np.size(left) + 1))
     upper, main, lower = bands
     main[:] = diag
+    if row_scale is None:
+        main[:-1] += left
+        main[1:] += right
+        np.negative(right, out=upper[1:])
+        np.negative(left, out=lower[:-1])
+        return bands
+    scale = np.broadcast_to(row_scale, main.shape)
     main[:-1] += scale[:-1] * left
     main[1:] += scale[1:] * right
     upper[1:] = -(scale[:-1] * right)
@@ -194,50 +209,61 @@ def _linear_step_matrix(spec: FlowSpec) -> np.ndarray:
 
 
 def _fd_newton_step(spec: FlowSpec, mu_old: np.ndarray) -> np.ndarray:
-    """One backward-Euler step of the fast-diffusion flow by damped Newton."""
+    """One backward-Euler step of the fast-diffusion flow by damped Newton.
+
+    The residual w (mu - mu_old) - div(kappa c_face diff(psi)) is formed
+    in place, with the float operations of the plain expression in the
+    same order, so every iterate is reproducible bit for bit.
+    """
     grid = spec.grid
     n = grid.ambient_dim
-    r = grid.nodes
-    h = grid.spacing
     w = grid.quad_weights
+    potential = grid.harmonic_potential
     kappa = spec.dt * (n - 1.0) / n
-    faces = 0.5 * (r[1:] + r[:-1])
-    area = sphere_area(n) * faces ** (n - 1)
     mobility = 0.5 * (mu_old[1:] + mu_old[:-1])   # lagged
-    cface = area * mobility / h
+    cface = grid.face_areas * mobility / grid.spacing
     coupling = kappa * cface
+    flux = np.empty_like(cface)
 
     def residual(mu):
-        psi = -(mu ** (-1.0 / n)) + 0.5 * r**2
-        flux = cface * np.diff(psi)
-        res = w * (mu - mu_old)
-        res[:-1] -= kappa * flux
-        res[1:] += kappa * flux
+        psi = mu ** (-1.0 / n)
+        np.subtract(potential, psi, out=psi)
+        np.subtract(psi[1:], psi[:-1], out=flux)
+        np.multiply(flux, cface, out=flux)
+        np.multiply(flux, kappa, out=flux)
+        res = mu - mu_old
+        res *= w
+        res[:-1] -= flux
+        res[1:] += flux
         return res
 
     mu = mu_old.copy()
     scale = float(np.max(w * np.abs(mu_old)))
     tol = NEWTON_TOL * max(scale, 1e-30)
     res = residual(mu)
+    norm = float(np.max(np.abs(res)))
     for _ in range(NEWTON_MAX_ITER):
-        norm = float(np.max(np.abs(res)))
         if norm <= tol:
             return mu
-        dpsi = mu ** (-1.0 / n - 1.0) / n
+        dpsi = mu ** (-1.0 / n - 1.0)
+        dpsi /= n
         delta = solve_banded(flux_bands(w, coupling * dpsi[:-1],
-                                        coupling * dpsi[1:]), -res)
+                                        coupling * dpsi[1:]),
+                             np.negative(res, out=res))
         lam = 1.0
         for _ in range(40):
-            trial = mu + lam * delta
-            if np.all(trial > 0.0):
+            trial = delta * lam
+            trial += mu
+            if trial.min() > 0.0:
                 trial_res = residual(trial)
-                if np.max(np.abs(trial_res)) < norm:
-                    mu, res = trial, trial_res
+                trial_norm = float(np.max(np.abs(trial_res)))
+                if trial_norm < norm:
+                    mu, res, norm = trial, trial_res, trial_norm
                     break
             lam *= 0.5
         else:
             raise SolverError("fast-diffusion Newton line search stalled")
-    if np.max(np.abs(res)) <= 10.0 * tol:
+    if norm <= 10.0 * tol:
         return mu
     raise SolverError("fast-diffusion Newton did not converge")
 

@@ -12,6 +12,7 @@ from entroflow.jko import (
     INCREMENT_FLOOR,
     JkoConfig,
     _grad_hess,
+    _increments,
     _jko_step_quantiles,
     _objective,
     jko_step,
@@ -20,6 +21,10 @@ from entroflow.jko import (
     write_step_log_csv,
 )
 from entroflow.pde import FlowSpec, solve, solve_banded
+
+
+def _objective_at(functional, x, x_prev, tau):
+    return _objective(functional, x, x_prev, tau, _increments(x))
 
 
 @pytest.fixture(scope="module")
@@ -49,15 +54,16 @@ def test_infeasible_newton_step_is_backtracked():
     m, tau = 256, 1.0
     x_prev = np.sort(np.random.default_rng(3).standard_normal(m))
     x_prev[0] -= 50.0
-    grad, bands = _grad_hess(functional, x_prev, x_prev, tau)
+    grad, bands = _grad_hess(functional, x_prev, x_prev, tau,
+                             _increments(x_prev))
     full_step = x_prev + solve_banded(bands, -grad)
     assert np.any(np.diff(full_step) < INCREMENT_FLOOR)
 
     x, _ = _jko_step_quantiles(functional, x_prev,
                                JkoConfig(tau=tau, steps=1, num_quantiles=m))
     assert np.all(np.diff(x) >= INCREMENT_FLOOR)
-    assert (_objective(functional, x, x_prev, tau)
-            <= _objective(functional, x_prev, x_prev, tau))
+    assert (_objective_at(functional, x, x_prev, tau)
+            <= _objective_at(functional, x_prev, x_prev, tau))
 
 
 def test_tied_start_moves_off_the_stay_put_candidate():
@@ -70,8 +76,8 @@ def test_tied_start_moves_off_the_stay_put_candidate():
     x, _ = _jko_step_quantiles(functional, x_prev,
                                JkoConfig(tau=tau, steps=1, num_quantiles=m))
     assert np.all(np.diff(x) >= 0.0)
-    assert (_objective(functional, x, x_prev, tau)
-            < _objective(functional, x_prev, x_prev, tau) - 0.1)
+    assert (_objective_at(functional, x, x_prev, tau)
+            < _objective_at(functional, x_prev, x_prev, tau) - 0.1)
 
 
 @pytest.mark.parametrize("kind", ["entropy", "fp"])
@@ -93,7 +99,7 @@ def test_hessian_equals_hand_assembled_bands_bitwise(kind):
     if kind == "fp":
         diag += dq
     diag += dq / tau
-    _, bands = _grad_hess(functional, x, x_prev, tau)
+    _, bands = _grad_hess(functional, x, x_prev, tau, _increments(x))
     assert np.array_equal(bands, np.vstack([upper, diag, lower]))
 
 

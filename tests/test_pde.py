@@ -355,6 +355,26 @@ def test_tridiagonal_lu_solves_and_fails_as_solver_error():
         TridiagonalLU(singular)
 
 
+@pytest.mark.parametrize("n", [3, 4, 17, 1025, 65537])
+def test_solve_banded_is_scipy_solve_banded_bitwise(n):
+    from scipy.linalg import solve_banded as scipy_solve_banded
+    rng = np.random.default_rng(n)
+    ab = rng.uniform(-1.0, 1.0, (3, n))
+    ab[1] *= 0.5
+    b = rng.standard_normal(n)
+    assert np.any(np.abs(ab[2, :-1]) > np.abs(ab[1, :-1]))   # dgtsv pivots
+    expected = scipy_solve_banded((1, 1), ab, b)
+    rhs = b.copy()
+    assert np.array_equal(solve_banded(ab, rhs), expected)
+    assert np.array_equal(rhs, b)
+
+
+def test_solve_banded_singular_band_is_solver_error():
+    singular = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+    with pytest.raises(SolverError, match="dgtsv failed with info=2"):
+        solve_banded(singular, np.ones(3))
+
+
 def _dense(bands):
     return (np.diag(bands[1]) + np.diag(bands[0, 1:], 1)
             + np.diag(bands[2, :-1], -1))
