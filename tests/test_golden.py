@@ -43,9 +43,31 @@ RUNS = {
                            "--steps", "3"],
     "diagnose": ["diagnose"],
     "check_lsi": ["check", "--inequality", "lsi"],
+    **{f"check_{name}": ["check", "--inequality", name, "--count", "5"]
+       for name in ("eep_fp", "eep_fd", "zugmeyer", "sobolev")},
 }
 
 GOLDEN = {
+    "check_eep_fd": {
+        "<stdout>":
+            "0efe45ae153a273b9a00265cbdd73af555a456cca4ec0bd6b9e6fff302199b2f",
+        "manifest.json":
+            "f800fb7f3b76b9d69ba581a0d34b9eb8e64349c20437565610e7abe32942b4bf",
+        "report.csv":
+            "034a171105f72a281fe21f61816500554af67e69acf788319ca051917c1068ee",
+        "summary.json":
+            "7798f2f65361f3788e7c5c78116e239c5a5919b3ed7037465c902c7fe7123152",
+    },
+    "check_eep_fp": {
+        "<stdout>":
+            "116adff90aad0c64bc665497db8447802c48d60256e8ea2e63b2311e134d628f",
+        "manifest.json":
+            "5626d3ba9dbcd0049bb899b90ca26e506536c6b5915a33190a9a9c17563b6a6e",
+        "report.csv":
+            "10aea957d668c0bf09522fc6a86ff2650e13560d3fbd798e6f543d6eeb3e76c4",
+        "summary.json":
+            "674437c231472b6538a6d294ca26d930235643c5695d83f8eb5733961cb7b0fd",
+    },
     "check_lsi": {
         "<stdout>":
             "083e204d690a3fc25bedc6ad0e43c1bb6cbd38822f359493364a6765a06283ef",
@@ -55,6 +77,26 @@ GOLDEN = {
             "0b43bacf4fac367397de1000ed712808ad9c56c0215f24401ac2badd2ca61416",
         "summary.json":
             "c108286e81abce09c24f80a9fa366672fa7f5b5deb05ee38e7eadbc16127c696",
+    },
+    "check_sobolev": {
+        "<stdout>":
+            "f60ad9c3bd9f6673415ac031083566678aee66dfbacbf5d96ba49f6dd1e8d7ee",
+        "manifest.json":
+            "097f85bec528c6b22f8c99cd2fb29e03fa1d8b4ff5b32bd2e7e979227a29da7e",
+        "report.csv":
+            "902f1bf0a3f47554693e328d6350fa543e0b87240f8768f12e0c24bf2ce440f8",
+        "summary.json":
+            "685ddc208408114b910a3e09fbd08bb73293e968b6698977e63635a0d6f53c62",
+    },
+    "check_zugmeyer": {
+        "<stdout>":
+            "6b3366813b1e7e853d6b71cd2293b735084459a66b3daf78fc2f05cc4b070a51",
+        "manifest.json":
+            "ca605743084994f38ead0ccf3e502067d10bfda122537b10f2dd82ff29096844",
+        "report.csv":
+            "55fe361882780bd6b7d063e8d8f33d740abce7388ea502b17c7e6738498ede69",
+        "summary.json":
+            "d033e671b0bcce49e699ae3ced8153305d2ec807e138c89defbadb758c53c752",
     },
     "diagnose": {
         "<stdout>":
