@@ -13,12 +13,13 @@ import argparse
 import json
 import os
 import sys
+import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import banks, finite_flow, jko, pde, transport
-from .functionals import boltzmann_entropy, fd_free_energy, fp_free_energy
 from .grids import (
     DEFAULT_LINE_DOMAIN,
     DEFAULT_RADIAL_DOMAIN,
@@ -100,16 +101,16 @@ def _line_grid_from(cfg):
 
 def _parse_density(spec, grid):
     parts = str(spec).split(":")
-    kind = parts[0]
-    if kind == "gaussian":
+    shape = parts[0]
+    if shape == "gaussian":
         mean = float(parts[1]) if len(parts) > 1 else 0.0
         sigma = float(parts[2]) if len(parts) > 2 else 1.0
         return gaussian_density(grid, mean, sigma)
-    if kind == "uniform":
+    if shape == "uniform":
         return normalize(np.ones_like(grid.nodes), grid)
-    if kind == "dirac":
+    if shape == "dirac":
         return pde.dirac_like_density(grid)
-    if kind == "csv":
+    if shape == "csv":
         return read_density_csv(parts[1], ambient_dim=grid.ambient_dim)
     raise ConfigError("init", f"unknown density spec {spec!r}")
 
@@ -119,10 +120,10 @@ def _parse_density(spec, grid):
 def _cmd_simulate(args):
     config = _load_config(args.config)
     flow = _resolve(args, config, "flow", "fokker_planck", aliases=("kind",))
-    if flow not in (pde.HEAT, pde.FOKKER_PLANCK, pde.FAST_DIFFUSION):
+    if flow not in pde.FLOWS:
         raise ConfigError("flow", f"unknown flow {flow!r}")
-    dim = int(_resolve(args, config, "dim",
-                       3 if flow == pde.FAST_DIFFUSION else 1, aliases=("n",)))
+    model = pde.FLOWS[flow]   # a power law runs on radial grids
+    dim = int(_resolve(args, config, "dim", model.ambient_dim or 1, aliases=("n",)))
     dt = float(_resolve(args, config, "dt", 1e-3))
     _positive(dt, "dt")
     horizon = _time_grid(float(_resolve(args, config, "T", 1.5)), dt)
@@ -134,16 +135,16 @@ def _cmd_simulate(args):
                 "seed": int(_resolve(args, config, "seed", 0)),
                 "diagnose": bool(args.diagnose or config.get("diagnose", False))}
 
-    if flow == pde.FAST_DIFFUSION:
+    if model.ambient_dim is not None:
         radius = float(_resolve(args, config, "radius", DEFAULT_RADIAL_DOMAIN[1]))
         num = int(_resolve(args, config, "num_nodes", 512, aliases=("N",)))
         _positive(radius, "radius")
         grid = staggered_radial_grid(radius, num, dim)
         resolved.update(radius=radius, num_nodes=num)
-        import warnings
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             stationary = pde.stationary_fd(dim, grid)
+        functional = replace(model, ambient_dim=dim, minimizer=stationary)
         init = str(_resolve(args, config, "init", "stationary-perturbed:0.05"))
         if init == "stationary":
             mu0 = stationary
@@ -154,7 +155,6 @@ def _cmd_simulate(args):
         else:
             raise ConfigError("init", f"fast diffusion supports stationary "
                                       f"inits, got {init!r}")
-        functional = fd_free_energy(dim, minimizer=stationary)
     else:
         domain = _resolve(args, config, "domain", list(DEFAULT_LINE_DOMAIN))
         num = int(_resolve(args, config, "num_nodes", 1025, aliases=("N",)))
@@ -163,8 +163,9 @@ def _cmd_simulate(args):
                         num_nodes=num)
         init = str(_resolve(args, config, "init", "gaussian:2:1"))
         mu0 = _parse_density(init, grid)
-        functional = (fp_free_energy(grid) if flow == pde.FOKKER_PLANCK
-                      else boltzmann_entropy())
+        # the standard Gaussian minimizes the confined entropy
+        functional = (replace(model, minimizer=gaussian_density(grid))
+                      if model.confined else model)
     resolved["init"] = init
 
     out = _out_dir(args, config)
@@ -239,6 +240,12 @@ def _cmd_diagnose(args):
 
 # ------------------------------------------------------------------ jko
 
+# jko --functional name -> flow, for each flow whose free energy JKO steps;
+# the unconfined one goes by its free energy, the entropy
+JKO_FUNCTIONALS = {flow if model.confined else "entropy": flow
+                   for flow, model in pde.FLOWS.items() if jko.supports(model)}
+
+
 def _cmd_jko(args):
     config = _load_config(args.config)
     functional_name = _resolve(args, config, "functional", "fokker_planck")
@@ -254,11 +261,8 @@ def _cmd_jko(args):
 
     grid = _line_grid_from({"domain": domain, "num_nodes": num})
     mu0 = _parse_density(init, grid)
-    if functional_name == "entropy":
-        functional, flow_kind = boltzmann_entropy(), pde.HEAT
-    elif functional_name == "fokker_planck":
-        functional, flow_kind = fp_free_energy(grid), pde.FOKKER_PLANCK
-    else:
+    flow = JKO_FUNCTIONALS.get(functional_name)
+    if flow is None:
         raise ConfigError("functional", f"unknown functional {functional_name!r}")
 
     out = _out_dir(args, config)
@@ -268,7 +272,7 @@ def _cmd_jko(args):
         "num_nodes": num, "init": init, "compare_pde": compare})
 
     cfg = jko.JkoConfig(tau=tau, steps=steps, num_quantiles=quantiles)
-    traj = jko.jko_trajectory(functional, mu0, cfg)
+    traj = jko.jko_trajectory(pde.FLOWS[flow], mu0, cfg)
     jko.write_step_log_csv(traj, out / "jko_steps.csv")
     write_density_csv(traj.states[-1], out / "final_density.csv")
 
@@ -281,7 +285,7 @@ def _cmd_jko(args):
         pde_dt = min(1e-3, tau / 10.0)
         per_step = max(1, int(round(tau / pde_dt)))
         pde_dt = tau / per_step
-        ref = pde.solve(pde.FlowSpec(flow_kind, grid, dt=pde_dt,
+        ref = pde.solve(pde.FlowSpec(flow, grid, dt=pde_dt,
                                      horizon=cfg.horizon,
                                      snapshot_every=per_step), mu0)
         from .grids import integrate
@@ -376,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run a PDE flow, optionally with "
                                         "dissipation diagnostics")
     common(p)
-    p.add_argument("--flow", choices=["heat", "fokker_planck", "fast_diffusion"])
+    p.add_argument("--flow", choices=list(pde.FLOWS))
     p.add_argument("--init", help="gaussian:m:s | uniform | dirac | csv:path | "
                                   "stationary | stationary-perturbed:eps")
     p.add_argument("--dim", type=int, help="ambient dimension (fast diffusion)")
@@ -400,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("jko", help="minimizing-movement trajectory")
     common(p)
-    p.add_argument("--functional", choices=["entropy", "fokker_planck"])
+    p.add_argument("--functional", choices=list(JKO_FUNCTIONALS))
     p.add_argument("--tau", type=float)
     p.add_argument("--steps", type=int)
     p.add_argument("--quantiles", type=int)

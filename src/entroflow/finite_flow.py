@@ -146,8 +146,7 @@ def locate_minimizer(spec: PotentialSpec, x0=None) -> np.ndarray:
 
 
 def _grad_norms_sq(spec: PotentialSpec, traj: Trajectory) -> np.ndarray:
-    return np.array([float(np.dot(spec.grad(x), spec.grad(x)))
-                     for x in traj.states])
+    return np.array([float(np.dot(g, g)) for g in map(spec.grad, traj.states)])
 
 
 def de_bruijn_residual(spec: PotentialSpec, traj: Trajectory) -> float:

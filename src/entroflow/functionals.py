@@ -1,28 +1,32 @@
-"""Free-energy functionals with their Otto gradients and Hessian forms.
+"""Free energies of McCann's form with their Otto gradients and Hessian forms.
 
-Four kinds are supported:
+Every flow in the library is the Wasserstein gradient flow of
 
-* ``boltzmann_entropy``      Ent(mu) = int mu log mu
-* ``fp_free_energy``         F(mu) = int (mu log mu + |x|^2/2 mu), minimized
-  by the standard Gaussian; displacement convexity constant rho = 1
-* ``fd_free_energy(n)``      F(mu) = int (-mu^(-1/n) + (n-1)/n |x|^2/2) mu,
-  minimized by mu_inf = (C + |x|^2/2)^(-n); rho = (n-1)/n
+    F(mu) = int U(mu) + s int V mu,
+
+an internal energy plus, when confined, the potential energy of V = |x|^2/2
+(McCann, Adv. Math. 128 (1997); Otto, Comm. PDE 26 (2001)).  The factories
+of the model ``FreeEnergy`` pick U and V:
+
+* ``boltzmann_entropy()``    U = mu log mu, no V; rho = 0
+* ``fp_free_energy()``       U = mu log mu, V, s = 1: minimized by the
+  standard Gaussian; displacement convexity constant rho = 1
+* ``fd_free_energy(n)``      U = -mu^(1-1/n), V, s = (n-1)/n: minimized by
+  mu_inf = (C + |x|^2/2)^(-n); rho = (n-1)/n
 * ``lp_norm(p)``             int mu^p, a Lyapunov functional for the heat
   flow; no Otto gradient/Hessian implemented
 
-Gradient fields (velocities of the associated flows):
+The Otto gradient is grad(U'(mu) + s V) = s grad(psi(mu) + V) with
+psi = log mu or -mu^(-1/n), and the production is its squared norm
+int |grad F|^2 dmu.  On a scalar potential Phi (second derivatives of Phi
+are needed, so the potential is passed, not the field) the Hessian
+quadratic form is the second variation of F along (id + eps grad Phi)#mu,
+written with the pressure P = mu U' - U:
 
-* Ent:  grad = d/dx log(mu)
-* FP:   grad = d/dx (log mu + x^2/2)
-* FD:   grad = (n-1)/n d/dx (-mu^(-1/n) + r^2/2)
+    int P ||Hess Phi||^2 + (mu P' - P) (Lap Phi)^2 + s int |grad Phi|^2 mu,
 
-Hessian quadratic forms evaluated on a scalar potential Phi (second
-derivatives of Phi are needed, so the potential is passed, not the field):
-
-* Ent:  int ||Hess Phi||^2 mu
-* FP:   int (||Hess Phi||^2 + |grad Phi|^2) mu
-* FD:   (1/n) int (||Hess Phi||^2 - (Lap Phi)^2/n) mu
-        + (n-1)/n int |grad Phi|^2 mu
+the last term only with V.  P = mu for the entropy (so mu P' - P = 0) and
+P = mu^(1-1/n)/n for the power law (so mu P' - P = -P/n).
 
 For a radial profile in R^n, ||Hess Phi||^2 = Phi''^2 + (n-1)(Phi'/r)^2 and
 Lap Phi = Phi'' + (n-1) Phi'/r; at an r = 0 node Phi'/r is replaced by its
@@ -46,79 +50,70 @@ from .grids import (
     second_derivative_fd,
 )
 
-BOLTZMANN = "boltzmann_entropy"
-FOKKER_PLANCK = "fp_free_energy"
-FAST_DIFFUSION = "fd_free_energy"
-LP_NORM = "lp_norm"
-
 
 @dataclass(frozen=True)
 class FreeEnergy:
-    kind: str
-    ambient_dim: int = 1
+    """F = int U(mu) + s int V mu with U = mu log mu (``ambient_dim`` None),
+    -mu^(1-1/n) (n = ``ambient_dim``) or mu^p (``p``, no Otto calculus);
+    ``confined`` adds V = |x|^2/2."""
+
+    ambient_dim: int | None = None
     p: float | None = None
+    confined: bool = False
     minimizer: GridDensity | None = None
 
     def __post_init__(self):
-        if self.kind not in (BOLTZMANN, FOKKER_PLANCK, FAST_DIFFUSION, LP_NORM):
-            raise ValueError(f"unknown functional kind {self.kind!r}")
-        if self.kind == FAST_DIFFUSION and self.ambient_dim < 2:
-            raise ValueError("fast-diffusion free energy needs ambient_dim >= 2")
-        if self.kind == LP_NORM and (self.p is None or self.p <= 1.0):
+        if self.ambient_dim is not None and self.ambient_dim < 2:
+            raise ValueError("power-law free energy needs ambient_dim >= 2")
+        if self.p is not None and self.p <= 1.0:
             raise ValueError("lp_norm requires p > 1")
         if self.minimizer is not None and abs(self.minimizer.mass - 1.0) > 1e-8:
             raise ValueError("minimizer must have unit mass")
 
     @property
+    def scale(self) -> float:
+        """s: 1 for mu log mu, (n-1)/n for the power law of dimension n."""
+        n = self.ambient_dim
+        return 1.0 if n is None else (n - 1.0) / n
+
+    @property
     def rho(self) -> float | None:
-        """Claimed displacement-convexity constant."""
-        if self.kind == BOLTZMANN:
-            return 0.0
-        if self.kind == FOKKER_PLANCK:
-            return 1.0
-        if self.kind == FAST_DIFFUSION:
-            n = self.ambient_dim
-            return (n - 1.0) / n
-        return None
+        """Claimed displacement-convexity constant: s with V, else 0."""
+        if self.p is not None:
+            return None
+        return self.scale if self.confined else 0.0
 
     # ---------------------------------------------------------------- value
 
     def value(self, mu: GridDensity) -> float:
         v = mu.values
         x = mu.grid.nodes
-        if self.kind == BOLTZMANN:
-            return integrate(v * np.log(np.maximum(v, DENSITY_FLOOR)), mu.grid)
-        if self.kind == FOKKER_PLANCK:
+        n = self.ambient_dim
+        if self.p is not None:
+            return integrate(v ** self.p, mu.grid)
+        if n is None:
             ent = integrate(v * np.log(np.maximum(v, DENSITY_FLOOR)), mu.grid)
-            return ent + integrate(0.5 * x**2 * v, mu.grid)
-        if self.kind == FAST_DIFFUSION:
-            if np.any(v <= 0.0):
-                raise ValueError("fast-diffusion free energy needs strictly "
-                                 "positive density (mu^(-1/n) is singular)")
-            n = self.ambient_dim
-            integrand = -(v ** (1.0 - 1.0 / n)) + (n - 1.0) / n * 0.5 * x**2 * v
-            return integrate(integrand, mu.grid)
-        return integrate(v ** self.p, mu.grid)
+            return ent + integrate(0.5 * x**2 * v, mu.grid) if self.confined else ent
+        if np.any(v <= 0.0):
+            raise ValueError("power-law free energy needs strictly positive "
+                             "density (mu^(-1/n) is singular)")
+        integrand = -(v ** (1.0 - 1.0 / n))
+        if self.confined:
+            integrand += self.scale * 0.5 * x**2 * v
+        return integrate(integrand, mu.grid)
 
     # ------------------------------------------------------------- gradient
 
     def otto_gradient(self, mu: GridDensity) -> TangentField:
-        if self.kind == LP_NORM:
+        if self.p is not None:
             raise ValueError("no Otto gradient implemented for the L^p functional")
         if np.any(mu.values <= 0.0):
             raise ValueError("Otto gradient needs a strictly positive density")
-        x = mu.grid.nodes
-        if self.kind == BOLTZMANN:
-            potential = np.log(mu.values)
-            scale = 1.0
-        elif self.kind == FOKKER_PLANCK:
-            potential = np.log(mu.values) + 0.5 * x**2
-            scale = 1.0
-        else:
-            n = self.ambient_dim
-            potential = -(mu.values ** (-1.0 / n)) + 0.5 * x**2
-            scale = (n - 1.0) / n
-        return TangentField(mu.grid, scale * gradient_fd(potential, mu.grid))
+        n = self.ambient_dim
+        potential = np.log(mu.values) if n is None else -(mu.values ** (-1.0 / n))
+        if self.confined:
+            potential += 0.5 * mu.grid.nodes**2
+        return TangentField(mu.grid, self.scale * gradient_fd(potential, mu.grid))
 
     def production(self, mu: GridDensity) -> float:
         """Squared Otto-metric norm of the gradient, int |grad F|^2 dmu."""
@@ -128,51 +123,52 @@ class FreeEnergy:
     # -------------------------------------------------------------- hessian
 
     def otto_hessian_quadform(self, mu: GridDensity, phi) -> float:
-        if self.kind == LP_NORM:
+        if self.p is not None:
             raise ValueError("no Otto Hessian implemented for the L^p functional")
         grid = mu.grid
+        n = self.ambient_dim
+        if n is not None and not grid.is_radial:
+            raise ValueError("power-law Hessian needs radial geometry")
         phi = np.asarray(phi, dtype=float)
         d1 = gradient_fd(phi, grid)
         d2 = second_derivative_fd(phi, grid)
         if grid.is_radial and grid.ambient_dim > 1:
-            n = grid.ambient_dim
+            dim = grid.ambient_dim
             safe_r = np.where(grid.nodes > 0.0, grid.nodes, 1.0)
             # at r = 0 the ratio Phi'/r tends to Phi''(0)
             ratio = np.where(grid.nodes > 0.0, d1 / safe_r, d2)
-            hess_sq = d2**2 + (n - 1.0) * ratio**2
-            lap = d2 + (n - 1.0) * ratio
+            hess_sq = d2**2 + (dim - 1.0) * ratio**2
+            lap = d2 + (dim - 1.0) * ratio
         else:
             hess_sq = d2**2
             lap = d2
         v = mu.values
-        if self.kind == BOLTZMANN:
-            return integrate(hess_sq * v, grid)
-        if self.kind == FOKKER_PLANCK:
-            return integrate((hess_sq + d1**2) * v, grid)
-        n = self.ambient_dim
-        if not grid.is_radial and n > 1:
-            raise ValueError("fast-diffusion Hessian with n > 1 needs radial geometry")
-        cs_term = integrate((hess_sq - lap**2 / n) * v, grid) / n
-        return cs_term + (n - 1.0) / n * integrate(d1**2 * v, grid)
+        if n is None:  # P = mu, mu P' - P = 0
+            quad = integrate(hess_sq * v, grid)
+        else:          # P = mu^(1-1/n)/n, mu P' - P = -P/n
+            quad = integrate((hess_sq - lap**2 / n) * v ** (1.0 - 1.0 / n), grid) / n
+        if self.confined:
+            quad += self.scale * integrate(d1**2 * v, grid)
+        return quad
 
 
 def boltzmann_entropy() -> FreeEnergy:
-    return FreeEnergy(BOLTZMANN)
+    return FreeEnergy()
 
 
 def fp_free_energy(grid: Grid | None = None) -> FreeEnergy:
     """Fokker-Planck free energy; attaches the Gaussian minimizer when a grid
     is supplied."""
     minimizer = gaussian_density(grid) if grid is not None else None
-    return FreeEnergy(FOKKER_PLANCK, minimizer=minimizer)
+    return FreeEnergy(confined=True, minimizer=minimizer)
 
 
 def fd_free_energy(ambient_dim: int, minimizer: GridDensity | None = None) -> FreeEnergy:
-    return FreeEnergy(FAST_DIFFUSION, ambient_dim=ambient_dim, minimizer=minimizer)
+    return FreeEnergy(ambient_dim, confined=True, minimizer=minimizer)
 
 
 def lp_norm(p: float) -> FreeEnergy:
-    return FreeEnergy(LP_NORM, p=p)
+    return FreeEnergy(p=p)
 
 
 def hessian_identity_check(mu: GridDensity, phi) -> tuple[float, float]:

@@ -270,10 +270,6 @@ class QuantileRep:
         object.__setattr__(self, "q_nodes", q)
         object.__setattr__(self, "values", x)
 
-    @property
-    def q_spacing(self) -> float:
-        return float(self.q_nodes[1] - self.q_nodes[0])
-
 
 def midpoint_q_nodes(num_quantiles: int) -> np.ndarray:
     return (np.arange(num_quantiles) + 0.5) / num_quantiles

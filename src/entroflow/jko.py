@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functionals import BOLTZMANN, FOKKER_PLANCK, FreeEnergy
+from .functionals import FreeEnergy
 from .grids import (
     DensityTrajectory,
     GridDensity,
@@ -69,8 +69,13 @@ class JkoConfig:
         return self.tau * self.steps
 
 
+def supports(functional: FreeEnergy) -> bool:
+    """JKO steps F = int mu log mu, with or without V = |x|^2/2, on the line."""
+    return functional.ambient_dim is None and functional.p is None
+
+
 def _require_supported(functional: FreeEnergy) -> None:
-    if functional.kind not in (BOLTZMANN, FOKKER_PLANCK):
+    if not supports(functional):
         raise ValueError("JKO stepping supports the Boltzmann entropy and the "
                          "Fokker-Planck free energy on the line")
 
@@ -92,7 +97,7 @@ def _free_energy(functional, x, d):
     dq = 1.0 / x.size
     logs = d / dq
     value = -dq * float(np.sum(np.log(logs, out=logs)))
-    if functional.kind == FOKKER_PLANCK:
+    if functional.confined:
         squares = np.square(x)
         squares *= 0.5
         value += dq * float(np.sum(squares))
@@ -120,7 +125,7 @@ def _grad_hess(functional, x, x_prev, tau, d):
     cross = np.square(inv, out=inv)
     cross *= dq               # log-barrier coupling on (j, j+1)
     bands = flux_bands(0.0, cross, cross)
-    if functional.kind == FOKKER_PLANCK:
+    if functional.confined:
         grad += dq * x
         bands[1] += dq
     moved = x - x_prev
@@ -217,9 +222,8 @@ def jko_trajectory(functional: FreeEnergy, mu0: GridDensity,
         times.append(k * cfg.tau)
         states.append(density_from_quantile(QuantileRep(q, x), mu0.grid))
     return DensityTrajectory(np.asarray(times), states,
-                             metadata={"kind": "jko",
-                                       "functional": functional.kind,
-                                       "tau": cfg.tau, "steps": logs})
+                             metadata={"kind": "jko", "tau": cfg.tau,
+                                       "steps": logs})
 
 
 def write_step_log_csv(traj: DensityTrajectory, path) -> None:

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .functionals import FreeEnergy, boltzmann_entropy
+from .functionals import FreeEnergy, boltzmann_entropy, fd_free_energy, fp_free_energy
 from .grids import (
     DensityTrajectory,
     Grid,
@@ -46,9 +46,11 @@ from .grids import (
     write_csv,
 )
 
-HEAT = "heat"
-FOKKER_PLANCK = "fokker_planck"
-FAST_DIFFUSION = "fast_diffusion"
+# flow name -> the free energy whose Wasserstein gradient flow it is.  The
+# power law is listed at its default dimension; a run takes its grid's.
+FLOWS = {"heat": boltzmann_entropy(),
+         "fokker_planck": fp_free_energy(),
+         "fast_diffusion": fd_free_energy(3)}
 
 
 class SolverError(RuntimeError):
@@ -159,28 +161,26 @@ NEWTON_MAX_ITER = 40
 
 @dataclass
 class FlowSpec:
-    kind: str
+    flow: str
     grid: Grid
     dt: float
     horizon: float
     snapshot_every: int = 1
 
     def __post_init__(self):
-        if self.kind not in (HEAT, FOKKER_PLANCK, FAST_DIFFUSION):
-            raise ValueError(f"unknown flow kind {self.kind!r}")
+        if self.flow not in FLOWS:
+            raise ValueError(f"unknown flow {self.flow!r}")
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
         step_count(self.horizon, self.dt)
         if self.snapshot_every < 1:
             raise ValueError("snapshot_every must be >= 1")
-        if self.kind == FAST_DIFFUSION:
-            if not self.grid.is_radial:
-                raise ValueError("fast diffusion runs on radial grids")
-            if self.grid.ambient_dim <= 2:
-                raise ValueError("fast diffusion requires ambient dimension n > 2")
-        else:
-            if self.grid.is_radial:
-                raise ValueError(f"{self.kind} flow runs on line grids")
+        radial = FLOWS[self.flow].ambient_dim is not None   # the power law
+        if self.grid.is_radial != radial:
+            geometry = "radial" if radial else "line"
+            raise ValueError(f"{self.flow} flow runs on {geometry} grids")
+        if radial and self.grid.ambient_dim <= 2:
+            raise ValueError(f"{self.flow} flow requires ambient dimension n > 2")
 
 
 def _bernoulli(z: np.ndarray) -> np.ndarray:
@@ -199,7 +199,7 @@ def _linear_step_matrix(spec: FlowSpec) -> np.ndarray:
     grid = spec.grid
     x = grid.nodes
     n = grid.num_nodes
-    if spec.kind == FOKKER_PLANCK:
+    if FLOWS[spec.flow].confined:
         dv = 0.5 * (x[1:] ** 2 - x[:-1] ** 2)
     else:
         dv = np.zeros(n - 1)
@@ -281,13 +281,13 @@ def solve(spec: FlowSpec, mu0: GridDensity) -> DensityTrajectory:
     mu = mu0.values.copy()
     times = [0.0]
     states = [GridDensity(spec.grid, mu)]
-    lu = None
-    if spec.kind != FAST_DIFFUSION:
-        # heat and Fokker-Planck step with one constant matrix: factor it once
-        lu = TridiagonalLU(_linear_step_matrix(spec))
+    # mu log mu flows step with one constant matrix: factor it once; the
+    # power law steps by Newton
+    newton = FLOWS[spec.flow].ambient_dim is not None
+    lu = None if newton else TridiagonalLU(_linear_step_matrix(spec))
 
     for k in range(1, steps + 1):
-        if spec.kind == FAST_DIFFUSION:
+        if newton:
             mu = _fd_newton_step(spec, mu)
         else:
             mu = solve_banded(lu, mu)
@@ -302,7 +302,7 @@ def solve(spec: FlowSpec, mu0: GridDensity) -> DensityTrajectory:
 
     return DensityTrajectory(
         np.asarray(times), states,
-        metadata={"kind": spec.kind, "dt": spec.dt,
+        metadata={"kind": spec.flow, "dt": spec.dt,
                   "ambient_dim": spec.grid.ambient_dim,
                   "boundary_flux_max": 0.0},
     )

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -186,6 +187,43 @@ def test_fd_hessian_bound_over_phi_bank(radial_setup):
         quad = fd_free_energy(3).otto_hessian_quadform(stat, phi)
         lower = (2.0 / 3.0) * integrate(gradient_fd(phi, rg) ** 2 * stat.values, rg)
         assert quad >= lower - 1e-10 * max(1.0, lower), name
+
+
+def _bump(r):
+    e = np.exp(-0.5 * (r - 1.0) ** 2)
+    return e, -(r - 1.0) * e, ((r - 1.0) ** 2 - 1.0) * e
+
+
+def _damped_sine(r):
+    e = np.exp(-r**2 / 8.0)
+    d2 = (np.sin(r) * (r**2 / 16.0 - 1.25) - 0.5 * r * np.cos(r)) * e
+    return np.sin(r) * e, (np.cos(r) - 0.25 * r * np.sin(r)) * e, d2
+
+
+@pytest.mark.parametrize("potential", [_bump, _damped_sine])
+@pytest.mark.parametrize("n", [3, 5])
+def test_fd_hessian_is_second_variation_along_push_forward(n, potential):
+    # non-quadratic Phi, where ||Hess Phi||^2 - (Lap Phi)^2 / n does not vanish
+    grid = staggered_radial_grid(10.0, 4096, n)
+    r = grid.nodes
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # truncated tail
+        stat = stationary_fd(n, grid)
+    mu = normalize(stat.values * (1.0 + 0.8 * np.exp(-0.5 * (r - 1.5) ** 2)), grid)
+    phi, d1, d2 = potential(r)
+    s = (n - 1.0) / n
+
+    def pushed_value(eps):
+        # F((id + eps grad Phi)# mu) in Lagrangian form
+        t = r + eps * d1
+        jac = (1.0 + eps * d2) * (t / r) ** (n - 1)
+        integrand = -(mu.values ** (1.0 - 1.0 / n)) * jac ** (1.0 / n)
+        return integrate(integrand + s * 0.5 * t**2 * mu.values, grid)
+
+    eps = 1e-3
+    second = (pushed_value(eps) - 2.0 * pushed_value(0.0) + pushed_value(-eps)) / eps**2
+    quad = fd_free_energy(n).otto_hessian_quadform(mu, phi)
+    assert quad == pytest.approx(second, rel=1e-3)
 
 
 def test_hessian_identity_on_quadratic(gauss):
