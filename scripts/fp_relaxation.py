@@ -27,7 +27,7 @@ def main():
     traj = solve(FlowSpec("fokker_planck", grid, dt=args.dt,
                           horizon=args.horizon, snapshot_every=50),
                  gaussian_density(grid, mean=args.mean))
-    report = dissipation_report(traj, fp_free_energy(grid))
+    report = dissipation_report(traj, fp_free_energy(), gaussian_density(grid))
 
     print(f"{'t':>8} {'F(mu_t)':>14} {'production':>14} {'bound':>14}")
     for row in zip(report.times, report.values, report.productions, report.bounds):

@@ -29,7 +29,7 @@ def main():
     ref = solve(FlowSpec("fokker_planck", grid, dt=1e-3, horizon=args.horizon,
                          snapshot_every=1), mu0)
     ref_at = {round(float(t), 9): s for t, s in zip(ref.times, ref.states)}
-    functional = fp_free_energy(grid)
+    functional = fp_free_energy()
 
     print(f"{'tau':>8} {'steps':>6} {'max L1 gap':>12}")
     for tau in args.taus:

@@ -62,6 +62,7 @@ from .pde import (
     dissipation_report,
     solve,
     stationary_fd,
+    stationary_state,
 )
 from .transport import (
     continuity_velocity,

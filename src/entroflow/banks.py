@@ -35,6 +35,7 @@ from .grids import (
     normalize,
     staggered_radial_grid,
 )
+from .functionals import fd_free_energy
 from .inequalities import (
     ZugmeyerProblem,
     aubin_talenti_extremal,
@@ -46,7 +47,7 @@ from .inequalities import (
     xlogx,
     zugmeyer_check,
 )
-from .pde import stationary_fd
+from .pde import stationary_state
 
 BANK_NAMES = ("lsi", "sobolev", "eep_fp", "eep_fd", "zugmeyer")
 DEFAULT_COUNTS = {"lsi": 200, "sobolev": 50, "eep_fp": 200, "eep_fd": 200,
@@ -128,10 +129,9 @@ def eep_fd_bank(grid: Grid, count: int, seed: int,
     return cases
 
 
-def zugmeyer_bank(count: int, seed: int,
-                  num_nodes: int = 257) -> list[tuple[str, ZugmeyerProblem, np.ndarray]]:
+def zugmeyer_bank(count: int, seed: int) -> list[tuple[str, ZugmeyerProblem, np.ndarray]]:
     rng = np.random.default_rng(seed)
-    grid = make_uniform_grid(0.0, 1.0, num_nodes)
+    grid = make_uniform_grid(0.0, 1.0, 257)
     x = grid.nodes
     h, psi = xlogx()
     cases = []
@@ -185,12 +185,7 @@ def run_inequality_bank(name: str, seed: int = 7, count: int | None = None,
             rows.append(_row(case_id, lhs, rhs))
     elif name == "eep_fd":
         grid = grid or staggered_radial_grid(10.0, 512, 3)
-        import warnings
-        with warnings.catch_warnings():
-            # the truncation-tail deficit warning is suppressed, not
-            # reported anywhere; capturing it is ROADMAP open item 4
-            warnings.simplefilter("ignore")
-            stationary = stationary_fd(grid.ambient_dim, grid)
+        stationary = stationary_state(fd_free_energy(grid.ambient_dim), grid)
         for case_id, mu in eep_fd_bank(grid, count, seed, stationary):
             lhs, rhs = eep_check_fd(mu, stationary=stationary)
             rows.append(_row(case_id, lhs, rhs))

@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -94,14 +93,24 @@ def _emit(key, value):
     print(f"{key}={value}")
 
 
-def _line_grid_from(cfg):
-    a, b = cfg["domain"]
-    return make_uniform_grid(float(a), float(b), int(cfg["num_nodes"]))
+def _line_grid(args, config, default_num):
+    """The line grid of ``--domain`` and ``--N``, and its manifest fields."""
+    a, b = _resolve(args, config, "domain", list(DEFAULT_LINE_DOMAIN))
+    num = int(_resolve(args, config, "num_nodes", default_num, aliases=("N",)))
+    grid = make_uniform_grid(float(a), float(b), num)
+    return grid, {"domain": [float(a), float(b)], "num_nodes": num}
 
 
-def _parse_density(spec, grid):
+def _parse_density(spec, grid, stationary=None):
+    """A density spec on ``grid``; the stationary specs need ``stationary``."""
     parts = str(spec).split(":")
     shape = parts[0]
+    if stationary is not None and parts == ["stationary"]:
+        return stationary
+    if stationary is not None and shape == "stationary-perturbed":
+        eps = float(parts[1]) if len(parts) > 1 else 0.05
+        bump = 1.0 + eps * np.exp(-0.5 * (grid.nodes - 2.0) ** 2)
+        return normalize(stationary.values * bump, grid)
     if shape == "gaussian":
         mean = float(parts[1]) if len(parts) > 1 else 0.0
         sigma = float(parts[2]) if len(parts) > 2 else 1.0
@@ -141,31 +150,21 @@ def _cmd_simulate(args):
         _positive(radius, "radius")
         grid = staggered_radial_grid(radius, num, dim)
         resolved.update(radius=radius, num_nodes=num)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            stationary = pde.stationary_fd(dim, grid)
-        functional = replace(model, ambient_dim=dim, minimizer=stationary)
         init = str(_resolve(args, config, "init", "stationary-perturbed:0.05"))
-        if init == "stationary":
-            mu0 = stationary
-        elif init.startswith("stationary-perturbed"):
-            eps = float(init.split(":")[1]) if ":" in init else 0.05
-            bump = 1.0 + eps * np.exp(-0.5 * (grid.nodes - 2.0) ** 2)
-            mu0 = normalize(stationary.values * bump, grid)
-        else:
+        if not init.startswith("stationary"):
             raise ConfigError("init", f"fast diffusion supports stationary "
                                       f"inits, got {init!r}")
     else:
-        domain = _resolve(args, config, "domain", list(DEFAULT_LINE_DOMAIN))
-        num = int(_resolve(args, config, "num_nodes", 1025, aliases=("N",)))
-        grid = _line_grid_from({"domain": domain, "num_nodes": num})
-        resolved.update(domain=[float(domain[0]), float(domain[1])],
-                        num_nodes=num)
+        if dim != 1:
+            raise ConfigError("dim", f"{flow} runs on the line; --dim sets "
+                                     f"the fast-diffusion dimension")
+        grid, fields = _line_grid(args, config, 1025)
+        resolved.update(fields)
         init = str(_resolve(args, config, "init", "gaussian:2:1"))
-        mu0 = _parse_density(init, grid)
-        # the standard Gaussian minimizes the confined entropy
-        functional = (replace(model, minimizer=gaussian_density(grid))
-                      if model.confined else model)
+    stationary = pde.stationary_state(model, grid)   # checks n > 2 first
+    if model.ambient_dim is not None:
+        model = replace(model, ambient_dim=dim)
+    mu0 = _parse_density(init, grid, stationary)
     resolved["init"] = init
 
     out = _out_dir(args, config)
@@ -180,7 +179,7 @@ def _cmd_simulate(args):
                "final_time": float(traj.times[-1])}
     code = 0
     if resolved["diagnose"]:
-        report = pde.dissipation_report(traj, functional)
+        report = pde.dissipation_report(traj, model, stationary)
         pde.write_report_csv(report, out / "report.csv")
         summary.update(
             fitted_production_rate=report.fitted_production_rate,
@@ -254,12 +253,10 @@ def _cmd_jko(args):
     steps = int(_resolve(args, config, "steps", 50, aliases=("K",)))
     _positive(steps, "steps")
     quantiles = int(_resolve(args, config, "quantiles", 1024, aliases=("M",)))
-    domain = _resolve(args, config, "domain", list(DEFAULT_LINE_DOMAIN))
-    num = int(_resolve(args, config, "num_nodes", 1025, aliases=("N",)))
+    grid, fields = _line_grid(args, config, 1025)
     init = str(_resolve(args, config, "init", "gaussian:1:1"))
     compare = bool(args.compare_pde or config.get("compare_pde", False))
 
-    grid = _line_grid_from({"domain": domain, "num_nodes": num})
     mu0 = _parse_density(init, grid)
     flow = JKO_FUNCTIONALS.get(functional_name)
     if flow is None:
@@ -268,8 +265,7 @@ def _cmd_jko(args):
     out = _out_dir(args, config)
     _write_manifest(out, "jko", {
         "functional": functional_name, "tau": tau, "steps": steps,
-        "quantiles": quantiles, "domain": [float(domain[0]), float(domain[1])],
-        "num_nodes": num, "init": init, "compare_pde": compare})
+        "quantiles": quantiles, **fields, "init": init, "compare_pde": compare})
 
     cfg = jko.JkoConfig(tau=tau, steps=steps, num_quantiles=quantiles)
     traj = jko.jko_trajectory(pde.FLOWS[flow], mu0, cfg)
@@ -343,18 +339,15 @@ def _cmd_check(args):
 
 def _cmd_w2(args):
     config = _load_config(args.config)
-    domain = _resolve(args, config, "domain", list(DEFAULT_LINE_DOMAIN))
-    num = int(_resolve(args, config, "num_nodes", 2049, aliases=("N",)))
+    grid, fields = _line_grid(args, config, 2049)
     quantiles = int(_resolve(args, config, "quantiles", 4096))
     mu_spec = _resolve(args, config, "mu", "gaussian:0:1")
     nu_spec = _resolve(args, config, "nu", "gaussian:1:1")
-    grid = _line_grid_from({"domain": domain, "num_nodes": num})
     mu = _parse_density(mu_spec, grid)
     nu = _parse_density(nu_spec, grid)
     out = _out_dir(args, config)
-    _write_manifest(out, "w2", {"mu": mu_spec, "nu": nu_spec,
-                                "domain": [float(domain[0]), float(domain[1])],
-                                "num_nodes": num, "quantiles": quantiles})
+    _write_manifest(out, "w2", {"mu": mu_spec, "nu": nu_spec, **fields,
+                                "quantiles": quantiles})
     value = transport.w2_1d(mu, nu, quantiles)
     _emit("w2", value)
     _emit("w2_squared", value**2)

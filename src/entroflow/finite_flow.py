@@ -25,6 +25,7 @@ from .grids import write_csv
 from .pde import step_count
 
 DIVERGENCE_LIMIT = 1e12
+DECAY_TOL = 1e-6   # relative slack of the decay checks
 
 
 class FlowDivergence(RuntimeError):
@@ -68,8 +69,7 @@ class Trajectory:
             raise ValueError("times must start at 0 and strictly increase")
 
 
-def validate_potential(spec: PotentialSpec, box: np.ndarray, seed: int = 0,
-                       samples: int = 32) -> None:
+def validate_potential(spec: PotentialSpec, box: np.ndarray, seed: int = 0) -> None:
     """Spot-check grad consistency (FD, rel err <= 1e-5) and Hess >= rho Id.
 
     ``box`` is a (dim, 2) array of coordinate bounds, e.g. the bounding box
@@ -78,7 +78,7 @@ def validate_potential(spec: PotentialSpec, box: np.ndarray, seed: int = 0,
     box = np.atleast_2d(np.asarray(box, dtype=float))
     rng = np.random.default_rng(seed)
     eps = 1e-6
-    for _ in range(samples):
+    for _ in range(32):
         x = rng.uniform(box[:, 0], box[:, 1])
         g = np.asarray(spec.grad(x))
         fd = np.empty(spec.dim)
@@ -166,30 +166,28 @@ class DecayCheck:
     passed: bool
 
 
-def production_decay_check(spec: PotentialSpec, traj: Trajectory,
-                           tol: float = 1e-6) -> DecayCheck:
+def production_decay_check(spec: PotentialSpec, traj: Trajectory) -> DecayCheck:
     """Worst ratio of |grad E(S_t)|^2 over exp(-2 rho t) |grad E(x0)|^2."""
     g2 = _grad_norms_sq(spec, traj)
     if g2[0] <= 1e-30:
         return DecayCheck(0.0, True, True)
     ratios = g2 / (np.exp(-2.0 * spec.rho * traj.times) * g2[0])
     worst = float(np.max(ratios))
-    return DecayCheck(worst, False, worst <= 1.0 + tol)
+    return DecayCheck(worst, False, worst <= 1.0 + DECAY_TOL)
 
 
-def entropy_decay_check(spec: PotentialSpec, traj: Trajectory,
-                        tol: float = 1e-6) -> DecayCheck:
+def entropy_decay_check(spec: PotentialSpec, traj: Trajectory) -> DecayCheck:
     """Worst ratio of E(S_t) - E(beta) over exp(-2 rho t) (E(x0) - E(beta))."""
     beta = locate_minimizer(spec, x0=traj.states[-1])
     e_min = float(spec.energy(beta))
     excess = np.array([float(spec.energy(x)) for x in traj.states]) - e_min
     if excess[0] <= 1e-30:
         return DecayCheck(0.0, True, True)
-    if np.any(excess < -tol * max(1.0, excess[0])):
+    if np.any(excess < -DECAY_TOL * max(1.0, excess[0])):
         return DecayCheck(float("inf"), False, False)
     ratios = excess / (np.exp(-2.0 * spec.rho * traj.times) * excess[0])
     worst = float(np.max(ratios))
-    return DecayCheck(worst, False, worst <= 1.0 + tol)
+    return DecayCheck(worst, False, worst <= 1.0 + DECAY_TOL)
 
 
 def eep_inequality_check(spec: PotentialSpec, x) -> tuple[float, float]:

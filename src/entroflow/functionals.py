@@ -16,6 +16,8 @@ of the model ``FreeEnergy`` pick U and V:
 * ``lp_norm(p)``             int mu^p, a Lyapunov functional for the heat
   flow; no Otto gradient/Hessian implemented
 
+The model holds no grid data; ``pde.stationary_state`` gives its minimizer.
+
 The Otto gradient is grad(U'(mu) + s V) = s grad(psi(mu) + V) with
 psi = log mu or -mu^(-1/n), and the production is its squared norm
 int |grad F|^2 dmu.  On a scalar potential Phi (second derivatives of Phi
@@ -41,10 +43,8 @@ import numpy as np
 
 from .grids import (
     DENSITY_FLOOR,
-    Grid,
     GridDensity,
     TangentField,
-    gaussian_density,
     gradient_fd,
     integrate,
     second_derivative_fd,
@@ -60,15 +60,12 @@ class FreeEnergy:
     ambient_dim: int | None = None
     p: float | None = None
     confined: bool = False
-    minimizer: GridDensity | None = None
 
     def __post_init__(self):
         if self.ambient_dim is not None and self.ambient_dim < 2:
             raise ValueError("power-law free energy needs ambient_dim >= 2")
         if self.p is not None and self.p <= 1.0:
             raise ValueError("lp_norm requires p > 1")
-        if self.minimizer is not None and abs(self.minimizer.mass - 1.0) > 1e-8:
-            raise ValueError("minimizer must have unit mass")
 
     @property
     def scale(self) -> float:
@@ -156,15 +153,12 @@ def boltzmann_entropy() -> FreeEnergy:
     return FreeEnergy()
 
 
-def fp_free_energy(grid: Grid | None = None) -> FreeEnergy:
-    """Fokker-Planck free energy; attaches the Gaussian minimizer when a grid
-    is supplied."""
-    minimizer = gaussian_density(grid) if grid is not None else None
-    return FreeEnergy(confined=True, minimizer=minimizer)
+def fp_free_energy() -> FreeEnergy:
+    return FreeEnergy(confined=True)
 
 
-def fd_free_energy(ambient_dim: int, minimizer: GridDensity | None = None) -> FreeEnergy:
-    return FreeEnergy(ambient_dim, confined=True, minimizer=minimizer)
+def fd_free_energy(ambient_dim: int) -> FreeEnergy:
+    return FreeEnergy(ambient_dim, confined=True)
 
 
 def lp_norm(p: float) -> FreeEnergy:

@@ -31,12 +31,12 @@ from .grids import (
     second_derivative_fd,
     staggered_radial_grid,
 )
-from .pde import stationary_fd
+from .pde import stationary_state
 
 
-def scale_tol(reference: float, base: float = 1e-6) -> float:
+def scale_tol(reference: float) -> float:
     """Tolerance scaling with the magnitude of the dominant side."""
-    return base * max(1.0, abs(reference))
+    return 1e-6 * max(1.0, abs(reference))
 
 
 class HypothesisViolation(Exception):
@@ -147,26 +147,29 @@ def eep_check_fp(mu: GridDensity) -> tuple[float, float]:
 
     Equality on translated Gaussians.
     """
-    functional = fp_free_energy(mu.grid)
-    lhs = functional.value(mu) - functional.value(functional.minimizer)
+    functional = fp_free_energy()
+    gamma = stationary_state(functional, mu.grid)
+    lhs = functional.value(mu) - functional.value(gamma)
     rhs = 0.5 * functional.production(mu)
     return lhs, rhs
 
 
 # --------------------------------------------------- energy-production (FD)
 
-def eep_check_fd(mu: GridDensity, ambient_dim: int | None = None,
+def eep_check_fd(mu: GridDensity,
                  stationary: GridDensity | None = None) -> tuple[float, float]:
-    """Fast-diffusion energy-production inequality on a radial grid:
+    """Fast-diffusion energy-production inequality on a radial grid of R^n:
 
         F(mu) - F(mu_inf) <= (n-1)/(2n) int |grad(mu^(-1/n) - r^2/2)|^2 dmu
+
+    mu_inf is ``stationary``, by default the grid's ``stationary_state``.
     """
     if not mu.grid.is_radial:
         raise ValueError("fast-diffusion checker needs a radial density")
-    n = ambient_dim if ambient_dim is not None else mu.grid.ambient_dim
+    n = mu.grid.ambient_dim
+    functional = fd_free_energy(n)
     if stationary is None:
-        stationary = stationary_fd(n, mu.grid)
-    functional = fd_free_energy(n, minimizer=stationary)
+        stationary = stationary_state(functional, mu.grid)
     lhs = functional.value(mu) - functional.value(stationary)
     if np.any(mu.values <= 0.0):
         raise ValueError("fast-diffusion checker needs a positive density")
@@ -220,8 +223,7 @@ class ZugmeyerProblem:
         return x * self.psi(x) - self.h(x)
 
 
-def check_hypotheses(problem: ZugmeyerProblem, u_values=None,
-                     slack: float = 1e-10) -> HypothesesReport:
+def check_hypotheses(problem: ZugmeyerProblem, u_values=None) -> HypothesesReport:
     """Numerical verification of the structural hypotheses.
 
     U' is sampled by finite differences on a log-spaced positive grid up
@@ -229,6 +231,7 @@ def check_hypotheses(problem: ZugmeyerProblem, u_values=None,
     nodewise (radial eigenvalues {(psi(v))'', (psi(v))'/r} on radial
     domains).
     """
+    slack = 1e-10   # absolute; ROADMAP item 1 would scale it with roundoff
     v = np.asarray(problem.v_values, dtype=float)
     h_at_zero = float(np.asarray(problem.h(np.array([0.0])))[0])
     top = float(np.max(v))

@@ -176,13 +176,13 @@ def _jko_step_quantiles(functional, x_prev, cfg):
     return x, iters
 
 
-def minimize_quantile_free_energy(functional: FreeEnergy, x0: np.ndarray,
-                                  num_rounds: int = 8) -> np.ndarray:
-    """Discrete minimizer of F in quantile coordinates (proximal iterations
+def minimize_quantile_free_energy(functional: FreeEnergy,
+                                  x0: np.ndarray) -> np.ndarray:
+    """Discrete minimizer of F in quantile coordinates (8 proximal iterations
     with a huge step, i.e. nearly pure Newton on F)."""
     cfg = JkoConfig(tau=1e12, steps=1, num_quantiles=max(64, x0.size))
     x = x0.copy()
-    for _ in range(num_rounds):
+    for _ in range(8):
         x, _ = _jko_step_quantiles(functional, x, cfg)
     return x
 

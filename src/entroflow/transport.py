@@ -41,6 +41,7 @@ DEFAULT_QUANTILES = 4096
 
 # below this level the density cannot support a meaningful velocity
 VELOCITY_FLOOR = 1e-12
+SUPPORT_FLOOR = 1e-2   # relative mass below which the HJ residual is not read
 
 
 def _check_unit_mass(*densities: GridDensity) -> None:
@@ -163,7 +164,7 @@ def path_action(path: DensityTrajectory) -> float:
     return float(total)
 
 
-def geodesic_hj_residual(path: DensityTrajectory, support_floor: float = 1e-2) -> float:
+def geodesic_hj_residual(path: DensityTrajectory) -> float:
     """Mass-weighted sup residual of d/ds Phi + |grad Phi|^2 / 2 along a path.
 
     Phi is recovered from the reconstructed velocity by spatial integration
@@ -172,7 +173,7 @@ def geodesic_hj_residual(path: DensityTrajectory, support_floor: float = 1e-2) -
     projected onto mean-zero (mu-weighted) per time slice; and the
     reconstructed velocity carries O(1/mu) noise where the density
     vanishes, so the weighted sup runs over the region carrying relative
-    mass >= ``support_floor``.  Small for geodesics; reported, not
+    mass >= ``SUPPORT_FLOOR``.  Small for geodesics; reported, not
     thresholded, for arbitrary paths.
     """
     ds = _uniform_path_step(path)
@@ -196,6 +197,6 @@ def geodesic_hj_residual(path: DensityTrajectory, support_floor: float = 1e-2) -
         mu = mids[j]
         gauge = integrate(raw * mu, grid) / integrate(mu, grid)
         weight = mu / mu.max()
-        mask = weight >= support_floor
+        mask = weight >= SUPPORT_FLOOR
         worst = max(worst, float(np.max(np.abs(raw - gauge)[mask] * weight[mask])))
     return worst

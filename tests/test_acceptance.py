@@ -71,7 +71,7 @@ def fp_run():
 def fd_bundle():
     grid = staggered_radial_grid(10.0, 512, 3)
     with pytest.warns(UserWarning):
-        stationary = stationary_fd(3, grid)
+        stationary = stationary_fd(grid)
     fixed = solve(FlowSpec("fast_diffusion", grid, dt=1e-3, horizon=5e-3),
                   stationary)
     bump = 1.0 + 0.05 * np.exp(-0.5 * (grid.nodes - 2.0) ** 2)
@@ -92,7 +92,7 @@ def jko_bundle():
                          snapshot_every=20), mu0)
     PDE_RUNS["jko_reference_fp"] = ref
     ref_at = {round(float(t), 6): s for t, s in zip(ref.times, ref.states)}
-    functional = fp_free_energy(grid)
+    functional = fp_free_energy()
     runs = {}
     for tau in (0.08, 0.04, 0.02):
         cfg = JkoConfig(tau=tau, steps=int(round(horizon / tau)),
@@ -135,7 +135,7 @@ def test_criterion_2_de_bruijn_along_heat_flow(heat_run):
 
 def test_criterion_3_fokker_planck_decay_rates(fp_run):
     grid = fp_run.states[0].grid
-    rep = dissipation_report(fp_run, fp_free_energy(grid))
+    rep = dissipation_report(fp_run, fp_free_energy(), gaussian_density(grid))
     ok = (rep.fitted_production_rate is not None
           and abs(rep.fitted_production_rate - 2.0) <= 0.1
           and rep.fitted_value_rate is not None
@@ -172,7 +172,7 @@ def test_criterion_6_fast_diffusion(fd_bundle):
     residual = max(integrate(np.abs(s.values - stationary.values), grid)
                    for s in fixed.states)
     fixed_ok = residual <= 1e-6
-    rep = dissipation_report(perturbed, fd_free_energy(3, minimizer=stationary))
+    rep = dissipation_report(perturbed, fd_free_energy(3), stationary)
     rate_ok = (rep.fitted_value_rate is not None
                and rep.fitted_value_rate >= 2.0 * (2.0 / 3.0) * 0.95)
     rows = run_inequality_bank("eep_fd", seed=7, count=200, grid=grid)

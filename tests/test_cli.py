@@ -4,10 +4,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import entroflow
 from entroflow.cli import main
+from entroflow.grids import gaussian_density, make_uniform_grid, read_density_csv
 
 
 def run(argv, capsys=None):
@@ -199,3 +201,56 @@ def test_scipy_loaded_only_by_banded_solves(argv, loads_scipy, tmp_path):
         assert "scipy.linalg" in loaded.split(",")
     else:
         assert loaded == ""
+
+
+# ------------------------------------------------------------ initial densities
+
+SMALL_RUN = ["--N", "129", "--dt", "0.005", "--T", "0.01", "--snapshot-every", "1"]
+
+
+@pytest.mark.parametrize("flow", ["heat", "fokker_planck"])
+def test_line_flow_rejects_dim(flow, tmp_path, capsys):
+    code = main(["simulate", "--flow", flow, "--dim", "2", *SMALL_RUN,
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert "config error: dim:" in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("init", ["uniform", "dirac"])
+def test_simulate_builtin_inits(init, tmp_path):
+    assert main(["simulate", "--flow", "heat", "--init", init, *SMALL_RUN,
+                 "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "snapshot_0002.csv").exists()
+
+
+def test_simulate_csv_init_reproduces_the_snapshot(tmp_path):
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["simulate", "--flow", "heat", *SMALL_RUN, "--out", str(first)]) == 0
+    source = first / "snapshot_0000.csv"
+    assert main(["simulate", "--flow", "heat", "--init", f"csv:{source}",
+                 *SMALL_RUN, "--out", str(second)]) == 0
+    assert (second / "snapshot_0000.csv").read_bytes() == source.read_bytes()
+
+
+def test_simulate_unknown_init_is_config_error(tmp_path, capsys):
+    code = main(["simulate", "--flow", "heat", "--init", "cauchy:0:1",
+                 *SMALL_RUN, "--out", str(tmp_path)])
+    assert code == 2
+    assert "config error: init:" in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_fokker_planck_stationary_init_is_the_gaussian(tmp_path):
+    assert main(["simulate", "--flow", "fokker_planck", "--init", "stationary",
+                 *SMALL_RUN, "--out", str(tmp_path)]) == 0
+    start = read_density_csv(tmp_path / "snapshot_0000.csv")
+    gamma = gaussian_density(make_uniform_grid(-8.0, 8.0, 129))
+    assert np.array_equal(start.values, gamma.values)
+
+
+def test_heat_has_no_stationary_init(tmp_path, capsys):
+    code = main(["simulate", "--flow", "heat", "--init", "stationary",
+                 *SMALL_RUN, "--out", str(tmp_path)])
+    assert code == 2
+    assert "config error: init:" in capsys.readouterr().err

@@ -36,7 +36,7 @@ def gauss(grid):
 def radial_setup():
     rg = staggered_radial_grid(10.0, 512, 3)
     with pytest.warns(UserWarning):  # truncated tail reported
-        stat = stationary_fd(3, rg)
+        stat = stationary_fd(rg)
     return rg, stat
 
 
@@ -208,7 +208,7 @@ def test_fd_hessian_is_second_variation_along_push_forward(n, potential):
     r = grid.nodes
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # truncated tail
-        stat = stationary_fd(n, grid)
+        stat = stationary_fd(grid)
     mu = normalize(stat.values * (1.0 + 0.8 * np.exp(-0.5 * (r - 1.5) ** 2)), grid)
     phi, d1, d2 = potential(r)
     s = (n - 1.0) / n

@@ -37,7 +37,7 @@ def grid():
 def radial_setup():
     g = staggered_radial_grid(10.0, 512, 3)
     with pytest.warns(UserWarning):
-        stat = stationary_fd(3, g)
+        stat = stationary_fd(g)
     return g, stat
 
 

@@ -110,7 +110,7 @@ def test_fp_fixed_point(grid):
     the grid-density route adds the documented O(1/M + h) representation
     error on top.
     """
-    functional = fp_free_energy(grid)
+    functional = fp_free_energy()
     gamma = gaussian_density(grid)
     m = 2048
     from entroflow.grids import cdf_and_quantile
@@ -139,7 +139,7 @@ def test_entropy_step_spreads_variance_by_2tau(grid):
 
 def test_objective_decreases_vs_stay_put(grid):
     mu = normalize(np.exp(-0.5 * (grid.nodes - 1.0) ** 2), grid)
-    functional = fp_free_energy(grid)
+    functional = fp_free_energy()
     cfg = JkoConfig(tau=0.05, steps=8, num_quantiles=512)
     traj = jko_trajectory(functional, mu, cfg)
     logs = traj.metadata["steps"]
@@ -156,7 +156,7 @@ def test_objective_decreases_vs_stay_put(grid):
 
 def test_constant_trajectory_from_minimizer(grid):
     gamma = gaussian_density(grid)
-    traj = jko_trajectory(fp_free_energy(grid), gamma,
+    traj = jko_trajectory(fp_free_energy(), gamma,
                           JkoConfig(tau=0.05, steps=5, num_quantiles=2048))
     base = traj.states[0]
     for state in traj.states[1:]:
@@ -185,7 +185,7 @@ def test_fp_jko_converges_to_pde_solution(grid):
     for tau in (0.08, 0.04):
         cfg = JkoConfig(tau=tau, steps=int(round(horizon / tau)),
                         num_quantiles=2048)
-        traj = jko_trajectory(fp_free_energy(grid), mu0, cfg)
+        traj = jko_trajectory(fp_free_energy(), mu0, cfg)
         gap = 0.0
         for t, state in zip(traj.times[1:], traj.states[1:]):
             ref = pde_at[round(float(t), 6)]
@@ -196,7 +196,7 @@ def test_fp_jko_converges_to_pde_solution(grid):
 
 
 def test_step_log_csv(tmp_path, grid):
-    traj = jko_trajectory(fp_free_energy(grid),
+    traj = jko_trajectory(fp_free_energy(),
                           gaussian_density(grid, mean=0.5),
                           JkoConfig(tau=0.05, steps=3, num_quantiles=256))
     path = tmp_path / "steps.csv"

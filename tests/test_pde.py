@@ -11,6 +11,7 @@ from entroflow.functionals import (
     lp_norm,
 )
 from entroflow.grids import (
+    GridDensity,
     gaussian_density,
     integrate,
     make_uniform_grid,
@@ -19,6 +20,7 @@ from entroflow.grids import (
     staggered_radial_grid,
 )
 from entroflow.pde import (
+    FLOWS,
     FlowSpec,
     SolverError,
     TridiagonalLU,
@@ -33,6 +35,7 @@ from entroflow.pde import (
     solve,
     solve_banded,
     stationary_fd,
+    stationary_state,
     write_report_csv,
 )
 
@@ -60,7 +63,7 @@ def fp_run():
 def fd_setup():
     grid = staggered_radial_grid(10.0, 384, 3)
     with pytest.warns(UserWarning):
-        stat = stationary_fd(3, grid)
+        stat = stationary_fd(grid)
     return grid, stat
 
 
@@ -191,7 +194,7 @@ def test_fp_gaussian_is_stationary():
 
 def test_fp_dissipation_report(fp_run):
     grid = fp_run.states[0].grid
-    report = dissipation_report(fp_run, fp_free_energy(grid))
+    report = dissipation_report(fp_run, fp_free_energy(), gaussian_density(grid))
     assert report.production_bounded
     assert report.value_monotone
     assert report.fitted_production_rate == pytest.approx(2.0, rel=0.05)
@@ -202,19 +205,53 @@ def test_fp_report_from_minimizer_trivially_passes():
     grid = make_uniform_grid(-8.0, 8.0, 513)
     gamma = gaussian_density(grid)
     spec = FlowSpec("fokker_planck", grid, dt=1e-3, horizon=0.05, snapshot_every=10)
-    report = dissipation_report(solve(spec, gamma), fp_free_energy(grid))
+    report = dissipation_report(solve(spec, gamma), fp_free_energy(), gamma)
     assert np.all(report.productions <= 1e-10)
     assert report.passed
 
 
 def test_report_csv(tmp_path, fp_run):
     grid = fp_run.states[0].grid
-    report = dissipation_report(fp_run, fp_free_energy(grid))
+    report = dissipation_report(fp_run, fp_free_energy(), gaussian_density(grid))
     path = tmp_path / "report.csv"
     write_report_csv(report, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "t,value,production,bound"
     assert len(lines) == len(report.times) + 1
+
+
+def test_report_rejects_minimizer_without_unit_mass(fp_run):
+    grid = fp_run.states[0].grid
+    heavy = GridDensity(grid, 2.0 * gaussian_density(grid).values)
+    with pytest.raises(ValueError, match="unit mass"):
+        dissipation_report(fp_run, fp_free_energy(), heavy)
+
+
+# ---------------------------------------------------------------- stationary states
+
+def test_stationary_state_of_unconfined_models_is_none():
+    grid = make_uniform_grid(-8.0, 8.0, 129)
+    assert stationary_state(FLOWS["heat"], grid) is None
+    assert stationary_state(lp_norm(2.0), grid) is None
+
+
+def test_stationary_state_of_fokker_planck_is_the_gaussian():
+    grid = make_uniform_grid(-8.0, 8.0, 129)
+    state = stationary_state(FLOWS["fokker_planck"], grid)
+    assert np.array_equal(state.values, gaussian_density(grid).values)
+
+
+@pytest.mark.parametrize("dim", [3, 5])
+def test_stationary_state_of_fast_diffusion_warns_nothing(dim):
+    # the grid, not the model, carries the dimension; radius 10 truncates
+    # enough tail that stationary_fd warns
+    grid = staggered_radial_grid(10.0, 256, dim)
+    with pytest.warns(UserWarning, match="truncation radius"):
+        expected = stationary_fd(grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state = stationary_state(FLOWS["fast_diffusion"], grid)
+    assert np.array_equal(state.values, expected.values)
 
 
 # ---------------------------------------------------------------- fast diffusion
@@ -230,7 +267,7 @@ def test_stationary_fd_constant_matches_high_resolution_oracle():
     def constant_on(num):
         grid = make_uniform_grid(0.0, 10.0, num, ambient_dim=3, geometry="radial")
         with pytest.warns(UserWarning):
-            stat = stationary_fd(3, grid)
+            stat = stationary_fd(grid)
         return stat.values[0] ** (-1.0 / 3.0)  # C = mu(0)^(-1/n)
 
     assert abs(constant_on(4097) - constant_on(40961)) <= 1e-8
@@ -253,8 +290,7 @@ def test_fd_relaxation_rate_and_conservation(fd_setup):
     for state in traj.states:
         assert abs(state.mass - 1.0) <= 1e-8
         assert state.values.min() > 0.0
-    functional = fd_free_energy(3, minimizer=stat)
-    report = dissipation_report(traj, functional)
+    report = dissipation_report(traj, fd_free_energy(3), stat)
     assert report.value_monotone
     assert report.fitted_value_rate is not None
     assert report.fitted_value_rate >= 2.0 * (2.0 / 3.0) * 0.95
@@ -287,7 +323,7 @@ def test_stationary_fd_constant_is_scipy_brentq_bitwise(dim, cells, radius):
     c = _scipy_stationary_constant(dim, grid)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        stat = stationary_fd(dim, grid)
+        stat = stationary_fd(grid)
     assert np.array_equal(stat.values, (c + 0.5 * grid.nodes**2) ** (-dim))
 
 
