@@ -28,6 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import (
+    DEFAULT_LINE_DOMAIN,
+    DEFAULT_RADIUS,
     Grid,
     GridDensity,
     integrate,
@@ -163,7 +165,7 @@ def run_inequality_bank(name: str, seed: int = 7, count: int | None = None,
     count = DEFAULT_COUNTS[name] if count is None else count
     rows = []
     if name == "lsi":
-        grid = grid or make_uniform_grid(-8.0, 8.0, 2049)
+        grid = grid or make_uniform_grid(*DEFAULT_LINE_DOMAIN, 2049)
         for case_id, f in lsi_bank(grid, count, seed):
             res = lsi_check(f, grid)
             rows.append(_row(case_id, res.lhs, res.rhs))
@@ -179,12 +181,12 @@ def run_inequality_bank(name: str, seed: int = 7, count: int | None = None,
                 passed = res.ratio_to_optimal <= 1.0 + 1e-6
             rows.append(CheckRow(case_id, lhs, rhs, rhs - lhs, bool(passed)))
     elif name == "eep_fp":
-        grid = grid or make_uniform_grid(-8.0, 8.0, 2049)
+        grid = grid or make_uniform_grid(*DEFAULT_LINE_DOMAIN, 2049)
         for case_id, mu in eep_fp_bank(grid, count, seed):
             lhs, rhs = eep_check_fp(mu)
             rows.append(_row(case_id, lhs, rhs))
     elif name == "eep_fd":
-        grid = grid or staggered_radial_grid(10.0, 512, 3)
+        grid = grid or staggered_radial_grid(DEFAULT_RADIUS, 512, 3)
         stationary = stationary_state(fd_free_energy(grid.ambient_dim), grid)
         for case_id, mu in eep_fd_bank(grid, count, seed, stationary):
             lhs, rhs = eep_check_fd(mu, stationary=stationary)

@@ -1,10 +1,13 @@
 """Command-line front end: reproducible runs, JSON configs, CSV artifacts.
 
-Commands: simulate, diagnose, jko, check, w2.  Flags override values from
---config (JSON); the ENTROFLOW_OUT environment variable overrides the
-output directory.  Every run writes a manifest.json echoing the resolved
-configuration.  Exit codes: 0 all checks passed, 1 some inequality or
-diagnostic violated (the report CSV names the worst case), 2 config error.
+Commands: simulate, diagnose, jko, check, w2.  Each parameter is declared
+once, with its default, in ``build_parser``; ``main`` installs the values of
+--config (JSON) as the command's defaults, so a flag beats the file and the
+file beats the default.  The ENTROFLOW_OUT environment variable overrides
+the output directory.  Every run writes a manifest.json echoing the
+resolved configuration.  Exit codes: 0 all checks passed, 1 some inequality
+or diagnostic violated (the report CSV names the worst case), 2 config
+error.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 from . import banks, finite_flow, jko, pde, transport
 from .grids import (
     DEFAULT_LINE_DOMAIN,
-    DEFAULT_RADIAL_DOMAIN,
+    DEFAULT_RADIUS,
     fmt_float,
     gaussian_density,
     make_uniform_grid,
@@ -54,37 +57,36 @@ def _time_grid(horizon, dt):
     return horizon
 
 
-def _resolve(args, config, key, default, aliases=()):
-    cli_value = getattr(args, key, None)
-    if cli_value is not None:
-        return cli_value
-    for name in (key, *aliases):
-        if name in config:
-            return config[name]
-    return default
+# config-file aliases of flag destinations; the destination's own key wins
+ALIASES = {"kind": "flow", "n": "dim", "N": "num_nodes", "K": "steps",
+           "M": "quantiles"}
 
 
 def _load_config(path):
-    if path is None:
-        return {}
+    """The values of a JSON config file, keyed by flag destination."""
     try:
-        return json.loads(Path(path).read_text())
+        config = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as err:
         raise ConfigError("config", str(err)) from err
+    if not isinstance(config, dict):
+        raise ConfigError("config", "must be a JSON object")
+    values = {ALIASES[key]: value for key, value in config.items()
+              if key in ALIASES}
+    values.update((key, value) for key, value in config.items()
+                  if key not in ALIASES)
+    return values
 
 
-def _out_dir(args, config):
-    out = os.environ.get("ENTROFLOW_OUT") or _resolve(args, config, "out",
-                                                      "entroflow_out")
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+def _write_json(path, data):
+    path.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n")
 
 
-def _write_manifest(out, command, resolved):
-    resolved = {"command": command, **resolved}
-    (out / "manifest.json").write_text(
-        json.dumps(resolved, sort_keys=True, indent=2) + "\n")
+def _start_run(args, command, resolved):
+    """Make the output directory and write the manifest of ``resolved``."""
+    out = Path(os.environ.get("ENTROFLOW_OUT") or args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    _write_json(out / "manifest.json", {"command": command, **resolved})
+    return out
 
 
 def _emit(key, value):
@@ -93,12 +95,11 @@ def _emit(key, value):
     print(f"{key}={value}")
 
 
-def _line_grid(args, config, default_num):
+def _line_grid(domain, num):
     """The line grid of ``--domain`` and ``--N``, and its manifest fields."""
-    a, b = _resolve(args, config, "domain", list(DEFAULT_LINE_DOMAIN))
-    num = int(_resolve(args, config, "num_nodes", default_num, aliases=("N",)))
-    grid = make_uniform_grid(float(a), float(b), num)
-    return grid, {"domain": [float(a), float(b)], "num_nodes": num}
+    a, b = map(float, domain)
+    num = int(num)
+    return make_uniform_grid(a, b, num), {"domain": [a, b], "num_nodes": num}
 
 
 def _parse_density(spec, grid, stationary=None):
@@ -127,30 +128,32 @@ def _parse_density(spec, grid, stationary=None):
 # ------------------------------------------------------------------ simulate
 
 def _cmd_simulate(args):
-    config = _load_config(args.config)
-    flow = _resolve(args, config, "flow", "fokker_planck", aliases=("kind",))
+    flow = args.flow
     if flow not in pde.FLOWS:
         raise ConfigError("flow", f"unknown flow {flow!r}")
-    model = pde.FLOWS[flow]   # a power law runs on radial grids
-    dim = int(_resolve(args, config, "dim", model.ambient_dim or 1, aliases=("n",)))
-    dt = float(_resolve(args, config, "dt", 1e-3))
-    _positive(dt, "dt")
-    horizon = _time_grid(float(_resolve(args, config, "T", 1.5)), dt)
-    snapshot_every = int(_resolve(args, config, "snapshot_every", 50))
-    _positive(snapshot_every, "snapshot_every")
+    model = pde.FLOWS[flow]
+    radial = model.ambient_dim is not None   # a power law runs on radial grids
+    # --dim, --N and --init default by the flow
+    dim = int((model.ambient_dim or 1) if args.dim is None else args.dim)
+    num = int((512 if radial else 1025) if args.num_nodes is None
+              else args.num_nodes)
+    init = str(("stationary-perturbed:0.05" if radial else "gaussian:2:1")
+               if args.init is None else args.init)
+    dt = _positive(float(args.dt), "dt")
+    horizon = _time_grid(float(args.T), dt)
+    snapshot_every = _positive(int(args.snapshot_every), "snapshot_every")
 
     resolved = {"flow": flow, "dim": dim, "dt": dt, "T": horizon,
-                "snapshot_every": snapshot_every,
-                "seed": int(_resolve(args, config, "seed", 0)),
-                "diagnose": bool(args.diagnose or config.get("diagnose", False))}
+                "snapshot_every": snapshot_every, "seed": int(args.seed),
+                "diagnose": bool(args.diagnose), "init": init}
 
-    if model.ambient_dim is not None:
-        radius = float(_resolve(args, config, "radius", DEFAULT_RADIAL_DOMAIN[1]))
-        num = int(_resolve(args, config, "num_nodes", 512, aliases=("N",)))
-        _positive(radius, "radius")
+    if radial:
+        if tuple(map(float, args.domain)) != DEFAULT_LINE_DOMAIN:
+            raise ConfigError("domain", f"{flow} runs on radial grids; "
+                                        f"--radius sets their truncation")
+        radius = _positive(float(args.radius), "radius")
         grid = staggered_radial_grid(radius, num, dim)
         resolved.update(radius=radius, num_nodes=num)
-        init = str(_resolve(args, config, "init", "stationary-perturbed:0.05"))
         if not init.startswith("stationary"):
             raise ConfigError("init", f"fast diffusion supports stationary "
                                       f"inits, got {init!r}")
@@ -158,17 +161,17 @@ def _cmd_simulate(args):
         if dim != 1:
             raise ConfigError("dim", f"{flow} runs on the line; --dim sets "
                                      f"the fast-diffusion dimension")
-        grid, fields = _line_grid(args, config, 1025)
+        if float(args.radius) != DEFAULT_RADIUS:
+            raise ConfigError("radius", f"{flow} runs on the line; --domain "
+                                        f"sets its truncation")
+        grid, fields = _line_grid(args.domain, num)
         resolved.update(fields)
-        init = str(_resolve(args, config, "init", "gaussian:2:1"))
     stationary = pde.stationary_state(model, grid)   # checks n > 2 first
-    if model.ambient_dim is not None:
+    if radial:
         model = replace(model, ambient_dim=dim)
     mu0 = _parse_density(init, grid, stationary)
-    resolved["init"] = init
 
-    out = _out_dir(args, config)
-    _write_manifest(out, "simulate", resolved)
+    out = _start_run(args, "simulate", resolved)
     spec = pde.FlowSpec(flow, grid, dt=dt, horizon=horizon,
                         snapshot_every=snapshot_every)
     traj = pde.solve(spec, mu0)
@@ -191,21 +194,17 @@ def _cmd_simulate(args):
         _emit("fitted_value_rate", report.fitted_value_rate)
         _emit("passed", report.passed)
         code = 0 if report.passed else 1
-    (out / "summary.json").write_text(json.dumps(summary, sort_keys=True,
-                                                 indent=2) + "\n")
+    _write_json(out / "summary.json", summary)
     return code
 
 
 # ------------------------------------------------------------------ diagnose
 
 def _cmd_diagnose(args):
-    config = _load_config(args.config)
-    dt = float(_resolve(args, config, "dt", 1e-3))
-    _positive(dt, "dt")
-    horizon = _time_grid(float(_resolve(args, config, "T", 3.0)), dt)
-    seed = int(_resolve(args, config, "seed", 0))
-    out = _out_dir(args, config)
-    _write_manifest(out, "diagnose", {"dt": dt, "T": horizon, "seed": seed})
+    dt = _positive(float(args.dt), "dt")
+    horizon = _time_grid(float(args.T), dt)
+    seed = int(args.seed)
+    out = _start_run(args, "diagnose", {"dt": dt, "T": horizon, "seed": seed})
 
     rng = np.random.default_rng(seed)
     rows = []
@@ -246,24 +245,20 @@ JKO_FUNCTIONALS = {flow if model.confined else "entropy": flow
 
 
 def _cmd_jko(args):
-    config = _load_config(args.config)
-    functional_name = _resolve(args, config, "functional", "fokker_planck")
-    tau = float(_resolve(args, config, "tau", 0.02))
-    _positive(tau, "tau")
-    steps = int(_resolve(args, config, "steps", 50, aliases=("K",)))
-    _positive(steps, "steps")
-    quantiles = int(_resolve(args, config, "quantiles", 1024, aliases=("M",)))
-    grid, fields = _line_grid(args, config, 1025)
-    init = str(_resolve(args, config, "init", "gaussian:1:1"))
-    compare = bool(args.compare_pde or config.get("compare_pde", False))
+    functional_name = args.functional
+    tau = _positive(float(args.tau), "tau")
+    steps = _positive(int(args.steps), "steps")
+    quantiles = int(args.quantiles)
+    grid, fields = _line_grid(args.domain, args.num_nodes)
+    init = str(args.init)
+    compare = bool(args.compare_pde)
 
     mu0 = _parse_density(init, grid)
     flow = JKO_FUNCTIONALS.get(functional_name)
     if flow is None:
         raise ConfigError("functional", f"unknown functional {functional_name!r}")
 
-    out = _out_dir(args, config)
-    _write_manifest(out, "jko", {
+    out = _start_run(args, "jko", {
         "functional": functional_name, "tau": tau, "steps": steps,
         "quantiles": quantiles, **fields, "init": init, "compare_pde": compare})
 
@@ -289,8 +284,7 @@ def _cmd_jko(args):
                   for s, r in zip(traj.states, ref.states))
         summary["max_l1_gap_to_pde"] = gap
         _emit("max_l1_gap_to_pde", gap)
-    (out / "summary.json").write_text(json.dumps(summary, sort_keys=True,
-                                                 indent=2) + "\n")
+    _write_json(out / "summary.json", summary)
     _emit("energy_monotone", monotone)
     return 0 if monotone else 1
 
@@ -298,23 +292,19 @@ def _cmd_jko(args):
 # ------------------------------------------------------------------ check
 
 def _cmd_check(args):
-    config = _load_config(args.config)
-    inequality = _resolve(args, config, "inequality", None)
+    inequality, bank = args.inequality, args.bank
     if inequality not in banks.BANK_NAMES:
         raise ConfigError("inequality",
                           f"choose one of {', '.join(banks.BANK_NAMES)}")
-    bank = _resolve(args, config, "bank", "default")
     if bank != "default":
         raise ConfigError("bank", f"unknown bank {bank!r}")
-    seed = int(_resolve(args, config, "seed", 7))
-    count = _resolve(args, config, "count", None)
+    seed = int(args.seed)
+    count = args.count
     if count is not None:
-        count = int(count)
-        _positive(count, "count")
+        count = _positive(int(count), "count")
 
-    out = _out_dir(args, config)
-    _write_manifest(out, "check", {"inequality": inequality, "bank": bank,
-                                   "seed": seed, "count": count})
+    out = _start_run(args, "check", {"inequality": inequality, "bank": bank,
+                                     "seed": seed, "count": count})
     rows = banks.run_inequality_bank(inequality, seed=seed, count=count)
 
     write_csv(out / "report.csv", "case_id,lhs,rhs,margin,pass",
@@ -327,8 +317,7 @@ def _cmd_check(args):
     summary = {"inequality": inequality, "cases": len(rows),
                "failures": len(failures), "worst_case": worst.case_id,
                "worst_margin": worst.margin}
-    (out / "summary.json").write_text(json.dumps(summary, sort_keys=True,
-                                                 indent=2) + "\n")
+    _write_json(out / "summary.json", summary)
     _emit("cases", len(rows))
     _emit("failures", len(failures))
     _emit("worst_case", worst.case_id)
@@ -338,16 +327,12 @@ def _cmd_check(args):
 # ------------------------------------------------------------------ w2
 
 def _cmd_w2(args):
-    config = _load_config(args.config)
-    grid, fields = _line_grid(args, config, 2049)
-    quantiles = int(_resolve(args, config, "quantiles", 4096))
-    mu_spec = _resolve(args, config, "mu", "gaussian:0:1")
-    nu_spec = _resolve(args, config, "nu", "gaussian:1:1")
-    mu = _parse_density(mu_spec, grid)
-    nu = _parse_density(nu_spec, grid)
-    out = _out_dir(args, config)
-    _write_manifest(out, "w2", {"mu": mu_spec, "nu": nu_spec, **fields,
-                                "quantiles": quantiles})
+    grid, fields = _line_grid(args.domain, args.num_nodes)
+    quantiles = int(args.quantiles)
+    mu = _parse_density(args.mu, grid)
+    nu = _parse_density(args.nu, grid)
+    _start_run(args, "w2", {"mu": args.mu, "nu": args.nu, **fields,
+                            "quantiles": quantiles})
     value = transport.w2_1d(mu, nu, quantiles)
     _emit("w2", value)
     _emit("w2_squared", value**2)
@@ -363,67 +348,71 @@ def build_parser() -> argparse.ArgumentParser:
                     "JKO stepping and inequality checkers.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--out", help="output directory (default entroflow_out; "
-                                     "ENTROFLOW_OUT overrides)")
-        p.add_argument("--seed", type=int, help="PRNG seed (PCG64, default 7 "
-                                                "for banks, 0 elsewhere)")
+        p.add_argument("--out", default="entroflow_out",
+                       help="output directory (ENTROFLOW_OUT overrides)")
+        # main installs the config file's values on the parser that ran
+        p.set_defaults(func=func, command_parser=p)
+        return p
 
-    p = sub.add_parser("simulate", help="run a PDE flow, optionally with "
-                                        "dissipation diagnostics")
-    common(p)
-    p.add_argument("--flow", choices=list(pde.FLOWS))
+    def line_grid(p, num_nodes):
+        p.add_argument("--N", dest="num_nodes", type=int, default=num_nodes,
+                       help="grid nodes")
+        p.add_argument("--domain", nargs=2, type=float,
+                       default=DEFAULT_LINE_DOMAIN, help="line domain a b")
+
+    p = command("simulate", _cmd_simulate, "run a PDE flow, optionally with "
+                                           "dissipation diagnostics")
+    p.add_argument("--seed", type=int, default=0, help="recorded PRNG seed")
+    p.add_argument("--flow", choices=list(pde.FLOWS), default="fokker_planck")
     p.add_argument("--init", help="gaussian:m:s | uniform | dirac | csv:path | "
-                                  "stationary | stationary-perturbed:eps")
+                                  "stationary | stationary-perturbed:eps "
+                                  "(default by flow)")
     p.add_argument("--dim", type=int, help="ambient dimension (fast diffusion)")
-    p.add_argument("--dt", type=float)
-    p.add_argument("--T", type=float, help="time horizon")
-    p.add_argument("--N", dest="num_nodes", type=int, help="grid nodes")
-    p.add_argument("--domain", nargs=2, type=float, help="line domain a b")
-    p.add_argument("--radius", type=float, help="radial truncation radius")
-    p.add_argument("--snapshot-every", dest="snapshot_every", type=int)
+    p.add_argument("--dt", type=float, default=1e-3)
+    p.add_argument("--T", type=float, default=1.5, help="time horizon")
+    line_grid(p, None)   # 512 radial cells, 1025 line nodes
+    p.add_argument("--radius", type=float, default=DEFAULT_RADIUS,
+                   help="radial truncation radius")
+    p.add_argument("--snapshot-every", dest="snapshot_every", type=int,
+                   default=50)
     p.add_argument("--diagnose", action="store_true",
                    help="write the dissipation report and gate the exit code")
-    p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("diagnose", help="finite-dimensional gradient-flow "
-                                        "diagnostics over the built-in "
-                                        "potential bank")
-    common(p)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--T", type=float)
-    p.set_defaults(func=_cmd_diagnose)
+    p = command("diagnose", _cmd_diagnose, "finite-dimensional gradient-flow "
+                                           "diagnostics over the built-in "
+                                           "potential bank")
+    p.add_argument("--seed", type=int, default=0,
+                   help="PRNG seed (PCG64) of the starting points")
+    p.add_argument("--dt", type=float, default=1e-3)
+    p.add_argument("--T", type=float, default=3.0)
 
-    p = sub.add_parser("jko", help="minimizing-movement trajectory")
-    common(p)
-    p.add_argument("--functional", choices=list(JKO_FUNCTIONALS))
-    p.add_argument("--tau", type=float)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--quantiles", type=int)
-    p.add_argument("--init")
-    p.add_argument("--N", dest="num_nodes", type=int)
-    p.add_argument("--domain", nargs=2, type=float)
+    p = command("jko", _cmd_jko, "minimizing-movement trajectory")
+    p.add_argument("--functional", choices=list(JKO_FUNCTIONALS),
+                   default="fokker_planck")
+    p.add_argument("--tau", type=float, default=0.02)
+    p.add_argument("--steps", type=int, default=50)
+    p.add_argument("--quantiles", type=int, default=1024)
+    p.add_argument("--init", default="gaussian:1:1")
+    line_grid(p, 1025)
     p.add_argument("--compare-pde", dest="compare_pde", action="store_true",
                    help="also run the matching PDE flow and report the gap")
-    p.set_defaults(func=_cmd_jko)
 
-    p = sub.add_parser("check", help="run an inequality checker over its "
+    p = command("check", _cmd_check, "run an inequality checker over its "
                                      "seeded bank")
-    common(p)
+    p.add_argument("--seed", type=int, default=7, help="PRNG seed (PCG64)")
     p.add_argument("--inequality", choices=list(banks.BANK_NAMES))
-    p.add_argument("--bank", help="bank name (default)")
-    p.add_argument("--count", type=int, help="number of cases")
-    p.set_defaults(func=_cmd_check)
+    p.add_argument("--bank", default="default", help="bank name")
+    p.add_argument("--count", type=int,
+                   help="number of cases (default by bank)")
 
-    p = sub.add_parser("w2", help="Wasserstein distance between two densities")
-    common(p)
-    p.add_argument("--mu", help="density spec")
-    p.add_argument("--nu", help="density spec")
-    p.add_argument("--N", dest="num_nodes", type=int)
-    p.add_argument("--domain", nargs=2, type=float)
-    p.add_argument("--quantiles", type=int)
-    p.set_defaults(func=_cmd_w2)
+    p = command("w2", _cmd_w2, "Wasserstein distance between two densities")
+    p.add_argument("--mu", default="gaussian:0:1", help="density spec")
+    p.add_argument("--nu", default="gaussian:1:1", help="density spec")
+    line_grid(p, 2049)
+    p.add_argument("--quantiles", type=int, default=4096)
     return parser
 
 
@@ -431,10 +420,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config is not None:
+            # the file's values become the command's defaults and the flags
+            # are parsed again: flag > config > default
+            args.command_parser.set_defaults(**_load_config(args.config))
+            args = parser.parse_args(argv)
+        return args.func(args)
     except SystemExit as err:
         return int(err.code) if err.code else 0
-    try:
-        return args.func(args)
     except ConfigError as err:
         print(str(err), file=sys.stderr)
         return 2

@@ -30,7 +30,7 @@ DENSITY_FLOOR = 1e-300
 
 # Truncation boxes standing in for R^n; configurable, not hard-coded in ops.
 DEFAULT_LINE_DOMAIN = (-8.0, 8.0)
-DEFAULT_RADIAL_DOMAIN = (0.0, 10.0)
+DEFAULT_RADIUS = 10.0
 
 LINE = "line"
 RADIAL = "radial"

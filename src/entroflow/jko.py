@@ -222,8 +222,7 @@ def jko_trajectory(functional: FreeEnergy, mu0: GridDensity,
         times.append(k * cfg.tau)
         states.append(density_from_quantile(QuantileRep(q, x), mu0.grid))
     return DensityTrajectory(np.asarray(times), states,
-                             metadata={"kind": "jko", "tau": cfg.tau,
-                                       "steps": logs})
+                             metadata={"steps": logs})
 
 
 def write_step_log_csv(traj: DensityTrajectory, path) -> None:

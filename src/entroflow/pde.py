@@ -23,13 +23,13 @@ Fast diffusion with confinement (radial geometry, n > 2)
     solver tolerance.
 
 All boundaries are no-flux; the boundary flux is identically zero by
-construction and recorded in the trajectory metadata.
+construction.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -301,12 +301,7 @@ def solve(spec: FlowSpec, mu0: GridDensity) -> DensityTrajectory:
             times.append(k * spec.dt)
             states.append(state)
 
-    return DensityTrajectory(
-        np.asarray(times), states,
-        metadata={"kind": spec.flow, "dt": spec.dt,
-                  "ambient_dim": spec.grid.ambient_dim,
-                  "boundary_flux_max": 0.0},
-    )
+    return DensityTrajectory(np.asarray(times), states)
 
 
 def _brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
@@ -465,7 +460,6 @@ class DissipationReport:
     fitted_value_rate: float | None
     production_bounded: bool
     value_monotone: bool
-    metadata: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -514,8 +508,7 @@ def dissipation_report(traj: DensityTrajectory, functional: FreeEnergy,
 
     return DissipationReport(times, values, productions, bounds, rho,
                              fitted_production_rate, fitted_value_rate,
-                             production_bounded, value_monotone,
-                             metadata=dict(traj.metadata))
+                             production_bounded, value_monotone)
 
 
 def write_report_csv(report: DissipationReport, path) -> None:

@@ -138,7 +138,7 @@ def mccann_path(mu: GridDensity, nu: GridDensity, num_times: int = 33,
     for s in times:
         x = (1.0 - s) * qm.values + s * qn.values
         states.append(density_from_quantile(QuantileRep(qm.q_nodes, x), mu.grid))
-    return DensityTrajectory(times, states, metadata={"kind": "mccann_geodesic"})
+    return DensityTrajectory(times, states)
 
 
 def _uniform_path_step(path: DensityTrajectory) -> float:

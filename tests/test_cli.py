@@ -254,3 +254,113 @@ def test_heat_has_no_stationary_init(tmp_path, capsys):
                  *SMALL_RUN, "--out", str(tmp_path)])
     assert code == 2
     assert "config error: init:" in capsys.readouterr().err
+
+
+# ------------------------------------------------------------ config files
+
+def write_config(tmp_path, values):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(values))
+    return str(path)
+
+
+@pytest.mark.parametrize("values, flags, expected", [
+    ({"N": 129, "num_nodes": 257}, [], 257),     # the flag's own name wins
+    ({"N": 129}, [], 129),                       # an alias beats the default
+    ({"num_nodes": 257}, ["--N", "129"], 129),   # a flag beats the file
+])
+def test_config_precedence(values, flags, expected, tmp_path):
+    out = tmp_path / "out"
+    assert main(["w2", "--config", write_config(tmp_path, values), *flags,
+                 "--quantiles", "256", "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["num_nodes"] == expected
+
+
+def test_w2_reads_the_quantile_alias(tmp_path):
+    out = tmp_path / "out"
+    assert main(["w2", "--config", write_config(tmp_path, {"M": 256}),
+                 "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["quantiles"] == 256
+
+
+@pytest.mark.parametrize("diagnose, code", [(True, 1), (False, 0)])
+def test_config_diagnose_gates_the_exit_code(diagnose, code, tmp_path, capsys):
+    # on a 9-node grid at dt = 0.5 the discrete production breaks its bound
+    values = {"flow": "fokker_planck", "init": "uniform", "N": 9, "dt": 0.5,
+              "T": 2.0, "snapshot_every": 1, "diagnose": diagnose}
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", write_config(tmp_path, values),
+                 "--out", str(out)]) == code
+    assert ("passed=False" in capsys.readouterr().out) == diagnose
+    assert (out / "report.csv").exists() == diagnose
+
+
+def test_config_compare_pde_reports_the_gap(tmp_path, capsys):
+    values = {"tau": 0.04, "K": 2, "M": 128, "N": 129, "compare_pde": True}
+    out = tmp_path / "out"
+    assert main(["jko", "--config", write_config(tmp_path, values),
+                 "--out", str(out)]) == 0
+    assert "max_l1_gap_to_pde=" in capsys.readouterr().out
+    assert json.loads((out / "summary.json").read_text())["max_l1_gap_to_pde"] < 0.1
+
+
+def test_config_run_writes_the_flag_run_manifest(tmp_path):
+    flags, config = tmp_path / "flags", tmp_path / "config"
+    assert main(["simulate", "--flow", "heat", "--N", "129", "--dt", "0.01",
+                 "--T", "1", "--snapshot-every", "100", "--out", str(flags)]) == 0
+    values = {"flow": "heat", "N": 129, "dt": 0.01, "T": 1, "snapshot_every": 100}
+    assert main(["simulate", "--config", write_config(tmp_path, values),
+                 "--out", str(config)]) == 0
+    manifest = (config / "manifest.json").read_bytes()
+    assert manifest == (flags / "manifest.json").read_bytes()
+    assert b'"T": 1.0,' in manifest
+
+
+@pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"])
+def test_unreadable_config_is_config_error(content, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    if content is not None:
+        path.write_text(content)
+    out = tmp_path / "out"
+    assert main(["w2", "--config", str(path), "--out", str(out)]) == 2
+    assert "config error: config:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["jko", "w2"])
+def test_commands_without_randomness_take_no_seed(command, tmp_path):
+    assert main([command, "--seed", "1", "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("flow, flag, values", [
+    ("heat", "radius", 5.0),
+    ("fast_diffusion", "domain", [-4.0, 4.0]),
+])
+@pytest.mark.parametrize("from_config", [False, True])
+def test_simulate_rejects_geometry_flags_the_flow_ignores(
+        flow, flag, values, from_config, tmp_path, capsys):
+    out = tmp_path / "out"
+    if from_config:
+        argv = ["--config", write_config(tmp_path, {flag: values})]
+    else:
+        argv = [f"--{flag}", *map(str, np.atleast_1d(values))]
+    code = main(["simulate", "--flow", flow, *argv, *SMALL_RUN, "--out", str(out)])
+    assert code == 2
+    assert f"config error: {flag}:" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--flow", "fast_diffusion", "--N", "32", "--T", "0.01"],
+    ["diagnose", "--T", "0.1", "--seed", "3"],
+    ["jko", "--steps", "2", "--quantiles", "128", "--N", "129", "--compare-pde"],
+    ["check", "--inequality", "lsi", "--count", "3", "--seed", "5"],
+    ["w2", "--mu", "gaussian:0.5:1", "--quantiles", "256"],
+])
+def test_manifest_reruns_as_config(argv, tmp_path):
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main([*argv, "--out", str(first)]) == 0
+    manifest = first / "manifest.json"
+    assert main([argv[0], "--config", str(manifest), "--out", str(second)]) == 0
+    assert (second / "manifest.json").read_bytes() == manifest.read_bytes()
