@@ -30,7 +30,6 @@ from .grids import (
     DensityTrajectory,
     Grid,
     GridDensity,
-    QuantileRep,
     TangentField,
     cdf_and_quantile,
     density_from_quantile,

@@ -13,10 +13,10 @@ of the model ``FreeEnergy`` pick U and V:
   standard Gaussian; displacement convexity constant rho = 1
 * ``fd_free_energy(n)``      U = -mu^(1-1/n), V, s = (n-1)/n: minimized by
   mu_inf = (C + |x|^2/2)^(-n); rho = (n-1)/n
-* ``lp_norm(p)``             int mu^p, a Lyapunov functional for the heat
-  flow; no Otto gradient/Hessian implemented
 
 The model holds no grid data; ``pde.stationary_state`` gives its minimizer.
+``lp_norm(mu, p)`` = int mu^p is not such a free energy but a plain
+Lyapunov functional of the heat flow.
 
 The Otto gradient is grad(U'(mu) + s V) = s grad(psi(mu) + V) with
 psi = log mu or -mu^(-1/n), and the production is its squared norm
@@ -53,19 +53,15 @@ from .grids import (
 
 @dataclass(frozen=True)
 class FreeEnergy:
-    """F = int U(mu) + s int V mu with U = mu log mu (``ambient_dim`` None),
-    -mu^(1-1/n) (n = ``ambient_dim``) or mu^p (``p``, no Otto calculus);
-    ``confined`` adds V = |x|^2/2."""
+    """F = int U(mu) + s int V mu with U = mu log mu (``ambient_dim`` None)
+    or -mu^(1-1/n) (n = ``ambient_dim``); ``confined`` adds V = |x|^2/2."""
 
     ambient_dim: int | None = None
-    p: float | None = None
     confined: bool = False
 
     def __post_init__(self):
         if self.ambient_dim is not None and self.ambient_dim < 2:
             raise ValueError("power-law free energy needs ambient_dim >= 2")
-        if self.p is not None and self.p <= 1.0:
-            raise ValueError("lp_norm requires p > 1")
 
     @property
     def scale(self) -> float:
@@ -74,10 +70,8 @@ class FreeEnergy:
         return 1.0 if n is None else (n - 1.0) / n
 
     @property
-    def rho(self) -> float | None:
+    def rho(self) -> float:
         """Claimed displacement-convexity constant: s with V, else 0."""
-        if self.p is not None:
-            return None
         return self.scale if self.confined else 0.0
 
     # ---------------------------------------------------------------- value
@@ -86,8 +80,6 @@ class FreeEnergy:
         v = mu.values
         x = mu.grid.nodes
         n = self.ambient_dim
-        if self.p is not None:
-            return integrate(v ** self.p, mu.grid)
         if n is None:
             ent = integrate(v * np.log(np.maximum(v, DENSITY_FLOOR)), mu.grid)
             return ent + integrate(0.5 * x**2 * v, mu.grid) if self.confined else ent
@@ -102,8 +94,6 @@ class FreeEnergy:
     # ------------------------------------------------------------- gradient
 
     def otto_gradient(self, mu: GridDensity) -> TangentField:
-        if self.p is not None:
-            raise ValueError("no Otto gradient implemented for the L^p functional")
         if np.any(mu.values <= 0.0):
             raise ValueError("Otto gradient needs a strictly positive density")
         n = self.ambient_dim
@@ -120,8 +110,6 @@ class FreeEnergy:
     # -------------------------------------------------------------- hessian
 
     def otto_hessian_quadform(self, mu: GridDensity, phi) -> float:
-        if self.p is not None:
-            raise ValueError("no Otto Hessian implemented for the L^p functional")
         grid = mu.grid
         n = self.ambient_dim
         if n is not None and not grid.is_radial:
@@ -161,8 +149,11 @@ def fd_free_energy(ambient_dim: int) -> FreeEnergy:
     return FreeEnergy(ambient_dim, confined=True)
 
 
-def lp_norm(p: float) -> FreeEnergy:
-    return FreeEnergy(p=p)
+def lp_norm(mu: GridDensity, p: float) -> float:
+    """int mu^p, a Lyapunov functional of the heat flow for p > 1."""
+    if p <= 1.0:
+        raise ValueError("lp_norm requires p > 1")
+    return integrate(mu.values ** p, mu.grid)
 
 
 def hessian_identity_check(mu: GridDensity, phi) -> tuple[float, float]:

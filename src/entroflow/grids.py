@@ -249,28 +249,6 @@ class TangentField:
         object.__setattr__(self, "values", values)
 
 
-@dataclass(frozen=True, eq=False)
-class QuantileRep:
-    """Monotone quantile values on a uniform midpoint grid over (0, 1)."""
-
-    q_nodes: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        q = np.array(self.q_nodes, dtype=float)
-        x = np.array(self.values, dtype=float)
-        if q.ndim != 1 or q.shape != x.shape or q.size < 8:
-            raise ValueError("quantile rep needs matching 1d arrays, >= 8 nodes")
-        if q[0] <= 0.0 or q[-1] >= 1.0 or np.any(np.diff(q) <= 0.0):
-            raise ValueError("q nodes must be strictly increasing inside (0, 1)")
-        if np.any(np.diff(x) < 0.0):
-            raise ValueError("quantile values must be nondecreasing")
-        q.setflags(write=False)
-        x.setflags(write=False)
-        object.__setattr__(self, "q_nodes", q)
-        object.__setattr__(self, "values", x)
-
-
 def midpoint_q_nodes(num_quantiles: int) -> np.ndarray:
     return (np.arange(num_quantiles) + 0.5) / num_quantiles
 
@@ -283,8 +261,9 @@ def cumulative_cdf(density: GridDensity) -> np.ndarray:
     return cdf
 
 
-def cdf_and_quantile(density: GridDensity, num_quantiles: int) -> QuantileRep:
-    """Quantile function of a line density on a uniform midpoint q-grid.
+def cdf_and_quantile(density: GridDensity, num_quantiles: int) -> np.ndarray:
+    """Quantile function of a line density on the uniform midpoint q-grid
+    ``midpoint_q_nodes(num_quantiles)``.
 
     The CDF is assembled by cumulative trapezoid and inverted by monotone
     piecewise-linear interpolation.  Values are nondecreasing by
@@ -301,19 +280,24 @@ def cdf_and_quantile(density: GridDensity, num_quantiles: int) -> QuantileRep:
         raise ValueError("zero-mass density has no quantile function")
     q = midpoint_q_nodes(num_quantiles)
     x = np.interp(q, cdf / total, density.grid.nodes)
-    x = np.maximum.accumulate(x)
-    return QuantileRep(q, x)
+    return np.maximum.accumulate(x)
 
 
-def density_from_quantile(qrep: QuantileRep, grid: Grid) -> GridDensity:
-    """Density on the grid whose quantile function is ``qrep``.
+def density_from_quantile(x, grid: Grid) -> GridDensity:
+    """Density on the grid whose quantile function takes the nondecreasing
+    values ``x`` on ``midpoint_q_nodes(x.size)``.
 
     Differentiates the interpolated inverse (the CDF) with the shared FD
     stencils; L1 error is O(1/M + h).
     """
     if grid.is_radial:
         raise ValueError("quantile representation targets line grids")
-    cdf = np.interp(grid.nodes, qrep.values, qrep.q_nodes, left=0.0, right=1.0)
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or x.size < 8:
+        raise ValueError("quantile values need a 1d array of >= 8 nodes")
+    if np.any(np.diff(x) < 0.0):
+        raise ValueError("quantile values must be nondecreasing")
+    cdf = np.interp(grid.nodes, x, midpoint_q_nodes(x.size), left=0.0, right=1.0)
     values = np.clip(gradient_fd(cdf, grid), 0.0, None)
     return normalize(values, grid)
 

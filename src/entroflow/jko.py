@@ -37,10 +37,8 @@ from .functionals import FreeEnergy
 from .grids import (
     DensityTrajectory,
     GridDensity,
-    QuantileRep,
     cdf_and_quantile,
     density_from_quantile,
-    midpoint_q_nodes,
     write_csv,
 )
 from .pde import flux_bands, solve_banded
@@ -71,7 +69,7 @@ class JkoConfig:
 
 def supports(functional: FreeEnergy) -> bool:
     """JKO steps F = int mu log mu, with or without V = |x|^2/2, on the line."""
-    return functional.ambient_dim is None and functional.p is None
+    return functional.ambient_dim is None
 
 
 def _require_supported(functional: FreeEnergy) -> None:
@@ -136,7 +134,7 @@ def _grad_hess(functional, x, x_prev, tau, d):
     return grad, bands
 
 
-def _jko_step_quantiles(functional, x_prev, cfg):
+def _jko_step_quantiles(functional, x_prev, tau):
     """Solve the proximal problem in quantile coordinates by damped Newton.
 
     Each accepted trial hands its floored increments to the next Hessian,
@@ -144,14 +142,14 @@ def _jko_step_quantiles(functional, x_prev, cfg):
     """
     x = x_prev.copy()
     d = _increments(x)
-    obj = stay = _objective(functional, x, x_prev, cfg.tau, d)
+    obj = stay = _objective(functional, x, x_prev, tau, d)
     # a trial with an increment below the floor is rejected like an
     # objective increase; a start with tied quantiles lowers the floor to
     # its smallest increment, so that the step can still move
     floor = min(INCREMENT_FLOOR, float(np.min(np.diff(x_prev))))
     iters = 0
     for iters in range(1, MAX_INNER + 1):
-        grad, bands = _grad_hess(functional, x, x_prev, cfg.tau, d)
+        grad, bands = _grad_hess(functional, x, x_prev, tau, d)
         delta = solve_banded(bands, np.negative(grad, out=grad))
         lam = 1.0
         improved = False
@@ -161,7 +159,7 @@ def _jko_step_quantiles(functional, x_prev, cfg):
             trial_d = np.diff(trial)
             if trial_d.min() >= floor:
                 np.maximum(trial_d, INCREMENT_FLOOR, out=trial_d)
-                trial_obj = _objective(functional, trial, x_prev, cfg.tau, trial_d)
+                trial_obj = _objective(functional, trial, x_prev, tau, trial_d)
                 if trial_obj <= obj:
                     improved = trial_obj < obj - INNER_TOL * max(1.0, abs(obj))
                     x, obj, d = trial, trial_obj, trial_d
@@ -180,20 +178,18 @@ def minimize_quantile_free_energy(functional: FreeEnergy,
                                   x0: np.ndarray) -> np.ndarray:
     """Discrete minimizer of F in quantile coordinates (8 proximal iterations
     with a huge step, i.e. nearly pure Newton on F)."""
-    cfg = JkoConfig(tau=1e12, steps=1, num_quantiles=max(64, x0.size))
     x = x0.copy()
     for _ in range(8):
-        x, _ = _jko_step_quantiles(functional, x, cfg)
+        x, _ = _jko_step_quantiles(functional, x, 1e12)
     return x
 
 
 def jko_step(functional: FreeEnergy, mu_k: GridDensity, cfg: JkoConfig) -> GridDensity:
     """One minimizing-movement step from a grid density."""
     _require_supported(functional)
-    x_prev = cdf_and_quantile(mu_k, cfg.num_quantiles).values
-    x, _ = _jko_step_quantiles(functional, x_prev, cfg)
-    q = midpoint_q_nodes(cfg.num_quantiles)
-    return density_from_quantile(QuantileRep(q, x), mu_k.grid)
+    x_prev = cdf_and_quantile(mu_k, cfg.num_quantiles)
+    x, _ = _jko_step_quantiles(functional, x_prev, cfg.tau)
+    return density_from_quantile(x, mu_k.grid)
 
 
 def jko_trajectory(functional: FreeEnergy, mu0: GridDensity,
@@ -205,14 +201,13 @@ def jko_trajectory(functional: FreeEnergy, mu0: GridDensity,
     land in ``metadata["steps"]``.
     """
     _require_supported(functional)
-    q = midpoint_q_nodes(cfg.num_quantiles)
     dq = 1.0 / cfg.num_quantiles
-    x = cdf_and_quantile(mu0, cfg.num_quantiles).values
+    x = cdf_and_quantile(mu0, cfg.num_quantiles)
     times = [0.0]
-    states = [density_from_quantile(QuantileRep(q, x), mu0.grid)]
+    states = [density_from_quantile(x, mu0.grid)]
     logs = []
     for k in range(1, cfg.steps + 1):
-        x_new, iters = _jko_step_quantiles(functional, x, cfg)
+        x_new, iters = _jko_step_quantiles(functional, x, cfg.tau)
         w2_step = float(np.sqrt(dq * np.sum((x_new - x) ** 2)))
         x = x_new
         logs.append({"k": k,
@@ -220,7 +215,7 @@ def jko_trajectory(functional: FreeEnergy, mu0: GridDensity,
                      "W2_step": w2_step,
                      "inner_iters": iters})
         times.append(k * cfg.tau)
-        states.append(density_from_quantile(QuantileRep(q, x), mu0.grid))
+        states.append(density_from_quantile(x, mu0.grid))
     return DensityTrajectory(np.asarray(times), states,
                              metadata={"steps": logs})
 

@@ -455,7 +455,6 @@ class DissipationReport:
     values: np.ndarray
     productions: np.ndarray
     bounds: np.ndarray
-    rho: float
     fitted_production_rate: float | None
     fitted_value_rate: float | None
     production_bounded: bool
@@ -484,8 +483,6 @@ def dissipation_report(traj: DensityTrajectory, functional: FreeEnergy,
     a ``minimizer`` (unit mass) is given, of the value excess.
     """
     rho = functional.rho
-    if rho is None:
-        raise ValueError("functional has no convexity constant")
     if minimizer is not None and abs(minimizer.mass - 1.0) > 1e-8:
         raise ValueError("minimizer must have unit mass")
     times = traj.times
@@ -506,7 +503,7 @@ def dissipation_report(traj: DensityTrajectory, functional: FreeEnergy,
         excess = values - functional.value(minimizer)
         fitted_value_rate = _fit_rate(times, excess, max(1e-12, 1e-10 * vscale))
 
-    return DissipationReport(times, values, productions, bounds, rho,
+    return DissipationReport(times, values, productions, bounds,
                              fitted_production_rate, fitted_value_rate,
                              production_bounded, value_monotone)
 

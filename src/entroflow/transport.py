@@ -29,7 +29,6 @@ from .grids import (
     DensityTrajectory,
     Grid,
     GridDensity,
-    QuantileRep,
     TangentField,
     cdf_and_quantile,
     cumulative_cdf,
@@ -56,9 +55,9 @@ def w2_1d(mu: GridDensity, nu: GridDensity,
     if mu.grid.is_radial or nu.grid.is_radial:
         raise ValueError("w2_1d is for line densities; use w2_radial_profile")
     _check_unit_mass(mu, nu)
-    qm = cdf_and_quantile(mu, num_quantiles)
-    qn = cdf_and_quantile(nu, num_quantiles)
-    diff = qm.values - qn.values
+    xm = cdf_and_quantile(mu, num_quantiles)
+    xn = cdf_and_quantile(nu, num_quantiles)
+    diff = xm - xn
     return float(np.sqrt(np.sum(diff * diff) / num_quantiles))
 
 
@@ -120,10 +119,10 @@ def mccann_geodesic(mu: GridDensity, nu: GridDensity, s: float,
     """Displacement interpolation at time s: quantile (1-s) X_mu + s X_nu."""
     if not 0.0 <= s <= 1.0:
         raise ValueError("interpolation parameter must lie in [0, 1]")
-    qm = cdf_and_quantile(mu, num_quantiles)
-    qn = cdf_and_quantile(nu, num_quantiles)
-    x = (1.0 - s) * qm.values + s * qn.values
-    return density_from_quantile(QuantileRep(qm.q_nodes, x), mu.grid)
+    xm = cdf_and_quantile(mu, num_quantiles)
+    xn = cdf_and_quantile(nu, num_quantiles)
+    x = (1.0 - s) * xm + s * xn
+    return density_from_quantile(x, mu.grid)
 
 
 def mccann_path(mu: GridDensity, nu: GridDensity, num_times: int = 33,
@@ -131,13 +130,13 @@ def mccann_path(mu: GridDensity, nu: GridDensity, num_times: int = 33,
     """Geodesic sampled at ``num_times`` uniform times on [0, 1]."""
     if num_times < 3:
         raise ValueError("need at least 3 path times")
-    qm = cdf_and_quantile(mu, num_quantiles)
-    qn = cdf_and_quantile(nu, num_quantiles)
+    xm = cdf_and_quantile(mu, num_quantiles)
+    xn = cdf_and_quantile(nu, num_quantiles)
     times = np.linspace(0.0, 1.0, num_times)
     states = []
     for s in times:
-        x = (1.0 - s) * qm.values + s * qn.values
-        states.append(density_from_quantile(QuantileRep(qm.q_nodes, x), mu.grid))
+        x = (1.0 - s) * xm + s * xn
+        states.append(density_from_quantile(x, mu.grid))
     return DensityTrajectory(times, states)
 
 

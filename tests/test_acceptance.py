@@ -266,8 +266,9 @@ def test_criterion_10_conservation_positivity_monotonicity(
             positivity_ok &= bool(np.all(state.values > 0.0))
 
     monotone_ok = True
-    for functional in (boltzmann_entropy(), lp_norm(2.0), lp_norm(3.0)):
-        vals = np.array([functional.value(s) for s in heat_run.states])
+    for value in (boltzmann_entropy().value, lambda s: lp_norm(s, 2.0),
+                  lambda s: lp_norm(s, 3.0)):
+        vals = np.array([value(s) for s in heat_run.states])
         monotone_ok &= bool(np.all(np.diff(vals) <= 1e-10
                                    * max(1.0, np.max(np.abs(vals)))))
     report(10, mass_ok and positivity_ok and monotone_ok,

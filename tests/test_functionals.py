@@ -64,7 +64,13 @@ def test_fp_value_at_gaussian(grid, gauss):
 def test_lp_value():
     g = make_uniform_grid(0.0, 1.0, 129)
     d = normalize(np.ones(129), g)
-    assert lp_norm(2.0).value(d) == pytest.approx(1.0, abs=1e-12)
+    assert lp_norm(d, 2.0) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_lp_norm_rejects_p_at_most_one():
+    g = make_uniform_grid(0.0, 1.0, 129)
+    with pytest.raises(ValueError, match="p > 1"):
+        lp_norm(normalize(np.ones(129), g), 1.0)
 
 
 def test_fd_value_rejects_vanishing_density(radial_setup):
@@ -93,11 +99,6 @@ def test_fd_gradient_vanishes_at_stationary_state(radial_setup):
     rg, stat = radial_setup
     field = fd_free_energy(3).otto_gradient(stat)
     assert np.max(np.abs(field.values)) <= 1e-9
-
-
-def test_lp_gradient_not_implemented(gauss):
-    with pytest.raises(ValueError):
-        lp_norm(2.0).otto_gradient(gauss)
 
 
 # ---------------------------------------------------------------- production

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from entroflow.grids import (
     Grid,
     GridDensity,
-    QuantileRep,
     cdf_and_quantile,
     density_from_quantile,
     fmt_float,
@@ -205,14 +204,14 @@ def test_density_rejects_negative_values():
 def test_quantile_of_uniform_is_identity():
     g = make_uniform_grid(0.0, 1.0, 257)
     d = normalize(np.ones(257), g)
-    q = cdf_and_quantile(d, 64)
-    assert np.max(np.abs(q.values - q.q_nodes)) <= 1e-12
+    x = cdf_and_quantile(d, 64)
+    assert np.max(np.abs(x - midpoint_q_nodes(64))) <= 1e-12
 
 
 def test_gaussian_median_is_zero():
     d = gaussian_density(line_grid())
-    q = cdf_and_quantile(d, 128)
-    median = np.interp(0.5, q.q_nodes, q.values)
+    x = cdf_and_quantile(d, 128)
+    median = np.interp(0.5, midpoint_q_nodes(128), x)
     assert abs(median) <= d.grid.spacing
 
 
@@ -223,7 +222,7 @@ def test_quantile_translation_equivariance():
     dc = normalize(np.exp(-0.5 * (g.nodes - c) ** 2), g)
     q0 = cdf_and_quantile(d0, 512)
     qc = cdf_and_quantile(dc, 512)
-    assert np.max(np.abs(qc.values - q0.values - c)) <= 1e-9
+    assert np.max(np.abs(qc - q0 - c)) <= 1e-9
 
 
 def test_quantile_rejects_radial_and_small_m():
@@ -245,12 +244,14 @@ def test_quantile_roundtrip_recovers_density():
     assert l1 <= 0.02  # O(1/M + h)
 
 
-def test_quantile_rep_validation():
-    q = midpoint_q_nodes(16)
-    x = np.linspace(0, 1, 16)
-    QuantileRep(q, x)
-    with pytest.raises(ValueError):
-        QuantileRep(q, x[::-1])
+def test_density_from_quantile_validation():
+    g = line_grid(129)
+    x = np.linspace(-1, 1, 16)
+    density_from_quantile(x, g)
+    with pytest.raises(ValueError, match="nondecreasing"):
+        density_from_quantile(x[::-1], g)
+    with pytest.raises(ValueError, match=">= 8"):
+        density_from_quantile(x[:4], g)
 
 
 # ---------------------------------------------------------------- serialization
