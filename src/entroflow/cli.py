@@ -144,8 +144,7 @@ def _cmd_simulate(args):
     snapshot_every = _positive(int(args.snapshot_every), "snapshot_every")
 
     resolved = {"flow": flow, "dim": dim, "dt": dt, "T": horizon,
-                "snapshot_every": snapshot_every, "seed": int(args.seed),
-                "diagnose": bool(args.diagnose), "init": init}
+                "snapshot_every": snapshot_every, "diagnose": bool(args.diagnose), "init": init}
 
     if radial:
         if tuple(map(float, args.domain)) != DEFAULT_LINE_DOMAIN:
@@ -292,19 +291,17 @@ def _cmd_jko(args):
 # ------------------------------------------------------------------ check
 
 def _cmd_check(args):
-    inequality, bank = args.inequality, args.bank
+    inequality = args.inequality
     if inequality not in banks.BANK_NAMES:
         raise ConfigError("inequality",
                           f"choose one of {', '.join(banks.BANK_NAMES)}")
-    if bank != "default":
-        raise ConfigError("bank", f"unknown bank {bank!r}")
     seed = int(args.seed)
     count = args.count
     if count is not None:
         count = _positive(int(count), "count")
 
-    out = _start_run(args, "check", {"inequality": inequality, "bank": bank,
-                                     "seed": seed, "count": count})
+    out = _start_run(args, "check", {"inequality": inequality, "seed": seed,
+                                     "count": count})
     rows = banks.run_inequality_bank(inequality, seed=seed, count=count)
 
     write_csv(out / "report.csv", "case_id,lhs,rhs,margin,pass",
@@ -365,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("simulate", _cmd_simulate, "run a PDE flow, optionally with "
                                            "dissipation diagnostics")
-    p.add_argument("--seed", type=int, default=0, help="recorded PRNG seed")
     p.add_argument("--flow", choices=list(pde.FLOWS), default="fokker_planck")
     p.add_argument("--init", help="gaussian:m:s | uniform | dirac | csv:path | "
                                   "stationary | stationary-perturbed:eps "
@@ -404,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
                                      "seeded bank")
     p.add_argument("--seed", type=int, default=7, help="PRNG seed (PCG64)")
     p.add_argument("--inequality", choices=list(banks.BANK_NAMES))
-    p.add_argument("--bank", default="default", help="bank name")
     p.add_argument("--count", type=int,
                    help="number of cases (default by bank)")
 

@@ -18,8 +18,8 @@ def run(argv, capsys=None):
 
 
 def test_check_lsi_small_bank(tmp_path, capsys):
-    code = main(["check", "--inequality", "lsi", "--bank", "default",
-                 "--seed", "7", "--count", "30", "--out", str(tmp_path)])
+    code = main(["check", "--inequality", "lsi", "--seed", "7", "--count", "30",
+                 "--out", str(tmp_path)])
     assert code == 0
     lines = (tmp_path / "report.csv").read_text().splitlines()
     assert lines[0] == "case_id,lhs,rhs,margin,pass"
@@ -124,8 +124,8 @@ def test_bad_inequality_name(tmp_path, capsys):
 
 
 def test_check_lsi_default_bank_has_200_cases(tmp_path):
-    code = main(["check", "--inequality", "lsi", "--bank", "default",
-                 "--seed", "7", "--out", str(tmp_path)])
+    code = main(["check", "--inequality", "lsi", "--seed", "7",
+                 "--out", str(tmp_path)])
     assert code == 0
     lines = (tmp_path / "report.csv").read_text().splitlines()
     assert len(lines) == 201
@@ -327,7 +327,7 @@ def test_unreadable_config_is_config_error(content, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["jko", "w2"])
+@pytest.mark.parametrize("command", ["simulate", "jko", "w2"])
 def test_commands_without_randomness_take_no_seed(command, tmp_path):
     assert main([command, "--seed", "1", "--out", str(tmp_path)]) == 2
     assert not (tmp_path / "manifest.json").exists()

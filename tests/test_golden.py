@@ -52,7 +52,7 @@ GOLDEN = {
         "<stdout>":
             "0efe45ae153a273b9a00265cbdd73af555a456cca4ec0bd6b9e6fff302199b2f",
         "manifest.json":
-            "f800fb7f3b76b9d69ba581a0d34b9eb8e64349c20437565610e7abe32942b4bf",
+            "8044acfcf6aa446df302fbf0b0cae76343f821fbec7696034bf40464dbec8998",
         "report.csv":
             "034a171105f72a281fe21f61816500554af67e69acf788319ca051917c1068ee",
         "summary.json":
@@ -62,7 +62,7 @@ GOLDEN = {
         "<stdout>":
             "116adff90aad0c64bc665497db8447802c48d60256e8ea2e63b2311e134d628f",
         "manifest.json":
-            "5626d3ba9dbcd0049bb899b90ca26e506536c6b5915a33190a9a9c17563b6a6e",
+            "9968e8796298330cbea0ac1491f8a4d5c21a1e48b7905512847975de95a713d3",
         "report.csv":
             "10aea957d668c0bf09522fc6a86ff2650e13560d3fbd798e6f543d6eeb3e76c4",
         "summary.json":
@@ -72,7 +72,7 @@ GOLDEN = {
         "<stdout>":
             "083e204d690a3fc25bedc6ad0e43c1bb6cbd38822f359493364a6765a06283ef",
         "manifest.json":
-            "5483ce24ac00d5a2d296ccac1691c1a007990ac78f08eeeeade536a51d42490b",
+            "5a6463c028ee5da80b67c5650edd9cb0f8a04e4df010728199355a070e0adeed",
         "report.csv":
             "0b43bacf4fac367397de1000ed712808ad9c56c0215f24401ac2badd2ca61416",
         "summary.json":
@@ -82,7 +82,7 @@ GOLDEN = {
         "<stdout>":
             "f60ad9c3bd9f6673415ac031083566678aee66dfbacbf5d96ba49f6dd1e8d7ee",
         "manifest.json":
-            "097f85bec528c6b22f8c99cd2fb29e03fa1d8b4ff5b32bd2e7e979227a29da7e",
+            "cc5f76af46b9596bd839d5ca44b75035a0e5947d67102f82c73f799c8cf181c1",
         "report.csv":
             "902f1bf0a3f47554693e328d6350fa543e0b87240f8768f12e0c24bf2ce440f8",
         "summary.json":
@@ -92,7 +92,7 @@ GOLDEN = {
         "<stdout>":
             "6b3366813b1e7e853d6b71cd2293b735084459a66b3daf78fc2f05cc4b070a51",
         "manifest.json":
-            "ca605743084994f38ead0ccf3e502067d10bfda122537b10f2dd82ff29096844",
+            "b85149fd78eb8b202a395b9ec9d7772591e5082402868c8806620ca21884b63e",
         "report.csv":
             "55fe361882780bd6b7d063e8d8f33d740abce7388ea502b17c7e6738498ede69",
         "summary.json":
@@ -116,7 +116,7 @@ GOLDEN = {
         "<stdout>":
             "f6d9f1d70d8adefe86e8a060260e257e9e30d6ed32d374b4888afc55eb23b589",
         "manifest.json":
-            "0ee4c3b7c5bf4d36fbf6c0d0841f2ab34cf353b7e2e5b7ea031da5bcfa09ab5e",
+            "0c02c7d333504802ec10625a67d8648426aad1facaf1f98c28a2a17fd4168368",
         "report.csv":
             "18881387346276db28e53cd7317eeacac0ef3c6da97eb6cf8b70664527b68ec3",
         "snapshot_0000.csv":
@@ -136,7 +136,7 @@ GOLDEN = {
         "<stdout>":
             "68d3ea2ba98e5479c379c3d71f1270e2a51d849d800c19197f19c894f1c1d9f5",
         "manifest.json":
-            "8125aca4acee0dc4ef78c9a7d32ee145fc3acd68fe75bc1f61f3651bfb58a939",
+            "c539783f7ad2a631eb044b67598cc5d076eccc713d53c0c6835cf0bc04bcf3c3",
         "report.csv":
             "ff13ed03580085a946502c988af1d25034e19675f37a605488caac32d884e5ba",
         "snapshot_0000.csv":
@@ -156,7 +156,7 @@ GOLDEN = {
         "<stdout>":
             "4b6544b4166091a5a73f65f15f16f73e32490bcee77cfcb4e4f03cdf96acd813",
         "manifest.json":
-            "f4993cbbdbadc69695cde44320c1b2488a60f85395e114ddb0fb09b2e046c617",
+            "aa39ca88e3a121f76b6f82a3128b01cfea8bee46700a89d0020443b74d529e0e",
         "report.csv":
             "8ef3ce73d55e5d4efc1e111d7d730ebd93a93fcd9a2efe4efef97b83826c7995",
         "snapshot_0000.csv":
@@ -172,7 +172,7 @@ GOLDEN = {
         "<stdout>":
             "f23554bf2c01321047c3c48bf749ba9a4b6c797db46aeae8684a9baac390287e",
         "manifest.json":
-            "e0069317d76c6aa91fc4ac914e491545e1c1c276401ca3d205602a0c5360f59f",
+            "8a12f358976491e92ca015ef2c0fc3f7455ad447911bf1a98db085196c488e1a",
         "report.csv":
             "30bae177067fbc620d365d42c8e5e1dd16bdc4f9cdef792372743fb1cf63a429",
         "snapshot_0000.csv":
@@ -190,7 +190,7 @@ GOLDEN = {
         "<stdout>":
             "14c380b8cc2655908386b9202988a003e69942e038b096fd4b5eb2166aaafeb6",
         "manifest.json":
-            "b01ddbc59b9aef87a9c9c6c91783124429deda41238440957dcf46422f178829",
+            "b0ece8cd05154c48966c35ddc673f7159d50a825eaec1e163cab76106963778d",
         "report.csv":
             "ef73be2f6e6513a2340da7dd591ade390ec157fe702948aeb1c2749def38f942",
         "snapshot_0000.csv":
