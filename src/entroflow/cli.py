@@ -27,6 +27,7 @@ from .grids import (
     DEFAULT_RADIUS,
     fmt_float,
     gaussian_density,
+    integrate,
     make_uniform_grid,
     normalize,
     read_density_csv,
@@ -38,8 +39,7 @@ from .grids import (
 
 class ConfigError(ValueError):
     def __init__(self, field, message):
-        self.field = field
-        super().__init__(f"config error: {field}: {message}")
+        super().__init__(f"{field}: {message}")
 
 
 def _positive(value, field):
@@ -61,20 +61,47 @@ def _time_grid(horizon, dt):
 ALIASES = {"kind": "flow", "n": "dim", "N": "num_nodes", "K": "steps",
            "M": "quantiles"}
 
+# flag type -> the JSON types of the values it takes (a switch takes a bool)
+JSON_TYPES = {int: (int,), float: (int, float), str: (str,), bool: (bool,)}
 
-def _load_config(path):
-    """The values of a JSON config file, keyed by flag destination."""
+
+def _config_value(action, key, value):
+    """``value`` of config ``key`` checked against the type, arity and
+    choices of its flag ``action`` and converted as the flag's text would be;
+    null stands for a default of None."""
+    if value is None and action.default is None:
+        return None
+    kind = bool if action.nargs == 0 else action.type or str
+    items = value if action.nargs and type(value) is list else [value]
+    if (len(items) != (action.nargs or 1)
+            or any(type(item) not in JSON_TYPES[kind] for item in items)
+            or action.choices is not None and value not in action.choices):
+        raise ConfigError(key, f"{action.option_strings[0]} does not take "
+                               f"{json.dumps(value)}")
+    items = [kind(item) for item in items]
+    return items if action.nargs else items[0]
+
+
+def _install_config(path, parser):
+    """Install the values of a JSON config file as the defaults of the
+    command ``parser``; an unknown key or a value its flag would not take is
+    a config error.  A manifest's ``command`` key is skipped."""
     try:
         config = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as err:
         raise ConfigError("config", str(err)) from err
     if not isinstance(config, dict):
         raise ConfigError("config", "must be a JSON object")
-    values = {ALIASES[key]: value for key, value in config.items()
-              if key in ALIASES}
-    values.update((key, value) for key, value in config.items()
-                  if key not in ALIASES)
-    return values
+    config.pop("command", None)
+    actions = {a.dest: a for a in parser._actions if a.dest != "help"}
+    values = {}
+    # aliases first, so that the destination's own key overrides its alias
+    for key in sorted(config, key=lambda name: name not in ALIASES):
+        dest = ALIASES.get(key, key)
+        if dest not in actions:
+            raise ConfigError(key, f"not a parameter of {parser.prog}")
+        values[dest] = _config_value(actions[dest], key, config[key])
+    parser.set_defaults(**values)
 
 
 def _write_json(path, data):
@@ -97,14 +124,13 @@ def _emit(key, value):
 
 def _line_grid(domain, num):
     """The line grid of ``--domain`` and ``--N``, and its manifest fields."""
-    a, b = map(float, domain)
-    num = int(num)
+    a, b = domain
     return make_uniform_grid(a, b, num), {"domain": [a, b], "num_nodes": num}
 
 
 def _parse_density(spec, grid, stationary=None):
     """A density spec on ``grid``; the stationary specs need ``stationary``."""
-    parts = str(spec).split(":")
+    parts = spec.split(":")
     shape = parts[0]
     if stationary is not None and parts == ["stationary"]:
         return stationary
@@ -129,28 +155,27 @@ def _parse_density(spec, grid, stationary=None):
 
 def _cmd_simulate(args):
     flow = args.flow
-    if flow not in pde.FLOWS:
-        raise ConfigError("flow", f"unknown flow {flow!r}")
     model = pde.FLOWS[flow]
     radial = model.ambient_dim is not None   # a power law runs on radial grids
     # --dim, --N and --init default by the flow
-    dim = int((model.ambient_dim or 1) if args.dim is None else args.dim)
-    num = int((512 if radial else 1025) if args.num_nodes is None
-              else args.num_nodes)
-    init = str(("stationary-perturbed:0.05" if radial else "gaussian:2:1")
-               if args.init is None else args.init)
-    dt = _positive(float(args.dt), "dt")
-    horizon = _time_grid(float(args.T), dt)
-    snapshot_every = _positive(int(args.snapshot_every), "snapshot_every")
+    dim = (model.ambient_dim or 1) if args.dim is None else args.dim
+    num = ((512 if radial else 1025) if args.num_nodes is None
+           else args.num_nodes)
+    init = (("stationary-perturbed:0.05" if radial else "gaussian:2:1")
+            if args.init is None else args.init)
+    dt = _positive(args.dt, "dt")
+    horizon = _time_grid(args.T, dt)
+    snapshot_every = _positive(args.snapshot_every, "snapshot_every")
 
     resolved = {"flow": flow, "dim": dim, "dt": dt, "T": horizon,
-                "snapshot_every": snapshot_every, "diagnose": bool(args.diagnose), "init": init}
+                "snapshot_every": snapshot_every, "diagnose": args.diagnose,
+                "init": init}
 
     if radial:
-        if tuple(map(float, args.domain)) != DEFAULT_LINE_DOMAIN:
+        if tuple(args.domain) != DEFAULT_LINE_DOMAIN:
             raise ConfigError("domain", f"{flow} runs on radial grids; "
                                         f"--radius sets their truncation")
-        radius = _positive(float(args.radius), "radius")
+        radius = _positive(args.radius, "radius")
         grid = staggered_radial_grid(radius, num, dim)
         resolved.update(radius=radius, num_nodes=num)
         if not init.startswith("stationary"):
@@ -160,7 +185,7 @@ def _cmd_simulate(args):
         if dim != 1:
             raise ConfigError("dim", f"{flow} runs on the line; --dim sets "
                                      f"the fast-diffusion dimension")
-        if float(args.radius) != DEFAULT_RADIUS:
+        if args.radius != DEFAULT_RADIUS:
             raise ConfigError("radius", f"{flow} runs on the line; --domain "
                                         f"sets its truncation")
         grid, fields = _line_grid(args.domain, num)
@@ -200,9 +225,9 @@ def _cmd_simulate(args):
 # ------------------------------------------------------------------ diagnose
 
 def _cmd_diagnose(args):
-    dt = _positive(float(args.dt), "dt")
-    horizon = _time_grid(float(args.T), dt)
-    seed = int(args.seed)
+    dt = _positive(args.dt, "dt")
+    horizon = _time_grid(args.T, dt)
+    seed = args.seed
     out = _start_run(args, "diagnose", {"dt": dt, "T": horizon, "seed": seed})
 
     rng = np.random.default_rng(seed)
@@ -245,23 +270,21 @@ JKO_FUNCTIONALS = {flow if model.confined else "entropy": flow
 
 def _cmd_jko(args):
     functional_name = args.functional
-    tau = _positive(float(args.tau), "tau")
-    steps = _positive(int(args.steps), "steps")
-    quantiles = int(args.quantiles)
+    tau = _positive(args.tau, "tau")
+    steps = _positive(args.steps, "steps")
+    quantiles = args.quantiles
     grid, fields = _line_grid(args.domain, args.num_nodes)
-    init = str(args.init)
-    compare = bool(args.compare_pde)
+    init = args.init
+    compare = args.compare_pde
 
     mu0 = _parse_density(init, grid)
-    flow = JKO_FUNCTIONALS.get(functional_name)
-    if flow is None:
-        raise ConfigError("functional", f"unknown functional {functional_name!r}")
+    flow = JKO_FUNCTIONALS[functional_name]
+    cfg = jko.JkoConfig(tau=tau, steps=steps, num_quantiles=quantiles)
 
     out = _start_run(args, "jko", {
         "functional": functional_name, "tau": tau, "steps": steps,
         "quantiles": quantiles, **fields, "init": init, "compare_pde": compare})
 
-    cfg = jko.JkoConfig(tau=tau, steps=steps, num_quantiles=quantiles)
     traj = jko.jko_trajectory(pde.FLOWS[flow], mu0, cfg)
     jko.write_step_log_csv(traj, out / "jko_steps.csv")
     write_density_csv(traj.states[-1], out / "final_density.csv")
@@ -278,7 +301,6 @@ def _cmd_jko(args):
         ref = pde.solve(pde.FlowSpec(flow, grid, dt=pde_dt,
                                      horizon=cfg.horizon,
                                      snapshot_every=per_step), mu0)
-        from .grids import integrate
         gap = max(integrate(np.abs(s.values - r.values), grid)
                   for s, r in zip(traj.states, ref.states))
         summary["max_l1_gap_to_pde"] = gap
@@ -292,13 +314,13 @@ def _cmd_jko(args):
 
 def _cmd_check(args):
     inequality = args.inequality
-    if inequality not in banks.BANK_NAMES:
+    if inequality is None:
         raise ConfigError("inequality",
                           f"choose one of {', '.join(banks.BANK_NAMES)}")
-    seed = int(args.seed)
+    seed = args.seed
     count = args.count
     if count is not None:
-        count = _positive(int(count), "count")
+        count = _positive(count, "count")
 
     out = _start_run(args, "check", {"inequality": inequality, "seed": seed,
                                      "count": count})
@@ -325,12 +347,12 @@ def _cmd_check(args):
 
 def _cmd_w2(args):
     grid, fields = _line_grid(args.domain, args.num_nodes)
-    quantiles = int(args.quantiles)
+    quantiles = args.quantiles
     mu = _parse_density(args.mu, grid)
     nu = _parse_density(args.nu, grid)
+    value = transport.w2_1d(mu, nu, quantiles)
     _start_run(args, "w2", {"mu": args.mu, "nu": args.nu, **fields,
                             "quantiles": quantiles})
-    value = transport.w2_1d(mu, nu, quantiles)
     _emit("w2", value)
     _emit("w2_squared", value**2)
     return 0
@@ -418,14 +440,11 @@ def main(argv=None) -> int:
         if args.config is not None:
             # the file's values become the command's defaults and the flags
             # are parsed again: flag > config > default
-            args.command_parser.set_defaults(**_load_config(args.config))
+            _install_config(args.config, args.command_parser)
             args = parser.parse_args(argv)
         return args.func(args)
     except SystemExit as err:
         return int(err.code) if err.code else 0
-    except ConfigError as err:
-        print(str(err), file=sys.stderr)
-        return 2
     except (ValueError, OSError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

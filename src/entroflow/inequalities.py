@@ -114,7 +114,6 @@ def sobolev_optimal_constant(n: int) -> float:
 @dataclass(frozen=True)
 class SobolevResult:
     lhs_norm: float
-    rhs_norm: float
     ratio_to_optimal: float
 
 
@@ -136,8 +135,8 @@ def sobolev_check(f_values, grid: Grid) -> SobolevResult:
     if abs(f[-1]) > 1e-2 * fmax:
         raise ValueError("f has non-negligible boundary values; enlarge the "
                          "truncation radius")
-    lhs, rhs, ratio = _sobolev_ratio(f, grid)
-    return SobolevResult(lhs, rhs, ratio / sobolev_optimal_constant(grid.ambient_dim))
+    lhs, _, ratio = _sobolev_ratio(f, grid)
+    return SobolevResult(lhs, ratio / sobolev_optimal_constant(grid.ambient_dim))
 
 
 # ------------------------------------------------------ energy-production (FP)

@@ -61,8 +61,7 @@ def w2_1d(mu: GridDensity, nu: GridDensity,
     return float(np.sqrt(np.sum(diff * diff) / num_quantiles))
 
 
-def w2_radial_profile(mu: GridDensity, nu: GridDensity,
-                      num_quantiles: int = DEFAULT_QUANTILES) -> float:
+def w2_radial_profile(mu: GridDensity, nu: GridDensity) -> float:
     """W2 between the radial-profile pushforwards of two radial densities."""
     if not (mu.grid.is_radial and nu.grid.is_radial):
         raise ValueError("w2_radial_profile expects radial densities")
@@ -77,7 +76,7 @@ def w2_radial_profile(mu: GridDensity, nu: GridDensity,
         factor = g.quad_weights / line.quad_weights
         return GridDensity(line, d.values * factor)
 
-    return w2_1d(as_line(mu), as_line(nu), num_quantiles)
+    return w2_1d(as_line(mu), as_line(nu))
 
 
 def continuity_velocity(before: GridDensity, after: GridDensity,

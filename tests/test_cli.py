@@ -327,6 +327,52 @@ def test_unreadable_config_is_config_error(content, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, values, key", [
+    ("diagnose", {"dt": [0.001]}, "dt"),                     # a list for a number
+    ("simulate", {"flow": "heat", "snapshot-every": 10}, "snapshot-every"),
+    ("simulate", {"flow": "hot"}, "flow"),                   # not a choice
+    ("simulate", {"diagnose": 1}, "diagnose"),               # a switch takes a bool
+    ("w2", {"mu": None}, "mu"),                              # null needs a None default
+    ("w2", {"N": True}, "N"),                                # bool is not an integer
+    ("w2", {"num_nodes": 129.0}, "num_nodes"),               # nor is a float
+    ("w2", {"domain": [-4, 4, 5]}, "domain"),                # two values
+    ("w2", {"seed": 1}, "seed"),                             # not a w2 parameter
+    ("check", {"inequality": "lsi", "bank": "default"}, "bank"),
+    ("jko", {"functional": 3}, "functional"),
+])
+def test_config_value_its_flag_would_not_take_is_rejected(
+        command, values, key, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, values),
+                 "--out", str(out)]) == 2
+    assert f"config error: {key}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_values_are_converted_as_their_flags(tmp_path):
+    values = {"flow": "heat", "N": 129, "dt": 1, "T": 2, "snapshot_every": 1,
+              "init": None, "domain": [-8, 8], "diagnose": False}
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", write_config(tmp_path, values),
+                 "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["init"] == "gaussian:2:1"      # null: the flow's default
+    assert [type(manifest[key]) for key in ("dt", "T", "num_nodes")] == [
+        float, float, int]
+    assert manifest["domain"] == [-8.0, 8.0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["jko", "--quantiles", "32"],
+    ["w2", "--quantiles", "4"],
+])
+def test_rejected_quantile_count_writes_nothing(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert "config error: need at least" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "jko", "w2"])
 def test_commands_without_randomness_take_no_seed(command, tmp_path):
     assert main([command, "--seed", "1", "--out", str(tmp_path)]) == 2
