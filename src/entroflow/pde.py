@@ -28,6 +28,10 @@ construction.
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -57,7 +61,37 @@ class SolverError(RuntimeError):
     pass
 
 
-_dgtsv = None
+def _flapack_path() -> str:
+    """File of scipy's f2py LAPACK extension, ``scipy/linalg/_flapack*``,
+    found without importing any scipy module."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        raise ImportError("scipy is not installed")
+    folder = os.path.join(spec.submodule_search_locations[0], "linalg")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "_flapack" + suffix)
+        if os.path.isfile(path):
+            return path
+    raise ImportError(f"no _flapack extension in {folder}")
+
+
+@functools.cache
+def _lapack():
+    """scipy's LAPACK extension (``dgtsv``, ``dgttrf``, ``dgttrs``), loaded
+    by file path without the ``scipy.linalg`` package init (over 80 scipy
+    modules); on ``ImportError``, e.g. a changed private file layout, it
+    comes from ``scipy.linalg._flapack``.  The extension registers itself
+    in ``sys.modules`` under the name it is loaded as, hence a private one:
+    under scipy's own, a later ``import scipy.linalg`` would lack its
+    ``_flapack`` attribute."""
+    try:
+        spec = importlib.util.spec_from_file_location("entroflow._flapack",
+                                                      _flapack_path())
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    except ImportError:
+        from scipy.linalg import _flapack as module
+    return module
 
 
 class TridiagonalLU:
@@ -70,11 +104,11 @@ class TridiagonalLU:
     """
 
     def __init__(self, ab: np.ndarray):
-        from scipy.linalg.lapack import dgttrf, dgttrs
-        *self._factors, info = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
+        lapack = _lapack()
+        *self._factors, info = lapack.dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
         if info != 0:
             raise SolverError(f"dgttrf failed with info={info}")
-        self._dgttrs = dgttrs
+        self._dgttrs = lapack.dgttrs
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         x, info = self._dgttrs(*self._factors, b)
@@ -94,18 +128,14 @@ def solve_banded(ab, b):
     caller builds for one solve; ``b`` is left alone.  A singular matrix
     raises ``SolverError``.
 
-    scipy.linalg costs ~0.3 s to import, which commands that never solve a
-    banded system (w2, check, diagnose) should not pay.  ``dgtsv`` is
-    cached in a module global because a function-local import on every
-    call costs ~7 us, a sixth of a small solve.
+    LAPACK comes from ``_lapack``, which loads scipy's extension file at the
+    first banded solve without importing the ``scipy.linalg`` package, so
+    no command imports that package and commands that never solve a banded
+    system (w2, check, diagnose) load no scipy file at all.
     """
     if isinstance(ab, TridiagonalLU):
         return ab.solve(b)
-    global _dgtsv
-    if _dgtsv is None:
-        from scipy.linalg.lapack import dgtsv
-        _dgtsv = dgtsv
-    *_, x, info = _dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b, 1, 1, 1)
+    *_, x, info = _lapack().dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b, 1, 1, 1)
     if info != 0:
         raise SolverError(f"dgtsv failed with info={info}")
     return x
@@ -144,9 +174,12 @@ def step_count(horizon: float, dt: float) -> int:
     """Number of steps of size ``dt`` that end at ``horizon``.
 
     A horizon off the time grid raises ``ValueError`` instead of being
-    rounded to the nearest step.  The relative tolerance admits multiples
-    up to roundoff, such as ``steps * tau`` with ``dt = tau / per_step``.
+    rounded to the nearest step, and so does a non-finite horizon or step.
+    The relative tolerance admits multiples up to roundoff, such as
+    ``steps * tau`` with ``dt = tau / per_step``.
     """
+    if not (np.isfinite(horizon) and np.isfinite(dt)):
+        raise ValueError(f"horizon {horizon} and dt {dt} must be finite")
     if horizon < dt:
         raise ValueError(f"horizon {horizon} shorter than dt {dt}")
     steps = round(horizon / dt)

@@ -160,6 +160,17 @@ def test_diagnose_rejects_horizon_off_the_time_grid(tmp_path, capsys):
     assert not (tmp_path / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("command", [["simulate", "--flow", "heat"], ["diagnose"]])
+@pytest.mark.parametrize("flag", [["--T", "inf"], ["--T", "nan"], ["--dt", "inf"]])
+def test_non_finite_horizon_or_dt_is_a_config_error(command, flag, tmp_path,
+                                                    capsys):
+    code = main([*command, *flag, "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error: T:" in err and "must be finite" in err
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_simulate_accepts_horizon_multiple_up_to_roundoff(tmp_path):
     # 1.5 / 1e-3 is 1500 only up to roundoff
     code = main(["simulate", "--flow", "heat", "--T", "1.5", "--dt", "1e-3",
@@ -177,30 +188,33 @@ argv = sys.argv[1:]
 if argv:
     code = entroflow.cli.main(argv)
     assert code == 0, code
+print("lapack=" + str("entroflow._flapack" in sys.modules))
 print("scipy_modules=" + ",".join(
     sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
 
-@pytest.mark.parametrize("argv, loads_scipy", [
+# No command imports a scipy module: a banded solve loads scipy's LAPACK
+# extension file under the private name entroflow._flapack, and only then.
+@pytest.mark.parametrize("argv, solves_banded", [
     ([], False),
     (["w2"], False),
     (["check", "--inequality", "eep_fd", "--count", "5"], False),
     (["diagnose", "--T", "0.1"], False),
     (["simulate", "--flow", "heat", "--N", "129", "--T", "0.01"], True),
+    (["jko", "--steps", "2", "--compare-pde"], True),
+    (["simulate", "--flow", "fast_diffusion", "--N", "64", "--T", "0.01"], True),
 ])
-def test_scipy_loaded_only_by_banded_solves(argv, loads_scipy, tmp_path):
+def test_scipy_loaded_only_by_banded_solves(argv, solves_banded, tmp_path):
     src = str(Path(entroflow.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "ENTROFLOW_OUT": str(tmp_path), "PYTHONPATH": path}
     proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    loaded = proc.stdout.splitlines()[-1].removeprefix("scipy_modules=")
-    if loads_scipy:
-        assert "scipy.linalg" in loaded.split(",")
-    else:
-        assert loaded == ""
+    *_, lapack, loaded = proc.stdout.splitlines()
+    assert lapack == f"lapack={solves_banded}"
+    assert loaded == "scipy_modules="
 
 
 # ------------------------------------------------------------ initial densities

@@ -1,9 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from importlib.machinery import EXTENSION_SUFFIXES
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from entroflow import pde
 from entroflow.functionals import (
     boltzmann_entropy,
     fd_free_energy,
@@ -36,6 +42,7 @@ from entroflow.pde import (
     solve_banded,
     stationary_fd,
     stationary_state,
+    step_count,
     write_report_csv,
 )
 
@@ -90,6 +97,13 @@ def test_flow_spec_rejects_horizon_off_the_time_grid(horizon):
     grid = make_uniform_grid(-8.0, 8.0, 65)
     with pytest.raises(ValueError, match="not a multiple of dt"):
         FlowSpec("heat", grid, dt=0.001, horizon=horizon)
+
+
+@pytest.mark.parametrize("horizon, dt", [(math.inf, 1e-3), (math.nan, 1e-3),
+                                         (1.0, math.inf), (1.0, math.nan)])
+def test_step_count_rejects_non_finite_horizon_or_dt(horizon, dt):
+    with pytest.raises(ValueError, match="must be finite"):
+        step_count(horizon, dt)
 
 
 @pytest.mark.parametrize("tau, steps", [(0.05, 4), (0.02, 50), (0.03, 7),
@@ -409,6 +423,75 @@ def test_solve_banded_singular_band_is_solver_error():
     singular = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
     with pytest.raises(SolverError, match="dgtsv failed with info=2"):
         solve_banded(singular, np.ones(3))
+
+
+@pytest.mark.parametrize("broken", ["layout", "file"])
+def test_lapack_falls_back_to_scipy_linalg(broken, monkeypatch, tmp_path):
+    from scipy.linalg import _flapack
+    from scipy.linalg import solve_banded as scipy_solve_banded
+    corrupt = tmp_path / ("_flapack" + EXTENSION_SUFFIXES[0])
+    corrupt.write_bytes(b"not a shared library")
+
+    def lookup():
+        if broken == "layout":   # no extension where scipy used to keep it
+            raise ImportError("no _flapack extension")
+        return str(corrupt)      # an extension file that does not load
+
+    monkeypatch.setattr(pde, "_flapack_path", lookup)
+    pde._lapack.cache_clear()
+    try:
+        assert pde._lapack() is _flapack
+        rng = np.random.default_rng(5)
+        ab = rng.uniform(-1.0, 1.0, (3, 257))
+        ab[1] *= 0.5
+        b = rng.standard_normal(257)
+        expected = scipy_solve_banded((1, 1), ab, b)
+        assert np.array_equal(solve_banded(TridiagonalLU(ab), b), expected)
+        assert np.array_equal(solve_banded(ab.copy(), b), expected)
+        singular = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+        with pytest.raises(SolverError, match="dgttrf"):
+            TridiagonalLU(singular)
+        with pytest.raises(SolverError, match="dgtsv failed with info=2"):
+            solve_banded(singular, np.ones(3))
+    finally:
+        pde._lapack.cache_clear()
+
+
+# Run in a fresh process: the library must solve before scipy.linalg is
+# first imported.
+COEXISTENCE_PROBE = """
+import sys
+import numpy as np
+from entroflow.pde import TridiagonalLU, solve_banded
+rng = np.random.default_rng(3)
+ab = rng.uniform(-1.0, 1.0, (3, 1025))
+ab[1] *= 0.5
+b = rng.standard_normal(1025)
+x = solve_banded(ab.copy(), b)
+y = solve_banded(TridiagonalLU(ab), b)
+assert "entroflow._flapack" in sys.modules
+assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
+import scipy.linalg
+assert scipy.linalg._flapack is not sys.modules["entroflow._flapack"]
+*_, z, info = scipy.linalg._flapack.dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)
+assert info == 0
+*_, w, info = scipy.linalg.lapack.dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)
+assert info == 0
+v = scipy.linalg.solve_banded((1, 1), ab, b)
+for other in (y, z, w, v):
+    assert np.array_equal(x, other)
+print("ok")
+"""
+
+
+def test_scipy_linalg_imported_after_a_library_solve_is_complete():
+    src = str(Path(pde.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", COEXISTENCE_PROBE],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ok"]
 
 
 def _dense(bands):
