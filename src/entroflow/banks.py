@@ -152,7 +152,7 @@ def zugmeyer_bank(count: int, seed: int) -> list[tuple[str, ZugmeyerProblem, np.
             phi = np.cos(np.pi * rng.integers(1, 5) * x) * x
         u = v * (1.0 + eps * phi)
         u = u * (integrate(v, grid) / integrate(u, grid))
-        problem = ZugmeyerProblem(h, psi, 1, grid, v, c)
+        problem = ZugmeyerProblem(h, psi, grid, v, c)
         cases.append((f"zugmeyer-{i:03d}", problem, u))
     return cases
 
@@ -187,7 +187,7 @@ def run_inequality_bank(name: str, seed: int = 7, count: int | None = None,
             rows.append(_row(case_id, lhs, rhs))
     elif name == "eep_fd":
         grid = grid or staggered_radial_grid(DEFAULT_RADIUS, 512, 3)
-        stationary = stationary_state(fd_free_energy(grid.ambient_dim), grid)
+        stationary = stationary_state(fd_free_energy(), grid)
         for case_id, mu in eep_fd_bank(grid, count, seed, stationary):
             lhs, rhs = eep_check_fd(mu, stationary=stationary)
             rows.append(_row(case_id, lhs, rhs))

@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -156,9 +155,9 @@ def _parse_density(spec, grid, stationary=None):
 def _cmd_simulate(args):
     flow = args.flow
     model = pde.FLOWS[flow]
-    radial = model.ambient_dim is not None   # a power law runs on radial grids
+    radial = model.power_law   # a power law runs on radial grids
     # --dim, --N and --init default by the flow
-    dim = (model.ambient_dim or 1) if args.dim is None else args.dim
+    dim = (3 if radial else 1) if args.dim is None else args.dim
     num = ((512 if radial else 1025) if args.num_nodes is None
            else args.num_nodes)
     init = (("stationary-perturbed:0.05" if radial else "gaussian:2:1")
@@ -190,9 +189,7 @@ def _cmd_simulate(args):
                                         f"sets its truncation")
         grid, fields = _line_grid(args.domain, num)
         resolved.update(fields)
-    stationary = pde.stationary_state(model, grid)   # checks n > 2 first
-    if radial:
-        model = replace(model, ambient_dim=dim)
+    stationary = pde.stationary_state(model, grid)   # checks n > 2
     mu0 = _parse_density(init, grid, stationary)
 
     out = _start_run(args, "simulate", resolved)

@@ -72,32 +72,6 @@ class Trajectory:
             raise ValueError("times must start at 0 and strictly increase")
 
 
-def validate_potential(spec: PotentialSpec, box: np.ndarray, seed: int = 0) -> None:
-    """Spot-check grad consistency (FD, rel err <= 1e-5) and Hess >= rho Id.
-
-    ``box`` is a (dim, 2) array of coordinate bounds, e.g. the bounding box
-    of a computed trajectory.
-    """
-    box = np.atleast_2d(np.asarray(box, dtype=float))
-    rng = np.random.default_rng(seed)
-    eps = 1e-6
-    for _ in range(32):
-        x = rng.uniform(box[:, 0], box[:, 1])
-        g = np.asarray(spec.grad(x))
-        fd = np.empty(spec.dim)
-        for i in range(spec.dim):
-            step = np.zeros(spec.dim)
-            step[i] = eps * max(1.0, abs(x[i]))
-            fd[i] = (spec.energy(x + step) - spec.energy(x - step)) / (2.0 * step[i])
-        scale = max(1.0, float(np.linalg.norm(g)))
-        if np.linalg.norm(fd - g) > 1e-5 * scale:
-            raise ValueError(f"{spec.name}: gradient inconsistent with energy at {x}")
-        eigs = np.linalg.eigvalsh(np.atleast_2d(spec.hess(x)))
-        if eigs.min() < spec.rho - 1e-9:
-            raise ValueError(f"{spec.name}: Hessian eigenvalue {eigs.min()} "
-                             f"below rho={spec.rho} at {x}")
-
-
 def integrate_flow(spec: PotentialSpec, x0, dt: float, horizon: float) -> Trajectory:
     """Classical RK4 trajectory of dx/dt = -grad E from x0.
 

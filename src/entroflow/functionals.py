@@ -11,10 +11,11 @@ of the model ``FreeEnergy`` pick U and V:
 * ``boltzmann_entropy()``    U = mu log mu, no V; rho = 0
 * ``fp_free_energy()``       U = mu log mu, V, s = 1: minimized by the
   standard Gaussian; displacement convexity constant rho = 1
-* ``fd_free_energy(n)``      U = -mu^(1-1/n), V, s = (n-1)/n: minimized by
+* ``fd_free_energy()``       U = -mu^(1-1/n), V, s = (n-1)/n: minimized by
   mu_inf = (C + |x|^2/2)^(-n); rho = (n-1)/n
 
-The model holds no grid data; ``pde.stationary_state`` gives its minimizer.
+The model holds no grid data: n is the dimension of the radial grid of the
+density it evaluates, and ``pde.stationary_state`` gives its minimizer.
 ``lp_norm(mu, p)`` = int mu^p is not such a free energy but a plain
 Lyapunov functional of the heat flow.
 
@@ -43,6 +44,7 @@ import numpy as np
 
 from .grids import (
     DENSITY_FLOOR,
+    Grid,
     GridDensity,
     TangentField,
     gradient_fd,
@@ -53,33 +55,33 @@ from .grids import (
 
 @dataclass(frozen=True)
 class FreeEnergy:
-    """F = int U(mu) + s int V mu with U = mu log mu (``ambient_dim`` None)
-    or -mu^(1-1/n) (n = ``ambient_dim``); ``confined`` adds V = |x|^2/2."""
+    """F = int U(mu) + s int V mu with U = mu log mu, or -mu^(1-1/n) with
+    ``power_law``, n the dimension of the density's radial grid;
+    ``confined`` adds V = |x|^2/2."""
 
-    ambient_dim: int | None = None
+    power_law: bool = False
     confined: bool = False
 
-    def __post_init__(self):
-        if self.ambient_dim is not None and self.ambient_dim < 2:
-            raise ValueError("power-law free energy needs ambient_dim >= 2")
+    def dim_and_scale(self, grid: Grid) -> tuple[int | None, float]:
+        """n and s on ``grid``: (None, 1) for mu log mu, (n, (n-1)/n) for the
+        power law, which needs a radial grid with n >= 2."""
+        if not self.power_law:
+            return None, 1.0
+        n = grid.ambient_dim
+        if not grid.is_radial or n < 2:
+            raise ValueError("power-law free energy needs a radial grid with n >= 2")
+        return n, (n - 1.0) / n
 
-    @property
-    def scale(self) -> float:
-        """s: 1 for mu log mu, (n-1)/n for the power law of dimension n."""
-        n = self.ambient_dim
-        return 1.0 if n is None else (n - 1.0) / n
-
-    @property
-    def rho(self) -> float:
-        """Claimed displacement-convexity constant: s with V, else 0."""
-        return self.scale if self.confined else 0.0
+    def rho(self, grid: Grid) -> float:
+        """Claimed displacement-convexity constant on ``grid``: s with V, else 0."""
+        return self.dim_and_scale(grid)[1] if self.confined else 0.0
 
     # ---------------------------------------------------------------- value
 
     def value(self, mu: GridDensity) -> float:
         v = mu.values
         x = mu.grid.nodes
-        n = self.ambient_dim
+        n, s = self.dim_and_scale(mu.grid)
         if n is None:
             ent = integrate(v * np.log(np.maximum(v, DENSITY_FLOOR)), mu.grid)
             return ent + integrate(0.5 * x**2 * v, mu.grid) if self.confined else ent
@@ -88,7 +90,7 @@ class FreeEnergy:
                              "density (mu^(-1/n) is singular)")
         integrand = -(v ** (1.0 - 1.0 / n))
         if self.confined:
-            integrand += self.scale * 0.5 * x**2 * v
+            integrand += s * 0.5 * x**2 * v
         return integrate(integrand, mu.grid)
 
     # ------------------------------------------------------------- gradient
@@ -96,11 +98,11 @@ class FreeEnergy:
     def otto_gradient(self, mu: GridDensity) -> TangentField:
         if np.any(mu.values <= 0.0):
             raise ValueError("Otto gradient needs a strictly positive density")
-        n = self.ambient_dim
+        n, s = self.dim_and_scale(mu.grid)
         potential = np.log(mu.values) if n is None else -(mu.values ** (-1.0 / n))
         if self.confined:
             potential += 0.5 * mu.grid.nodes**2
-        return TangentField(mu.grid, self.scale * gradient_fd(potential, mu.grid))
+        return TangentField(mu.grid, s * gradient_fd(potential, mu.grid))
 
     def production(self, mu: GridDensity) -> float:
         """Squared Otto-metric norm of the gradient, int |grad F|^2 dmu."""
@@ -111,9 +113,7 @@ class FreeEnergy:
 
     def otto_hessian_quadform(self, mu: GridDensity, phi) -> float:
         grid = mu.grid
-        n = self.ambient_dim
-        if n is not None and not grid.is_radial:
-            raise ValueError("power-law Hessian needs radial geometry")
+        n, s = self.dim_and_scale(grid)
         phi = np.asarray(phi, dtype=float)
         d1 = gradient_fd(phi, grid)
         d2 = second_derivative_fd(phi, grid)
@@ -133,7 +133,7 @@ class FreeEnergy:
         else:          # P = mu^(1-1/n)/n, mu P' - P = -P/n
             quad = integrate((hess_sq - lap**2 / n) * v ** (1.0 - 1.0 / n), grid) / n
         if self.confined:
-            quad += self.scale * integrate(d1**2 * v, grid)
+            quad += s * integrate(d1**2 * v, grid)
         return quad
 
 
@@ -145,8 +145,8 @@ def fp_free_energy() -> FreeEnergy:
     return FreeEnergy(confined=True)
 
 
-def fd_free_energy(ambient_dim: int) -> FreeEnergy:
-    return FreeEnergy(ambient_dim, confined=True)
+def fd_free_energy() -> FreeEnergy:
+    return FreeEnergy(power_law=True, confined=True)
 
 
 def lp_norm(mu: GridDensity, p: float) -> float:

@@ -163,10 +163,8 @@ def eep_check_fd(mu: GridDensity,
 
     mu_inf is ``stationary``, by default the grid's ``stationary_state``.
     """
-    if not mu.grid.is_radial:
-        raise ValueError("fast-diffusion checker needs a radial density")
     n = mu.grid.ambient_dim
-    functional = fd_free_energy(n)
+    functional = fd_free_energy()
     if stationary is None:
         stationary = stationary_state(functional, mu.grid)
     lhs = functional.value(mu) - functional.value(stationary)
@@ -204,13 +202,12 @@ class ZugmeyerProblem:
     """Data of the convex-domain Sobolev-type inequality.
 
     h is strictly convex C^2 with h(0) = 0, psi = h'; the reference
-    function v is positive on the domain grid and -Hess(psi(v)) >= c Id
-    must hold there.
+    function v is positive on the domain grid, whose dimension is n, and
+    -Hess(psi(v)) >= c Id must hold there.
     """
 
     h: Callable[[np.ndarray], np.ndarray]
     psi: Callable[[np.ndarray], np.ndarray]
-    ambient_dim: int
     domain: Grid
     v_values: np.ndarray
     c: float
@@ -239,7 +236,7 @@ def check_hypotheses(problem: ZugmeyerProblem, u_values=None) -> HypothesesRepor
     convexity_min = float(np.min(hpp))
     u_of_x = problem.u_function(xs)
     uprime = np.gradient(u_of_x, xs)
-    n = problem.ambient_dim
+    n = problem.domain.ambient_dim
     hyp1 = xs * uprime + (1.0 - n) / n * u_of_x
     i1 = int(np.argmin(hyp1))
 

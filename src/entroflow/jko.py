@@ -69,7 +69,7 @@ class JkoConfig:
 
 def supports(functional: FreeEnergy) -> bool:
     """JKO steps F = int mu log mu, with or without V = |x|^2/2, on the line."""
-    return functional.ambient_dim is None
+    return not functional.power_law
 
 
 def _require_supported(functional: FreeEnergy) -> None:
@@ -172,16 +172,6 @@ def _jko_step_quantiles(functional, x_prev, tau):
         raise RuntimeError("proximal objective increased over the stay-put "
                            "candidate; inner solver bug")
     return x, iters
-
-
-def minimize_quantile_free_energy(functional: FreeEnergy,
-                                  x0: np.ndarray) -> np.ndarray:
-    """Discrete minimizer of F in quantile coordinates (8 proximal iterations
-    with a huge step, i.e. nearly pure Newton on F)."""
-    x = x0.copy()
-    for _ in range(8):
-        x, _ = _jko_step_quantiles(functional, x, 1e12)
-    return x
 
 
 def jko_step(functional: FreeEnergy, mu_k: GridDensity, cfg: JkoConfig) -> GridDensity:

@@ -50,11 +50,10 @@ from .grids import (
     write_csv,
 )
 
-# flow name -> the free energy whose Wasserstein gradient flow it is.  The
-# power law is listed at its default dimension; a run takes its grid's.
+# flow name -> the free energy whose Wasserstein gradient flow it is
 FLOWS = {"heat": boltzmann_entropy(),
          "fokker_planck": fp_free_energy(),
-         "fast_diffusion": fd_free_energy(3)}
+         "fast_diffusion": fd_free_energy()}
 
 
 class SolverError(RuntimeError):
@@ -174,20 +173,25 @@ def step_count(horizon: float, dt: float) -> int:
     """Number of steps of size ``dt`` that end at ``horizon``.
 
     A horizon off the time grid raises ``ValueError`` instead of being
-    rounded to the nearest step, and so does a non-finite horizon or step.
-    The relative tolerance admits multiples up to roundoff, such as
-    ``steps * tau`` with ``dt = tau / per_step``.
+    rounded to the nearest step, and so does a non-finite horizon or step
+    and a horizon of more than ``MAX_STEPS`` steps.  The relative tolerance
+    admits multiples up to roundoff, such as ``steps * tau`` with
+    ``dt = tau / per_step``.
     """
     if not (np.isfinite(horizon) and np.isfinite(dt)):
         raise ValueError(f"horizon {horizon} and dt {dt} must be finite")
     if horizon < dt:
         raise ValueError(f"horizon {horizon} shorter than dt {dt}")
+    if horizon / dt > MAX_STEPS:
+        raise ValueError(f"horizon {horizon} takes more than {MAX_STEPS} "
+                         f"steps of dt {dt}")
     steps = round(horizon / dt)
     if abs(steps * dt - horizon) > 1e-9 * horizon:
         raise ValueError(f"horizon {horizon} is not a multiple of dt {dt}")
     return steps
 
 
+MAX_STEPS = 10**8        # step-count ceiling of a run, far above any real one
 NEWTON_TOL = 1e-12       # fast-diffusion residual tolerance, relative to max(w mu)
 NEWTON_MAX_ITER = 40
 BOUND_TOL = 0.05         # dissipation-bound slack for the O(dt) bias of implicit steps
@@ -209,7 +213,7 @@ class FlowSpec:
         step_count(self.horizon, self.dt)
         if self.snapshot_every < 1:
             raise ValueError("snapshot_every must be >= 1")
-        radial = FLOWS[self.flow].ambient_dim is not None   # the power law
+        radial = FLOWS[self.flow].power_law
         if self.grid.is_radial != radial:
             geometry = "radial" if radial else "line"
             raise ValueError(f"{self.flow} flow runs on {geometry} grids")
@@ -317,7 +321,7 @@ def solve(spec: FlowSpec, mu0: GridDensity) -> DensityTrajectory:
     states = [GridDensity(spec.grid, mu)]
     # mu log mu flows step with one constant matrix: factor it once; the
     # power law steps by Newton
-    newton = FLOWS[spec.flow].ambient_dim is not None
+    newton = FLOWS[spec.flow].power_law
     lu = None if newton else TridiagonalLU(_linear_step_matrix(spec))
 
     for k in range(1, steps + 1):
@@ -438,10 +442,10 @@ def stationary_state(model: FreeEnergy, grid: Grid) -> GridDensity | None:
     """The minimizer of ``model`` on ``grid``, which its flow relaxes to:
     None without V, the standard Gaussian for the confined entropy and
     ``stationary_fd`` for the power law, whose truncation-tail warning is
-    suppressed here and nowhere else (ROADMAP item 4 would capture it)."""
+    silenced here only (ROADMAP item 2's run record would capture it)."""
     if not model.confined:
         return None
-    if model.ambient_dim is None:
+    if not model.power_law:
         return gaussian_density(grid)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -511,11 +515,11 @@ def dissipation_report(traj: DensityTrajectory, functional: FreeEnergy,
     """Dissipation diagnostics of a flow under its Lyapunov functional.
 
     The bound column is exp(-2 rho t) * production(mu_0), rho the
-    functional's; the production may exceed it by ``BOUND_TOL``.  Fitted
+    functional's on the trajectory's grid; the production may exceed it by ``BOUND_TOL``.  Fitted
     decay rates come from log-linear regression of the production and, when
     a ``minimizer`` (unit mass) is given, of the value excess.
     """
-    rho = functional.rho
+    rho = functional.rho(traj.states[0].grid)
     if minimizer is not None and abs(minimizer.mass - 1.0) > 1e-8:
         raise ValueError("minimizer must have unit mass")
     times = traj.times

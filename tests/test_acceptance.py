@@ -172,7 +172,7 @@ def test_criterion_6_fast_diffusion(fd_bundle):
     residual = max(integrate(np.abs(s.values - stationary.values), grid)
                    for s in fixed.states)
     fixed_ok = residual <= 1e-6
-    rep = dissipation_report(perturbed, fd_free_energy(3), stationary)
+    rep = dissipation_report(perturbed, fd_free_energy(), stationary)
     rate_ok = (rep.fitted_value_rate is not None
                and rep.fitted_value_rate >= 2.0 * (2.0 / 3.0) * 0.95)
     rows = run_inequality_bank("eep_fd", seed=7, count=200, grid=grid)
@@ -242,7 +242,7 @@ def test_criterion_9_zugmeyer_bank_and_refusal():
     h, psi = xlogx()
     v = np.exp(-0.5 * (grid.nodes - 0.5) ** 2)
     v = v / integrate(v, grid)
-    inflated = ZugmeyerProblem(h, psi, 1, grid, v, c=2.0)  # true constant is 1
+    inflated = ZugmeyerProblem(h, psi, grid, v, c=2.0)  # true constant is 1
     try:
         zugmeyer_check(inflated, v.copy())
         refused = False

@@ -161,13 +161,18 @@ def test_diagnose_rejects_horizon_off_the_time_grid(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", [["simulate", "--flow", "heat"], ["diagnose"]])
-@pytest.mark.parametrize("flag", [["--T", "inf"], ["--T", "nan"], ["--dt", "inf"]])
-def test_non_finite_horizon_or_dt_is_a_config_error(command, flag, tmp_path,
-                                                    capsys):
+@pytest.mark.parametrize("flag, message", [
+    (["--T", "inf"], "must be finite"), (["--T", "nan"], "must be finite"),
+    (["--dt", "inf"], "must be finite"),
+    # finite, but 1e303 steps: simulate would step for ever
+    (["--T", "1e300"], "more than 100000000 steps"),
+], ids=["flag0", "flag1", "flag2", "flag3"])
+def test_non_finite_horizon_or_dt_is_a_config_error(command, flag, message,
+                                                    tmp_path, capsys):
     code = main([*command, *flag, "--out", str(tmp_path)])
     assert code == 2
     err = capsys.readouterr().err
-    assert "config error: T:" in err and "must be finite" in err
+    assert "config error: T:" in err and message in err
     assert not (tmp_path / "manifest.json").exists()
 
 

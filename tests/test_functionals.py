@@ -80,7 +80,7 @@ def test_fd_value_rejects_vanishing_density(radial_setup):
     from entroflow.grids import GridDensity
     zeroed = GridDensity(rg, vals)
     with pytest.raises(ValueError):
-        fd_free_energy(3).value(zeroed)
+        fd_free_energy().value(zeroed)
 
 
 # ---------------------------------------------------------------- gradients
@@ -97,7 +97,7 @@ def test_fp_gradient_vanishes_at_gaussian(gauss):
 
 def test_fd_gradient_vanishes_at_stationary_state(radial_setup):
     rg, stat = radial_setup
-    field = fd_free_energy(3).otto_gradient(stat)
+    field = fd_free_energy().otto_gradient(stat)
     assert np.max(np.abs(field.values)) <= 1e-9
 
 
@@ -121,8 +121,48 @@ def test_production_zero_at_minimizer(gauss):
 
 
 def test_fd_production_zero_at_stationary_state(radial_setup):
+    # one model at dims 3, 5 and 10: n comes from each state's grid
     rg, stat = radial_setup
-    assert fd_free_energy(3).production(stat) <= 1e-12
+    states = [stat]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # truncated tail
+        states += [stationary_fd(staggered_radial_grid(10.0, 512, n))
+                   for n in (5, 10)]
+    for state in states:
+        assert fd_free_energy().production(state) <= 1e-12, state.grid.ambient_dim
+
+
+# ---------------------------------------------------------------- dimension
+
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("method", ["value", "otto_gradient", "production",
+                                    "otto_hessian_quadform"])
+def test_power_law_rejects_line_grid(method, dim):
+    mu = gaussian_density(make_uniform_grid(-8.0, 8.0, 257, ambient_dim=dim))
+    args = (mu,) if method != "otto_hessian_quadform" else (mu, mu.grid.nodes)
+    with pytest.raises(ValueError, match="radial grid with n >= 2"):
+        getattr(fd_free_energy(), method)(*args)
+
+
+def test_power_law_rejects_radial_grid_below_dimension_two():
+    rg = staggered_radial_grid(10.0, 64, 1)
+    mu = normalize(np.exp(-rg.nodes), rg)
+    with pytest.raises(ValueError, match="radial grid with n >= 2"):
+        fd_free_energy().value(mu)
+
+
+def test_power_law_dimension_is_not_an_argument():
+    with pytest.raises(TypeError):
+        fd_free_energy(3)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 10])
+def test_rho_reads_the_grid(grid, n):
+    rg = staggered_radial_grid(10.0, 64, n)
+    assert fd_free_energy().rho(rg) == (n - 1.0) / n
+    assert fd_free_energy().dim_and_scale(rg) == (n, (n - 1.0) / n)
+    assert fp_free_energy().rho(rg) == fp_free_energy().rho(grid) == 1.0
+    assert boltzmann_entropy().rho(rg) == boltzmann_entropy().rho(grid) == 0.0
 
 
 # ---------------------------------------------------------------- hessians
@@ -144,7 +184,7 @@ def test_fp_hessian_on_affine_potential_equals_field_norm(grid):
 def test_fd_hessian_quadratic_potential_hits_lower_bound(radial_setup):
     rg, stat = radial_setup
     phi = 0.5 * rg.nodes**2
-    value = fd_free_energy(3).otto_hessian_quadform(stat, phi)
+    value = fd_free_energy().otto_hessian_quadform(stat, phi)
     grad_norm = integrate(rg.nodes**2 * stat.values, rg)
     assert value == pytest.approx((2.0 / 3.0) * grad_norm, rel=1e-12)
 
@@ -185,7 +225,7 @@ def test_fp_hessian_bound_over_phi_bank(grid, gauss):
 def test_fd_hessian_bound_over_phi_bank(radial_setup):
     rg, stat = radial_setup
     for name, phi in standard_phi_bank(rg):
-        quad = fd_free_energy(3).otto_hessian_quadform(stat, phi)
+        quad = fd_free_energy().otto_hessian_quadform(stat, phi)
         lower = (2.0 / 3.0) * integrate(gradient_fd(phi, rg) ** 2 * stat.values, rg)
         assert quad >= lower - 1e-10 * max(1.0, lower), name
 
@@ -223,7 +263,7 @@ def test_fd_hessian_is_second_variation_along_push_forward(n, potential):
 
     eps = 1e-3
     second = (pushed_value(eps) - 2.0 * pushed_value(0.0) + pushed_value(-eps)) / eps**2
-    quad = fd_free_energy(n).otto_hessian_quadform(mu, phi)
+    quad = fd_free_energy().otto_hessian_quadform(mu, phi)
     assert quad == pytest.approx(second, rel=1e-3)
 
 

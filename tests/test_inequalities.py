@@ -157,6 +157,14 @@ def test_eep_fd_at_stationary(radial_setup):
     assert rhs <= 1e-10
 
 
+def test_eep_fd_rejects_line_density(grid):
+    gauss = gaussian_density(grid)
+    with pytest.raises(ValueError, match="radial grid"):
+        eep_check_fd(gauss)
+    with pytest.raises(ValueError, match="radial grid with n >= 2"):
+        eep_check_fd(gauss, stationary=gauss)
+
+
 def test_eep_fd_dilated_and_bumped(radial_setup):
     g, stat = radial_setup
     for case_id, mu in eep_fd_bank(g, 12, seed=3, stationary=stat):
@@ -172,7 +180,7 @@ def xlogx_problem(c=1.0, num=257):
     h, psi = xlogx()
     v = np.exp(-0.5 * c * (g.nodes - 0.5) ** 2)
     v = v / integrate(v, g)
-    return ZugmeyerProblem(h, psi, 1, g, v, c), g
+    return ZugmeyerProblem(h, psi, g, v, c), g
 
 
 def test_zugmeyer_equal_functions():
@@ -207,7 +215,7 @@ def test_zugmeyer_refuses_inflated_constant():
     h, psi = xlogx()
     v = np.exp(-0.5 * 1.0 * (g.nodes - 0.5) ** 2)
     v = v / integrate(v, g)
-    problem = ZugmeyerProblem(h, psi, 1, g, v, c=2.0)
+    problem = ZugmeyerProblem(h, psi, g, v, c=2.0)
     report = check_hypotheses(problem)
     assert not report.ok
     with pytest.raises(HypothesisViolation) as err:
@@ -221,12 +229,24 @@ def test_zugmeyer_mass_mismatch():
         zugmeyer_check(problem, 1.1 * problem.v_values)
 
 
+@pytest.mark.parametrize("grid, holds", [
+    (make_uniform_grid(0.0, 1.0, 65), True),
+    (staggered_radial_grid(1.0, 64, 3), False),
+], ids=["line", "radial3"])
+def test_zugmeyer_dimension_comes_from_the_domain(grid, holds):
+    """h = -sqrt(x) gives U = sqrt(x)/2: x U' + (1-n)/n U = (1/2 - (n-1)/n) U
+    holds in n = 1 and fails in n = 3."""
+    problem = ZugmeyerProblem(lambda x: -np.sqrt(x), lambda x: -0.5 / np.sqrt(x),
+                              grid, np.ones_like(grid.nodes), c=1.0)
+    assert (check_hypotheses(problem).hyp1_min >= 0.0) == holds
+
+
 def test_zugmeyer_radial_hypotheses():
     g = staggered_radial_grid(1.0, 128, 3)
     h, psi = xlogx()
     v = np.exp(-0.5 * 1.5 * g.nodes**2)
     v = v / integrate(v, g)
-    problem = ZugmeyerProblem(h, psi, 3, g, v, c=1.5)
+    problem = ZugmeyerProblem(h, psi, g, v, c=1.5)
     assert check_hypotheses(problem).ok
     u = v * (1.0 + 0.1 * np.exp(-0.5 * ((g.nodes - 0.5) / 0.1) ** 2))
     u = u * (integrate(v, g) / integrate(u, g))

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from entroflow.functionals import boltzmann_entropy, fd_free_energy, fp_free_energy
+from entroflow.functionals import (
+    FreeEnergy,
+    boltzmann_entropy,
+    fd_free_energy,
+    fp_free_energy,
+)
 from entroflow.grids import (
     gaussian_density,
     integrate,
@@ -27,6 +32,16 @@ def _objective_at(functional, x, x_prev, tau):
     return _objective(functional, x, x_prev, tau, _increments(x))
 
 
+def minimize_quantile_free_energy(functional: FreeEnergy,
+                                  x0: np.ndarray) -> np.ndarray:
+    """Discrete minimizer of F in quantile coordinates (8 proximal iterations
+    with a huge step, i.e. nearly pure Newton on F)."""
+    x = x0.copy()
+    for _ in range(8):
+        x, _ = _jko_step_quantiles(functional, x, 1e12)
+    return x
+
+
 @pytest.fixture(scope="module")
 def grid():
     return make_uniform_grid(-8.0, 8.0, 1025)
@@ -44,7 +59,7 @@ def test_config_validation():
 
 def test_unsupported_functional_rejected(grid):
     with pytest.raises(ValueError):
-        jko_step(fd_free_energy(3), gaussian_density(grid), JkoConfig(tau=0.1, steps=1))
+        jko_step(fd_free_energy(), gaussian_density(grid), JkoConfig(tau=0.1, steps=1))
 
 
 def test_infeasible_newton_step_is_backtracked():
@@ -112,7 +127,6 @@ def test_fp_fixed_point(grid):
     gamma = gaussian_density(grid)
     m = 2048
     from entroflow.grids import cdf_and_quantile
-    from entroflow.jko import _jko_step_quantiles, minimize_quantile_free_energy
     x_min = minimize_quantile_free_energy(functional,
                                           cdf_and_quantile(gamma, m))
     cfg = JkoConfig(tau=0.05, steps=1, num_quantiles=m)

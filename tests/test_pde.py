@@ -27,6 +27,7 @@ from entroflow.grids import (
 )
 from entroflow.pde import (
     FLOWS,
+    MAX_STEPS,
     FlowSpec,
     SolverError,
     TridiagonalLU,
@@ -104,6 +105,18 @@ def test_flow_spec_rejects_horizon_off_the_time_grid(horizon):
 def test_step_count_rejects_non_finite_horizon_or_dt(horizon, dt):
     with pytest.raises(ValueError, match="must be finite"):
         step_count(horizon, dt)
+
+
+@pytest.mark.parametrize("horizon, dt", [(1e8 + 1.0, 1.0), (1e300, 1e-3),
+                                         (1e300, 1e-10)])
+def test_step_count_rejects_more_than_max_steps(horizon, dt):
+    # 1e300 / 1e-10 overflows to inf
+    with pytest.raises(ValueError, match="more than 100000000 steps"):
+        step_count(horizon, dt)
+
+
+def test_step_count_accepts_max_steps():
+    assert step_count(1e8, 1.0) == MAX_STEPS == 10**8
 
 
 @pytest.mark.parametrize("tau, steps", [(0.05, 4), (0.02, 50), (0.03, 7),
@@ -304,7 +317,7 @@ def test_fd_relaxation_rate_and_conservation(fd_setup):
     for state in traj.states:
         assert abs(state.mass - 1.0) <= 1e-8
         assert state.values.min() > 0.0
-    report = dissipation_report(traj, fd_free_energy(3), stat)
+    report = dissipation_report(traj, fd_free_energy(), stat)
     assert report.value_monotone
     assert report.fitted_value_rate is not None
     assert report.fitted_value_rate >= 2.0 * (2.0 / 3.0) * 0.95
