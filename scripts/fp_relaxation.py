@@ -11,7 +11,7 @@ from pathlib import Path
 
 from entroflow.functionals import fp_free_energy
 from entroflow.grids import gaussian_density, make_uniform_grid
-from entroflow.pde import FlowSpec, dissipation_report, solve, write_report_csv
+from entroflow.pde import dissipation_report, solve, write_report_csv
 
 
 def main():
@@ -24,10 +24,10 @@ def main():
     args = ap.parse_args()
 
     grid = make_uniform_grid(-8.0, 8.0, args.nodes)
-    traj = solve(FlowSpec("fokker_planck", grid, dt=args.dt,
-                          horizon=args.horizon, snapshot_every=50),
-                 gaussian_density(grid, mean=args.mean))
-    report = dissipation_report(traj, fp_free_energy(), gaussian_density(grid))
+    model = fp_free_energy()
+    traj = solve(model, gaussian_density(grid, mean=args.mean), args.dt,
+                 args.horizon, snapshot_every=50)
+    report = dissipation_report(traj, model, gaussian_density(grid))
 
     print(f"{'t':>8} {'F(mu_t)':>14} {'production':>14} {'bound':>14}")
     for row in zip(report.times, report.values, report.productions, report.bounds):

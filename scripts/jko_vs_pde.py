@@ -13,7 +13,7 @@ import numpy as np
 from entroflow.functionals import fp_free_energy
 from entroflow.grids import gaussian_density, integrate, make_uniform_grid
 from entroflow.jko import JkoConfig, jko_trajectory
-from entroflow.pde import FlowSpec, solve
+from entroflow.pde import solve
 
 
 def main():
@@ -26,10 +26,9 @@ def main():
 
     grid = make_uniform_grid(-8.0, 8.0, args.nodes)
     mu0 = gaussian_density(grid, mean=1.0)
-    ref = solve(FlowSpec("fokker_planck", grid, dt=1e-3, horizon=args.horizon,
-                         snapshot_every=1), mu0)
-    ref_at = {round(float(t), 9): s for t, s in zip(ref.times, ref.states)}
     functional = fp_free_energy()
+    ref = solve(functional, mu0, 1e-3, args.horizon)
+    ref_at = {round(float(t), 9): s for t, s in zip(ref.times, ref.states)}
 
     print(f"{'tau':>8} {'steps':>6} {'max L1 gap':>12}")
     for tau in args.taus:

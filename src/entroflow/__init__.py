@@ -55,7 +55,6 @@ from .inequalities import (
 from .jko import JkoConfig, jko_step, jko_trajectory
 from .pde import (
     DissipationReport,
-    FlowSpec,
     de_bruijn_pde_check,
     dirac_like_density,
     dissipation_report,

@@ -24,6 +24,7 @@ from . import banks, finite_flow, jko, pde, transport
 from .grids import (
     DEFAULT_LINE_DOMAIN,
     DEFAULT_RADIUS,
+    GridDensity,
     fmt_float,
     gaussian_density,
     integrate,
@@ -146,7 +147,11 @@ def _parse_density(spec, grid, stationary=None):
     if shape == "dirac":
         return pde.dirac_like_density(grid)
     if shape == "csv":
-        return read_density_csv(parts[1], ambient_dim=grid.ambient_dim)
+        mu = read_density_csv(parts[1])
+        if not np.array_equal(mu.grid.nodes, grid.nodes):
+            raise ConfigError("N", f"{parts[1]} is not on the {grid.num_nodes}"
+                                   f" nodes of --N and --domain")
+        return GridDensity(grid, mu.values)
     raise ConfigError("init", f"unknown density spec {spec!r}")
 
 
@@ -193,9 +198,7 @@ def _cmd_simulate(args):
     mu0 = _parse_density(init, grid, stationary)
 
     out = _start_run(args, "simulate", resolved)
-    spec = pde.FlowSpec(flow, grid, dt=dt, horizon=horizon,
-                        snapshot_every=snapshot_every)
-    traj = pde.solve(spec, mu0)
+    traj = pde.solve(model, mu0, dt, horizon, snapshot_every)
     for idx, state in enumerate(traj.states):
         write_density_csv(state, out / f"snapshot_{idx:04d}.csv")
 
@@ -224,6 +227,8 @@ def _cmd_simulate(args):
 def _cmd_diagnose(args):
     dt = _positive(args.dt, "dt")
     horizon = _time_grid(args.T, dt)
+    if round(horizon / dt) < 2:   # de Bruijn's centered difference needs 3 points
+        raise ConfigError("T", f"need at least 2 steps of dt {dt}, got {horizon}")
     seed = args.seed
     out = _start_run(args, "diagnose", {"dt": dt, "T": horizon, "seed": seed})
 
@@ -259,9 +264,9 @@ def _cmd_diagnose(args):
 
 # ------------------------------------------------------------------ jko
 
-# jko --functional name -> flow, for each flow whose free energy JKO steps;
-# the unconfined one goes by its free energy, the entropy
-JKO_FUNCTIONALS = {flow if model.confined else "entropy": flow
+# jko --functional name -> the free energy of each flow that JKO steps;
+# the unconfined one goes by its name, the entropy
+JKO_FUNCTIONALS = {flow if model.confined else "entropy": model
                    for flow, model in pde.FLOWS.items() if jko.supports(model)}
 
 
@@ -275,14 +280,14 @@ def _cmd_jko(args):
     compare = args.compare_pde
 
     mu0 = _parse_density(init, grid)
-    flow = JKO_FUNCTIONALS[functional_name]
+    model = JKO_FUNCTIONALS[functional_name]
     cfg = jko.JkoConfig(tau=tau, steps=steps, num_quantiles=quantiles)
 
     out = _start_run(args, "jko", {
         "functional": functional_name, "tau": tau, "steps": steps,
         "quantiles": quantiles, **fields, "init": init, "compare_pde": compare})
 
-    traj = jko.jko_trajectory(pde.FLOWS[flow], mu0, cfg)
+    traj = jko.jko_trajectory(model, mu0, cfg)
     jko.write_step_log_csv(traj, out / "jko_steps.csv")
     write_density_csv(traj.states[-1], out / "final_density.csv")
 
@@ -292,12 +297,8 @@ def _cmd_jko(args):
     summary = {"steps": steps, "tau": tau, "energy_monotone": monotone,
                "final_F": energies[-1]}
     if compare:
-        pde_dt = min(1e-3, tau / 10.0)
-        per_step = max(1, int(round(tau / pde_dt)))
-        pde_dt = tau / per_step
-        ref = pde.solve(pde.FlowSpec(flow, grid, dt=pde_dt,
-                                     horizon=cfg.horizon,
-                                     snapshot_every=per_step), mu0)
+        per_step = max(1, round(tau / min(1e-3, tau / 10.0)))
+        ref = pde.solve(model, mu0, tau / per_step, cfg.horizon, per_step)
         gap = max(integrate(np.abs(s.values - r.values), grid)
                   for s, r in zip(traj.states, ref.states))
         summary["max_l1_gap_to_pde"] = gap

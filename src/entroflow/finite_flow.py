@@ -144,28 +144,28 @@ class DecayCheck:
     passed: bool
 
 
-def production_decay_check(spec: PotentialSpec, traj: Trajectory) -> DecayCheck:
-    """Worst ratio of |grad E(S_t)|^2 over exp(-2 rho t) |grad E(x0)|^2."""
-    g2 = traj.grad_norms_sq
-    if g2[0] <= 1e-30:
+def _decay_check(spec: PotentialSpec, traj: Trajectory, series) -> DecayCheck:
+    """Worst ratio of ``series`` over exp(-2 rho t) series[0]; degenerate
+    (and passed) when series[0] vanishes."""
+    if series[0] <= 1e-30:
         return DecayCheck(0.0, True, True)
-    ratios = g2 / (np.exp(-2.0 * spec.rho * traj.times) * g2[0])
+    ratios = series / (np.exp(-2.0 * spec.rho * traj.times) * series[0])
     worst = float(np.max(ratios))
     return DecayCheck(worst, False, worst <= 1.0 + DECAY_TOL)
+
+
+def production_decay_check(spec: PotentialSpec, traj: Trajectory) -> DecayCheck:
+    """Worst ratio of |grad E(S_t)|^2 over exp(-2 rho t) |grad E(x0)|^2."""
+    return _decay_check(spec, traj, traj.grad_norms_sq)
 
 
 def entropy_decay_check(spec: PotentialSpec, traj: Trajectory) -> DecayCheck:
     """Worst ratio of E(S_t) - E(beta) over exp(-2 rho t) (E(x0) - E(beta))."""
     beta = locate_minimizer(spec, x0=traj.states[-1])
-    e_min = float(spec.energy(beta))
-    excess = traj.energies - e_min
-    if excess[0] <= 1e-30:
-        return DecayCheck(0.0, True, True)
-    if np.any(excess < -DECAY_TOL * max(1.0, excess[0])):
+    excess = traj.energies - float(spec.energy(beta))
+    if excess[0] > 1e-30 and np.any(excess < -DECAY_TOL * max(1.0, excess[0])):
         return DecayCheck(float("inf"), False, False)
-    ratios = excess / (np.exp(-2.0 * spec.rho * traj.times) * excess[0])
-    worst = float(np.max(ratios))
-    return DecayCheck(worst, False, worst <= 1.0 + DECAY_TOL)
+    return _decay_check(spec, traj, excess)
 
 
 def eep_inequality_check(spec: PotentialSpec, x) -> tuple[float, float]:

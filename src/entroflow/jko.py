@@ -41,7 +41,7 @@ from .grids import (
     density_from_quantile,
     write_csv,
 )
-from .pde import flux_bands, solve_banded
+from .pde import MAX_STEPS, flux_bands, solve_banded
 
 INCREMENT_FLOOR = 1e-12
 INNER_TOL = 1e-9         # relative objective decrease that counts as progress
@@ -57,8 +57,8 @@ class JkoConfig:
     def __post_init__(self):
         if self.tau <= 0.0:
             raise ValueError("tau must be positive")
-        if self.steps < 1:
-            raise ValueError("need at least one step")
+        if not 1 <= self.steps <= MAX_STEPS:
+            raise ValueError(f"need at least 1 and at most {MAX_STEPS} steps")
         if self.num_quantiles < 64:
             raise ValueError("need at least 64 quantile nodes")
 

@@ -1,5 +1,8 @@
 """Mass-conservative, positivity-preserving solvers for the three flows.
 
+Each flow is the Wasserstein gradient flow of its free energy in ``FLOWS``;
+``solve`` takes that model and runs on the grid of the initial density.
+
 Heat and Fokker-Planck (line geometry)
     Implicit-in-time finite volume with exponential-fitting face weights
     (Chang-Cooper / Scharfetter-Gummel).  With drift potential V the face
@@ -197,30 +200,6 @@ NEWTON_MAX_ITER = 40
 BOUND_TOL = 0.05         # dissipation-bound slack for the O(dt) bias of implicit steps
 
 
-@dataclass
-class FlowSpec:
-    flow: str
-    grid: Grid
-    dt: float
-    horizon: float
-    snapshot_every: int = 1
-
-    def __post_init__(self):
-        if self.flow not in FLOWS:
-            raise ValueError(f"unknown flow {self.flow!r}")
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
-        step_count(self.horizon, self.dt)
-        if self.snapshot_every < 1:
-            raise ValueError("snapshot_every must be >= 1")
-        radial = FLOWS[self.flow].power_law
-        if self.grid.is_radial != radial:
-            geometry = "radial" if radial else "line"
-            raise ValueError(f"{self.flow} flow runs on {geometry} grids")
-        if radial and self.grid.ambient_dim <= 2:
-            raise ValueError(f"{self.flow} flow requires ambient dimension n > 2")
-
-
 def _bernoulli(z: np.ndarray) -> np.ndarray:
     """B(z) = z / (e^z - 1), stable near 0."""
     out = np.empty_like(z)
@@ -231,33 +210,28 @@ def _bernoulli(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _linear_step_matrix(spec: FlowSpec) -> np.ndarray:
+def _linear_step_matrix(model: FreeEnergy, grid: Grid, dt: float) -> np.ndarray:
     """Banded backward-Euler matrix I + dt M for heat / Fokker-Planck, with
     (M mu)_i = (J_{i+1/2} - J_{i-1/2}) / w_i."""
-    grid = spec.grid
     x = grid.nodes
     n = grid.num_nodes
-    if FLOWS[spec.flow].confined:
-        dv = 0.5 * (x[1:] ** 2 - x[:-1] ** 2)
-    else:
-        dv = np.zeros(n - 1)
+    dv = 0.5 * (x[1:] ** 2 - x[:-1] ** 2) if model.confined else np.zeros(n - 1)
     # B(dV) weighs mu_i and B(-dV) mu_{i+1} in the face flux J_{i+1/2}
     return flux_bands(np.ones(n), _bernoulli(dv), _bernoulli(-dv),
-                      row_scale=spec.dt / (grid.quad_weights * grid.spacing))
+                      row_scale=dt / (grid.quad_weights * grid.spacing))
 
 
-def _fd_newton_step(spec: FlowSpec, mu_old: np.ndarray) -> np.ndarray:
+def _fd_newton_step(grid: Grid, dt: float, mu_old: np.ndarray) -> np.ndarray:
     """One backward-Euler step of the fast-diffusion flow by damped Newton.
 
     The residual w (mu - mu_old) - div(kappa c_face diff(psi)) is formed
     in place, with the float operations of the plain expression in the
     same order, so every iterate is reproducible bit for bit.
     """
-    grid = spec.grid
     n = grid.ambient_dim
     w = grid.quad_weights
     potential = grid.harmonic_potential
-    kappa = spec.dt * (n - 1.0) / n
+    kappa = dt * (n - 1.0) / n
     mobility = 0.5 * (mu_old[1:] + mu_old[:-1])   # lagged
     cface = grid.face_areas * mobility / grid.spacing
     coupling = kappa * cface
@@ -306,36 +280,48 @@ def _fd_newton_step(spec: FlowSpec, mu_old: np.ndarray) -> np.ndarray:
     raise SolverError("fast-diffusion Newton did not converge")
 
 
-def solve(spec: FlowSpec, mu0: GridDensity) -> DensityTrajectory:
-    """Run the flow; snapshots every ``snapshot_every`` steps plus the final state."""
-    if mu0.grid is not spec.grid and not np.array_equal(mu0.grid.nodes, spec.grid.nodes):
-        raise ValueError("initial density lives on a different grid")
+def solve(model: FreeEnergy, mu0: GridDensity, dt: float, horizon: float,
+          snapshot_every: int = 1) -> DensityTrajectory:
+    """Run the flow of ``model``, one of ``FLOWS``, from ``mu0`` on its grid
+    in steps ``dt`` up to ``horizon``; snapshots every ``snapshot_every``
+    steps plus the final state.  A model that is no flow, the wrong grid
+    (geometry, n <= 2), dt <= 0, ``snapshot_every`` < 1 or a horizon that
+    ``step_count`` rejects raise ``ValueError`` before the first step."""
+    grid = mu0.grid
+    if model not in FLOWS.values():
+        raise ValueError(f"{model} is not the free energy of a flow in FLOWS")
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    steps = step_count(horizon, dt)
+    if snapshot_every < 1:
+        raise ValueError("snapshot_every must be >= 1")
+    newton = model.power_law   # the power law steps by Newton on radial grids
+    if grid.is_radial != newton or newton and grid.ambient_dim <= 2:
+        raise ValueError("fast diffusion runs on radial grids with n > 2, "
+                         "heat and Fokker-Planck on line grids")
     if abs(mu0.mass - 1.0) > 1e-8:
         raise ValueError("initial density must have unit mass")
     if np.any(mu0.values <= 0.0):
         raise ValueError("initial density must be strictly positive")
 
-    steps = step_count(spec.horizon, spec.dt)
     mu = mu0.values.copy()
     times = [0.0]
-    states = [GridDensity(spec.grid, mu)]
-    # mu log mu flows step with one constant matrix: factor it once; the
-    # power law steps by Newton
-    newton = FLOWS[spec.flow].power_law
-    lu = None if newton else TridiagonalLU(_linear_step_matrix(spec))
+    states = [GridDensity(grid, mu)]
+    # mu log mu flows step with one constant matrix: factor it once
+    lu = None if newton else TridiagonalLU(_linear_step_matrix(model, grid, dt))
 
     for k in range(1, steps + 1):
         if newton:
-            mu = _fd_newton_step(spec, mu)
+            mu = _fd_newton_step(grid, dt, mu)
         else:
             mu = solve_banded(lu, mu)
-        if k % spec.snapshot_every == 0 or k == steps:
-            state = GridDensity(spec.grid, mu)
+        if k % snapshot_every == 0 or k == steps:
+            state = GridDensity(grid, mu)
             if abs(state.mass - 1.0) > 1e-8:
                 raise SolverError(f"mass drifted to {state.mass} at step {k}")
             if np.any(state.values <= 0.0):
                 raise SolverError(f"positivity lost at step {k}")
-            times.append(k * spec.dt)
+            times.append(k * dt)
             states.append(state)
 
     return DensityTrajectory(np.asarray(times), states)

@@ -35,7 +35,7 @@ from entroflow.inequalities import (
     zugmeyer_check,
 )
 from entroflow.jko import JkoConfig, jko_trajectory
-from entroflow.pde import FlowSpec, de_bruijn_pde_check, dissipation_report, solve, stationary_fd
+from entroflow.pde import de_bruijn_pde_check, dissipation_report, solve, stationary_fd
 from entroflow.transport import mccann_geodesic, mccann_path, path_action, w2_1d
 from oracles import brute_force_w2_atoms, monotone_w2_atoms
 
@@ -51,8 +51,8 @@ def report(num, ok, text):
 @pytest.fixture(scope="module")
 def heat_run():
     grid = make_uniform_grid(-8.0, 8.0, 1025)
-    traj = solve(FlowSpec("heat", grid, dt=1e-4, horizon=0.5, snapshot_every=100),
-                 gaussian_density(grid))
+    traj = solve(boltzmann_entropy(), gaussian_density(grid), 1e-4, 0.5,
+                 snapshot_every=100)
     PDE_RUNS["heat"] = traj
     return traj
 
@@ -60,9 +60,8 @@ def heat_run():
 @pytest.fixture(scope="module")
 def fp_run():
     grid = make_uniform_grid(-8.0, 8.0, 1025)
-    traj = solve(FlowSpec("fokker_planck", grid, dt=1e-3, horizon=2.0,
-                          snapshot_every=50),
-                 gaussian_density(grid, mean=2.0))
+    traj = solve(fp_free_energy(), gaussian_density(grid, mean=2.0), 1e-3, 2.0,
+                 snapshot_every=50)
     PDE_RUNS["fokker_planck"] = traj
     return traj
 
@@ -72,12 +71,10 @@ def fd_bundle():
     grid = staggered_radial_grid(10.0, 512, 3)
     with pytest.warns(UserWarning):
         stationary = stationary_fd(grid)
-    fixed = solve(FlowSpec("fast_diffusion", grid, dt=1e-3, horizon=5e-3),
-                  stationary)
+    fixed = solve(fd_free_energy(), stationary, 1e-3, 5e-3)
     bump = 1.0 + 0.05 * np.exp(-0.5 * (grid.nodes - 2.0) ** 2)
-    perturbed = solve(FlowSpec("fast_diffusion", grid, dt=2e-3, horizon=3.0,
-                               snapshot_every=50),
-                      normalize(stationary.values * bump, grid))
+    perturbed = solve(fd_free_energy(), normalize(stationary.values * bump, grid),
+                      2e-3, 3.0, snapshot_every=50)
     PDE_RUNS["fast_diffusion_fixed_point"] = fixed
     PDE_RUNS["fast_diffusion_perturbed"] = perturbed
     return grid, stationary, fixed, perturbed
@@ -88,8 +85,7 @@ def jko_bundle():
     grid = make_uniform_grid(-8.0, 8.0, 1025)
     mu0 = gaussian_density(grid, mean=1.0)
     horizon = 0.96
-    ref = solve(FlowSpec("fokker_planck", grid, dt=1e-3, horizon=horizon,
-                         snapshot_every=20), mu0)
+    ref = solve(fp_free_energy(), mu0, 1e-3, horizon, snapshot_every=20)
     PDE_RUNS["jko_reference_fp"] = ref
     ref_at = {round(float(t), 6): s for t, s in zip(ref.times, ref.states)}
     functional = fp_free_energy()

@@ -9,7 +9,12 @@ import pytest
 
 import entroflow
 from entroflow.cli import main
-from entroflow.grids import gaussian_density, make_uniform_grid, read_density_csv
+from entroflow.grids import (
+    gaussian_density,
+    make_uniform_grid,
+    read_density_csv,
+    write_density_csv,
+)
 
 
 def run(argv, capsys=None):
@@ -152,6 +157,20 @@ def test_simulate_rejects_horizon_off_the_time_grid(tmp_path, capsys):
     assert not (tmp_path / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("horizon", ["0.001", "0.0010000000000001"])
+def test_diagnose_rejects_a_single_step(horizon, tmp_path, capsys):
+    # de Bruijn's centered difference in t needs 3 time points
+    code = main(["diagnose", "--T", horizon, "--out", str(tmp_path)])
+    assert code == 2
+    assert "config error: T: need at least 2 steps" in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_diagnose_accepts_two_steps(tmp_path):
+    assert main(["diagnose", "--T", "0.002", "--out", str(tmp_path)]) == 0
+    assert len((tmp_path / "trajectory_quadratic.csv").read_text().splitlines()) == 4
+
+
 def test_diagnose_rejects_horizon_off_the_time_grid(tmp_path, capsys):
     code = main(["diagnose", "--T", "1.0004", "--dt", "0.001",
                  "--out", str(tmp_path)])
@@ -250,6 +269,22 @@ def test_simulate_csv_init_reproduces_the_snapshot(tmp_path):
     assert main(["simulate", "--flow", "heat", "--init", f"csv:{source}",
                  *SMALL_RUN, "--out", str(second)]) == 0
     assert (second / "snapshot_0000.csv").read_bytes() == source.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--flow", "heat", *SMALL_RUN, "--init"],
+    ["jko", "--steps", "2", "--quantiles", "128", "--init"],
+    ["jko", "--steps", "2", "--quantiles", "128", "--compare-pde", "--init"],
+    ["w2", "--quantiles", "256", "--mu"],
+], ids=["simulate", "jko", "jko-compare-pde", "w2"])
+def test_csv_density_on_another_grid_writes_nothing(argv, tmp_path, capsys):
+    # a density on 65 nodes, read by commands on 129, 1025 or 2049 nodes
+    source = tmp_path / "density.csv"
+    write_density_csv(gaussian_density(make_uniform_grid(-8.0, 8.0, 65)), source)
+    out = tmp_path / "out"
+    assert main([*argv, f"csv:{source}", "--out", str(out)]) == 2
+    assert "config error: N:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_unknown_init_is_config_error(tmp_path, capsys):
@@ -384,6 +419,7 @@ def test_config_values_are_converted_as_their_flags(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["jko", "--quantiles", "32"],
     ["w2", "--quantiles", "4"],
+    ["jko", "--steps", "1000000000"],    # more than pde.MAX_STEPS
 ])
 def test_rejected_quantile_count_writes_nothing(argv, tmp_path, capsys):
     out = tmp_path / "out"

@@ -25,7 +25,7 @@ from entroflow.jko import (
     quantile_free_energy,
     write_step_log_csv,
 )
-from entroflow.pde import FlowSpec, solve, solve_banded
+from entroflow.pde import solve, solve_banded
 
 
 def _objective_at(functional, x, x_prev, tau):
@@ -190,8 +190,7 @@ def test_fp_jko_converges_to_pde_solution(grid):
     """Halving tau roughly halves the gap to the Fokker-Planck solver."""
     mu0 = gaussian_density(grid, mean=1.0)
     horizon = 0.4
-    pde_traj = solve(FlowSpec("fokker_planck", grid, dt=1e-3, horizon=horizon,
-                              snapshot_every=40), mu0)
+    pde_traj = solve(fp_free_energy(), mu0, 1e-3, horizon, snapshot_every=40)
     pde_at = {round(t, 6): s for t, s in zip(pde_traj.times, pde_traj.states)}
     gaps = []
     for tau in (0.08, 0.04):

@@ -11,6 +11,7 @@ import pytest
 
 from entroflow import pde
 from entroflow.functionals import (
+    FreeEnergy,
     boltzmann_entropy,
     fd_free_energy,
     fp_free_energy,
@@ -28,7 +29,6 @@ from entroflow.grids import (
 from entroflow.pde import (
     FLOWS,
     MAX_STEPS,
-    FlowSpec,
     SolverError,
     TridiagonalLU,
     _bernoulli,
@@ -56,15 +56,15 @@ def exact_heat_gaussian(grid, t, sigma0=1.0):
 @pytest.fixture(scope="module")
 def heat_run():
     grid = make_uniform_grid(-8.0, 8.0, 1025)
-    spec = FlowSpec("heat", grid, dt=2e-4, horizon=0.5, snapshot_every=50)
-    return solve(spec, gaussian_density(grid))
+    return solve(boltzmann_entropy(), gaussian_density(grid), 2e-4, 0.5,
+                 snapshot_every=50)
 
 
 @pytest.fixture(scope="module")
 def fp_run():
     grid = make_uniform_grid(-8.0, 8.0, 1025)
-    spec = FlowSpec("fokker_planck", grid, dt=1e-3, horizon=1.5, snapshot_every=50)
-    return solve(spec, gaussian_density(grid, mean=1.0))
+    return solve(fp_free_energy(), gaussian_density(grid, mean=1.0), 1e-3, 1.5,
+                 snapshot_every=50)
 
 
 @pytest.fixture(scope="module")
@@ -77,27 +77,39 @@ def fd_setup():
 
 # ---------------------------------------------------------------- validation
 
-def test_flow_spec_rejections():
+@pytest.fixture
+def no_steps(monkeypatch):
+    """Make any step fail, so that a rejection is seen to precede the first."""
+    def step(*args):
+        raise AssertionError("solve stepped before rejecting its input")
+    monkeypatch.setattr(pde, "_linear_step_matrix", step)
+    monkeypatch.setattr(pde, "_fd_newton_step", step)
+
+
+def test_solve_rejections(no_steps):
     line = make_uniform_grid(-8.0, 8.0, 65)
     radial = staggered_radial_grid(10.0, 64, 3)
-    with pytest.raises(ValueError):
-        FlowSpec("heat", line, dt=-1.0, horizon=1.0)
-    with pytest.raises(ValueError):
-        FlowSpec("heat", radial, dt=0.1, horizon=1.0)
-    with pytest.raises(ValueError):
-        FlowSpec("fast_diffusion", line, dt=0.1, horizon=1.0)
-    with pytest.raises(ValueError):
-        FlowSpec("fast_diffusion", staggered_radial_grid(10.0, 64, 2), dt=0.1,
-                 horizon=1.0)
-    with pytest.raises(ValueError):
-        FlowSpec("porous", line, dt=0.1, horizon=1.0)
+    heat, fd = FLOWS["heat"], FLOWS["fast_diffusion"]
+    cases = [
+        (heat, line, -1.0, 1),                                   # dt <= 0
+        (heat, radial, 0.1, 1),                                  # geometry
+        (fd, line, 0.1, 1),
+        (fd, staggered_radial_grid(10.0, 64, 2), 0.1, 1),        # n <= 2
+        ("porous", line, 0.1, 1),                                # not a model
+        (FreeEnergy(power_law=True), radial, 0.1, 1),            # not a flow
+        (heat, line, 0.1, 0),                                    # snapshot_every
+    ]
+    for model, grid, dt, snapshot_every in cases:
+        with pytest.raises(ValueError):
+            solve(model, normalize(np.ones(grid.num_nodes), grid), dt, 1.0,
+                  snapshot_every)
 
 
 @pytest.mark.parametrize("horizon", [0.0015, 0.0014])
-def test_flow_spec_rejects_horizon_off_the_time_grid(horizon):
+def test_flow_spec_rejects_horizon_off_the_time_grid(horizon, no_steps):
     grid = make_uniform_grid(-8.0, 8.0, 65)
     with pytest.raises(ValueError, match="not a multiple of dt"):
-        FlowSpec("heat", grid, dt=0.001, horizon=horizon)
+        solve(boltzmann_entropy(), gaussian_density(grid), 0.001, horizon)
 
 
 @pytest.mark.parametrize("horizon, dt", [(math.inf, 1e-3), (math.nan, 1e-3),
@@ -126,8 +138,8 @@ def test_flow_spec_accepts_compare_pde_horizons(tau, steps):
     per_step = max(1, round(tau / min(1e-3, tau / 10.0)))
     dt = tau / per_step
     grid = make_uniform_grid(-8.0, 8.0, 65)
-    traj = solve(FlowSpec("fokker_planck", grid, dt=dt, horizon=tau * steps,
-                          snapshot_every=per_step), gaussian_density(grid))
+    traj = solve(fp_free_energy(), gaussian_density(grid), dt, tau * steps,
+                 snapshot_every=per_step)
     assert len(traj) == steps + 1
     assert traj.times[-1] == pytest.approx(tau * steps, rel=1e-12)
 
@@ -158,8 +170,8 @@ def test_heat_self_convergence_second_order_in_space():
     errs = []
     for n in (129, 257):
         grid = make_uniform_grid(-8.0, 8.0, n)
-        spec = FlowSpec("heat", grid, dt=1e-5, horizon=0.1, snapshot_every=10**9)
-        traj = solve(spec, gaussian_density(grid))
+        traj = solve(boltzmann_entropy(), gaussian_density(grid), 1e-5, 0.1,
+                     snapshot_every=10**9)
         exact = exact_heat_gaussian(grid, 0.1)
         errs.append(integrate(np.abs(traj.states[-1].values - exact), grid))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.4)
@@ -171,16 +183,16 @@ def test_de_bruijn_along_heat_flow(heat_run):
 
 def test_de_bruijn_on_stationary_uniform_density():
     grid = make_uniform_grid(0.0, 1.0, 129)
-    spec = FlowSpec("heat", grid, dt=1e-3, horizon=0.05, snapshot_every=10)
-    traj = solve(spec, normalize(np.ones(129), grid))
+    traj = solve(boltzmann_entropy(), normalize(np.ones(129), grid), 1e-3, 0.05,
+                 snapshot_every=10)
     assert de_bruijn_pde_check(traj) <= 1e-10
 
 
 def test_de_bruijn_on_bimodal_data():
     grid = make_uniform_grid(-8.0, 8.0, 1025)
     vals = np.exp(-2.0 * (grid.nodes - 1.5) ** 2) + np.exp(-(grid.nodes + 1.5) ** 2)
-    spec = FlowSpec("heat", grid, dt=2e-4, horizon=0.2, snapshot_every=50)
-    traj = solve(spec, normalize(vals, grid))
+    traj = solve(boltzmann_entropy(), normalize(vals, grid), 2e-4, 0.2,
+                 snapshot_every=50)
     assert de_bruijn_pde_check(traj) <= 5e-3
 
 
@@ -199,8 +211,8 @@ def test_de_bruijn_from_dirac_like_data_after_burn_in():
     from entroflow.grids import DensityTrajectory
 
     grid = make_uniform_grid(-8.0, 8.0, 1025)
-    spec = FlowSpec("heat", grid, dt=1e-4, horizon=0.3, snapshot_every=20)
-    traj = solve(spec, dirac_like_density(grid))
+    traj = solve(boltzmann_entropy(), dirac_like_density(grid), 1e-4, 0.3,
+                 snapshot_every=20)
     skip = int(np.searchsorted(traj.times, 0.05))
     trimmed = DensityTrajectory(traj.times[skip:] - traj.times[skip],
                                 traj.states[skip:])
@@ -214,8 +226,7 @@ def test_de_bruijn_from_dirac_like_data_after_burn_in():
 def test_fp_gaussian_is_stationary():
     grid = make_uniform_grid(-8.0, 8.0, 513)
     gamma = gaussian_density(grid)
-    spec = FlowSpec("fokker_planck", grid, dt=1e-3, horizon=0.1, snapshot_every=10)
-    traj = solve(spec, gamma)
+    traj = solve(fp_free_energy(), gamma, 1e-3, 0.1, snapshot_every=10)
     for state in traj.states:
         assert integrate(np.abs(state.values - gamma.values), grid) <= 1e-8
 
@@ -232,8 +243,8 @@ def test_fp_dissipation_report(fp_run):
 def test_fp_report_from_minimizer_trivially_passes():
     grid = make_uniform_grid(-8.0, 8.0, 513)
     gamma = gaussian_density(grid)
-    spec = FlowSpec("fokker_planck", grid, dt=1e-3, horizon=0.05, snapshot_every=10)
-    report = dissipation_report(solve(spec, gamma), fp_free_energy(), gamma)
+    traj = solve(fp_free_energy(), gamma, 1e-3, 0.05, snapshot_every=10)
+    report = dissipation_report(traj, fp_free_energy(), gamma)
     assert np.all(report.productions <= 1e-10)
     assert report.passed
 
@@ -302,8 +313,7 @@ def test_stationary_fd_constant_matches_high_resolution_oracle():
 
 def test_stationary_state_is_fixed_point(fd_setup):
     grid, stat = fd_setup
-    spec = FlowSpec("fast_diffusion", grid, dt=1e-3, horizon=5e-3)
-    traj = solve(spec, stat)
+    traj = solve(fd_free_energy(), stat, 1e-3, 5e-3)
     for state in traj.states:
         assert integrate(np.abs(state.values - stat.values), grid) <= 1e-6
 
@@ -312,8 +322,7 @@ def test_fd_relaxation_rate_and_conservation(fd_setup):
     grid, stat = fd_setup
     bump = 1.0 + 0.05 * np.exp(-0.5 * (grid.nodes - 2.0) ** 2)
     mu0 = normalize(stat.values * bump, grid)
-    spec = FlowSpec("fast_diffusion", grid, dt=2e-3, horizon=2.5, snapshot_every=50)
-    traj = solve(spec, mu0)
+    traj = solve(fd_free_energy(), mu0, 2e-3, 2.5, snapshot_every=50)
     for state in traj.states:
         assert abs(state.mass - 1.0) <= 1e-8
         assert state.values.min() > 0.0
@@ -397,10 +406,9 @@ def test_brentq_port_failures_are_solver_errors():
 def test_prefactored_solve_is_one_shot_solve_banded_bitwise(kind, n):
     from scipy.linalg import solve_banded as scipy_solve_banded
     grid = make_uniform_grid(-8.0, 8.0, n)
-    spec = FlowSpec(kind, grid, dt=1e-3, horizon=0.2, snapshot_every=50)
     mu0 = gaussian_density(grid, mean=1.5, sigma=0.7)
-    traj = solve(spec, mu0)
-    banded = _linear_step_matrix(spec)
+    traj = solve(FLOWS[kind], mu0, 1e-3, 0.2, snapshot_every=50)
+    banded = _linear_step_matrix(FLOWS[kind], grid, 1e-3)
     mu = mu0.values
     for k in range(1, 201):
         mu = scipy_solve_banded((1, 1), banded, mu, check_finite=False)
@@ -534,19 +542,19 @@ def test_flux_bands_symmetric_for_equal_face_weights():
 @pytest.mark.parametrize("kind", ["heat", "fokker_planck"])
 def test_linear_step_matrix_equals_hand_assembled_bands_bitwise(kind):
     grid = make_uniform_grid(-8.0, 8.0, 1025)
-    spec = FlowSpec(kind, grid, dt=1e-3, horizon=1e-3)
+    dt = 1e-3
     x, h, w = grid.nodes, grid.spacing, grid.quad_weights
     dv = 0.5 * (x[1:] ** 2 - x[:-1] ** 2) if kind == "fokker_planck" \
         else np.zeros(x.size - 1)
     bplus, bminus = _bernoulli(dv), _bernoulli(-dv)
     diag = np.ones(x.size)
-    diag[:-1] += spec.dt / (w[:-1] * h) * bplus
-    diag[1:] += spec.dt / (w[1:] * h) * bminus
+    diag[:-1] += dt / (w[:-1] * h) * bplus
+    diag[1:] += dt / (w[1:] * h) * bminus
     upper = np.zeros(x.size)
-    upper[1:] = -spec.dt / (w[:-1] * h) * bminus
+    upper[1:] = -dt / (w[:-1] * h) * bminus
     lower = np.zeros(x.size)
-    lower[:-1] = -spec.dt / (w[1:] * h) * bplus
-    assert np.array_equal(_linear_step_matrix(spec),
+    lower[:-1] = -dt / (w[1:] * h) * bplus
+    assert np.array_equal(_linear_step_matrix(FLOWS[kind], grid, dt),
                           np.vstack([upper, diag, lower]))
 
 
@@ -555,8 +563,8 @@ def test_linear_step_conserves_weighted_mass(kind):
     """sum_i w_i ((I + dt M) mu)_i = sum_i w_i mu_i: the flux part of every
     column has zero w-weighted sum."""
     grid = make_uniform_grid(-8.0, 8.0, 257)
-    spec = FlowSpec(kind, grid, dt=1e-2, horizon=1e-2)
-    flux_part = _dense(_linear_step_matrix(spec)) - np.eye(grid.num_nodes)
+    flux_part = (_dense(_linear_step_matrix(FLOWS[kind], grid, 1e-2))
+                 - np.eye(grid.num_nodes))
     column_sums = grid.quad_weights @ flux_part
     scale = np.max(np.abs(grid.quad_weights[:, None] * flux_part))
     assert np.max(np.abs(column_sums)) <= 1e-14 * scale

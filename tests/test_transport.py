@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entroflow.functionals import boltzmann_entropy
 from entroflow.grids import (
     TangentField,
     cumulative_cdf,
@@ -15,7 +16,7 @@ from entroflow.grids import (
     normalize,
     staggered_radial_grid,
 )
-from entroflow.pde import FlowSpec, solve
+from entroflow.pde import solve
 from entroflow.transport import (
     continuity_velocity,
     geodesic_hj_residual,
@@ -149,8 +150,8 @@ def test_velocity_of_stationary_pair(grid):
 
 
 def test_velocity_along_heat_flow_matches_entropy_gradient(grid):
-    spec = FlowSpec("heat", grid, dt=1e-3, horizon=0.12, snapshot_every=10)
-    traj = solve(spec, gaussian_density(grid))
+    traj = solve(boltzmann_entropy(), gaussian_density(grid), 1e-3, 0.12,
+                 snapshot_every=10)
     before, after = traj.states[-2], traj.states[-1]
     dt = traj.times[-1] - traj.times[-2]
     v = continuity_velocity(before, after, dt)
