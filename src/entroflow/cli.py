@@ -197,8 +197,8 @@ def _cmd_simulate(args):
     stationary = pde.stationary_state(model, grid)   # checks n > 2
     mu0 = _parse_density(init, grid, stationary)
 
-    out = _start_run(args, "simulate", resolved)
     traj = pde.solve(model, mu0, dt, horizon, snapshot_every)
+    out = _start_run(args, "simulate", resolved)
     for idx, state in enumerate(traj.states):
         write_density_csv(state, out / f"snapshot_{idx:04d}.csv")
 
@@ -283,11 +283,14 @@ def _cmd_jko(args):
     model = JKO_FUNCTIONALS[functional_name]
     cfg = jko.JkoConfig(tau=tau, steps=steps, num_quantiles=quantiles)
 
+    if compare:   # first, so that solve rejects its inputs before any JKO step
+        per_step = max(1, round(tau / min(1e-3, tau / 10.0)))
+        ref = pde.solve(model, mu0, tau / per_step, cfg.horizon, per_step)
+    traj = jko.jko_trajectory(model, mu0, cfg)
+
     out = _start_run(args, "jko", {
         "functional": functional_name, "tau": tau, "steps": steps,
         "quantiles": quantiles, **fields, "init": init, "compare_pde": compare})
-
-    traj = jko.jko_trajectory(model, mu0, cfg)
     jko.write_step_log_csv(traj, out / "jko_steps.csv")
     write_density_csv(traj.states[-1], out / "final_density.csv")
 
@@ -297,8 +300,6 @@ def _cmd_jko(args):
     summary = {"steps": steps, "tau": tau, "energy_monotone": monotone,
                "final_F": energies[-1]}
     if compare:
-        per_step = max(1, round(tau / min(1e-3, tau / 10.0)))
-        ref = pde.solve(model, mu0, tau / per_step, cfg.horizon, per_step)
         gap = max(integrate(np.abs(s.values - r.values), grid)
                   for s, r in zip(traj.states, ref.states))
         summary["max_l1_gap_to_pde"] = gap
@@ -440,6 +441,8 @@ def main(argv=None) -> int:
             # are parsed again: flag > config > default
             _install_config(args.config, args.command_parser)
             args = parser.parse_args(argv)
+        if getattr(args, "seed", 0) < 0:   # PCG64 takes no negative seed
+            raise ConfigError("seed", f"must be non-negative, got {args.seed}")
         return args.func(args)
     except SystemExit as err:
         return int(err.code) if err.code else 0

@@ -49,14 +49,7 @@ class HypothesisViolation(Exception):
 
 # ------------------------------------------------------------------ log-Sobolev
 
-@dataclass(frozen=True)
-class LsiResult:
-    lhs: float
-    rhs: float
-    ratio: float
-
-
-def lsi_check(f_values, grid: Grid) -> LsiResult:
+def lsi_check(f_values, grid: Grid) -> tuple[float, float]:
     """Gaussian log-Sobolev inequality
 
         int f log(f / int f dgamma) dgamma <= 1/2 int |grad f|^2 / f dgamma
@@ -72,8 +65,7 @@ def lsi_check(f_values, grid: Grid) -> LsiResult:
     mean_f = integrate(f * gamma, grid)
     lhs = integrate(f * np.log(f) * gamma, grid) - mean_f * np.log(mean_f)
     rhs = 0.5 * integrate(gradient_fd(f, grid) ** 2 / f * gamma, grid)
-    ratio = lhs / rhs if rhs > 1e-14 else 0.0
-    return LsiResult(lhs, rhs, ratio)
+    return lhs, rhs
 
 
 # ------------------------------------------------------------------ Sobolev
@@ -111,17 +103,9 @@ def sobolev_optimal_constant(n: int) -> float:
     return _SOBOLEV_CONSTANT_CACHE[n]
 
 
-@dataclass(frozen=True)
-class SobolevResult:
-    lhs_norm: float
-    ratio_to_optimal: float
-
-
-def sobolev_check(f_values, grid: Grid) -> SobolevResult:
-    """Optimal Sobolev inequality for radial f on R^n, n > 2.
-
-    ratio_to_optimal = (||f||_{2n/(n-2)} / ||grad f||_2) / C_opt(n) <= 1,
-    with equality on the Aubin-Talenti extremal.
+def sobolev_check(f_values, grid: Grid) -> tuple[float, float]:
+    """Optimal Sobolev inequality ||f||_{2n/(n-2)} <= C_opt(n) ||grad f||_2
+    for radial f on R^n, n > 2, with equality on the Aubin-Talenti extremal.
     """
     if not grid.is_radial or grid.ambient_dim <= 2:
         raise ValueError("Sobolev checker needs a radial grid with n > 2")
@@ -136,7 +120,9 @@ def sobolev_check(f_values, grid: Grid) -> SobolevResult:
         raise ValueError("f has non-negligible boundary values; enlarge the "
                          "truncation radius")
     lhs, _, ratio = _sobolev_ratio(f, grid)
-    return SobolevResult(lhs, ratio / sobolev_optimal_constant(grid.ambient_dim))
+    # rhs = C_opt ||grad f||_2 in the float order that the bank's report.csv
+    # pins; the plain product differs in the last bit on a third of its cases
+    return lhs, lhs / (ratio / sobolev_optimal_constant(grid.ambient_dim))
 
 
 # ------------------------------------------------------ energy-production (FP)
@@ -259,15 +245,14 @@ def check_hypotheses(problem: ZugmeyerProblem, u_values=None) -> HypothesesRepor
                             float(hyp2[i2]), float(problem.domain.nodes[i2]), ok)
 
 
-def zugmeyer_check(problem: ZugmeyerProblem,
-                   u_values) -> tuple[float, float, HypothesesReport]:
+def zugmeyer_check(problem: ZugmeyerProblem, u_values) -> tuple[float, float]:
     """Bregman-type inequality on a convex domain:
 
         int (H(u) - H(v) - (u-v) Psi(v))  <=  1/(2C) int |grad(Psi(v)-Psi(u))|^2 u
 
     for positive u with the same mass as v.  Hypothesis failures raise
     HypothesisViolation with the worst-node diagnostic; they are never
-    silently checked.
+    silently checked.  ``check_hypotheses`` gives the report of a pass.
     """
     u = np.asarray(u_values, dtype=float)
     v = np.asarray(problem.v_values, dtype=float)
@@ -284,7 +269,7 @@ def zugmeyer_check(problem: ZugmeyerProblem,
     lhs = integrate(problem.h(u) - problem.h(v) - (u - v) * problem.psi(v), grid)
     diff = problem.psi(v) - problem.psi(u)
     rhs = integrate(gradient_fd(diff, grid) ** 2 * u, grid) / (2.0 * problem.c)
-    return lhs, rhs, report
+    return lhs, rhs
 
 
 def xlogx() -> tuple[Callable, Callable]:

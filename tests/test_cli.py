@@ -10,6 +10,7 @@ import pytest
 import entroflow
 from entroflow.cli import main
 from entroflow.grids import (
+    GridDensity,
     gaussian_density,
     make_uniform_grid,
     read_density_csv,
@@ -416,15 +417,31 @@ def test_config_values_are_converted_as_their_flags(tmp_path):
     assert manifest["domain"] == [-8.0, 8.0]
 
 
-@pytest.mark.parametrize("argv", [
-    ["jko", "--quantiles", "32"],
-    ["w2", "--quantiles", "4"],
-    ["jko", "--steps", "1000000000"],    # more than pde.MAX_STEPS
-])
-def test_rejected_quantile_count_writes_nothing(argv, tmp_path, capsys):
+@pytest.mark.parametrize("argv, fragment", [
+    (["jko", "--quantiles", "32"], "need at least 64 quantile nodes"),
+    (["w2", "--quantiles", "4"], "need at least 8 quantile nodes"),
+    (["jko", "--steps", "1000000000"],                    # > pde.MAX_STEPS
+     "need at least 1 and at most 100000000 steps"),
+    (["simulate", "--flow", "heat", "--init", "gaussian:7.5:0.05"],
+     "initial density must be strictly positive"),     # underflows to 0
+    (["simulate", "--flow", "heat", *SMALL_RUN, "--init", "csv:{heavy}"],
+     "initial density must have unit mass"),
+    (["jko", "--tau", "1000", "--steps", "101", "--compare-pde"],
+     "horizon 101000.0 takes more than 100000000 steps"),   # the PDE's
+    (["check", "--inequality", "lsi", "--seed", "-1"], "seed: must be non-negative"),
+    (["diagnose", "--seed", "-1"], "seed: must be non-negative"),
+], ids=["jko-quantiles", "w2-quantiles", "jko-steps", "simulate-positivity",
+        "simulate-mass", "jko-compare-pde-steps", "check-seed", "diagnose-seed"])
+def test_rejected_input_writes_nothing(argv, fragment, tmp_path, capsys):
+    # a density of mass 1.01 on the 129 nodes of SMALL_RUN
+    heavy = tmp_path / "heavy.csv"
+    grid = make_uniform_grid(-8.0, 8.0, 129)
+    write_density_csv(GridDensity(grid, 1.01 * gaussian_density(grid).values),
+                      heavy)
     out = tmp_path / "out"
+    argv = [arg.format(heavy=heavy) for arg in argv]
     assert main([*argv, "--out", str(out)]) == 2
-    assert "config error: need at least" in capsys.readouterr().err
+    assert f"config error: {fragment}" in capsys.readouterr().err
     assert not out.exists()
 
 

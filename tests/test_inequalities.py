@@ -3,7 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from entroflow.banks import eep_fd_bank, lsi_bank, run_inequality_bank
+from entroflow.banks import (
+    BANK_NAMES,
+    eep_fd_bank,
+    eep_fp_bank,
+    lsi_bank,
+    run_inequality_bank,
+    sobolev_bank,
+    zugmeyer_bank,
+)
 from entroflow.grids import (
     gaussian_density,
     integrate,
@@ -44,24 +52,24 @@ def radial_setup():
 # ---------------------------------------------------------------- log-Sobolev
 
 def test_lsi_constant_function(grid):
-    res = lsi_check(np.ones_like(grid.nodes), grid)
-    assert abs(res.lhs) <= 1e-14
-    assert abs(res.rhs) <= 1e-14
+    lhs, rhs = lsi_check(np.ones_like(grid.nodes), grid)
+    assert abs(lhs) <= 1e-14
+    assert abs(rhs) <= 1e-14
 
 
 def test_lsi_exponential_saturates(grid):
     a = 0.7
-    res = lsi_check(np.exp(a * grid.nodes), grid)
+    lhs, rhs = lsi_check(np.exp(a * grid.nodes), grid)
     exact = 0.5 * a**2 * math.exp(0.5 * a**2)
-    assert res.lhs == pytest.approx(exact, abs=1e-4)
-    assert res.rhs == pytest.approx(exact, abs=1e-4)
-    assert 0.999 <= res.ratio <= 1.0
+    assert lhs == pytest.approx(exact, abs=1e-4)
+    assert rhs == pytest.approx(exact, abs=1e-4)
+    assert 0.999 <= lhs / rhs <= 1.0
 
 
 def test_lsi_strict_on_sine_perturbation(grid):
-    res = lsi_check(1.0 + 0.5 * np.sin(grid.nodes), grid)
-    assert res.lhs <= res.rhs
-    assert res.ratio < 1.0
+    lhs, rhs = lsi_check(1.0 + 0.5 * np.sin(grid.nodes), grid)
+    assert lhs <= rhs
+    assert lhs / rhs < 1.0
 
 
 def test_lsi_rejects_nonpositive(grid):
@@ -71,14 +79,14 @@ def test_lsi_rejects_nonpositive(grid):
 
 def test_lsi_bank_no_violations(grid):
     for case_id, f in lsi_bank(grid, 40, seed=7):
-        res = lsi_check(f, grid)
-        assert res.lhs <= res.rhs + scale_tol(res.rhs), case_id
+        lhs, rhs = lsi_check(f, grid)
+        assert lhs <= rhs + scale_tol(rhs), case_id
 
 
 def test_lsi_sensitivity(grid):
     """A 10% deflated rhs must be caught on the equality case."""
-    res = lsi_check(np.exp(0.7 * grid.nodes), grid)
-    assert res.lhs > 0.9 * res.rhs + scale_tol(res.rhs)
+    lhs, rhs = lsi_check(np.exp(0.7 * grid.nodes), grid)
+    assert lhs > 0.9 * rhs + scale_tol(rhs)
 
 
 # ---------------------------------------------------------------- Sobolev
@@ -89,21 +97,21 @@ def sobolev_grid():
 
 
 def test_sobolev_extremal_saturates(sobolev_grid):
-    res = sobolev_check(aubin_talenti_extremal(sobolev_grid), sobolev_grid)
-    assert res.ratio_to_optimal == pytest.approx(1.0, abs=1e-2)
+    lhs, rhs = sobolev_check(aubin_talenti_extremal(sobolev_grid), sobolev_grid)
+    assert lhs / rhs == pytest.approx(1.0, abs=1e-2)
 
 
 def test_sobolev_scale_invariance(sobolev_grid):
-    base = sobolev_check(aubin_talenti_extremal(sobolev_grid), sobolev_grid)
-    scaled = sobolev_check(
+    base_lhs, base_rhs = sobolev_check(aubin_talenti_extremal(sobolev_grid),
+                                       sobolev_grid)
+    lhs, rhs = sobolev_check(
         (1.0 + (1.7 * sobolev_grid.nodes) ** 2) ** (-0.5), sobolev_grid)
-    assert scaled.ratio_to_optimal == pytest.approx(base.ratio_to_optimal,
-                                                    abs=1e-2)
+    assert lhs / rhs == pytest.approx(base_lhs / base_rhs, abs=1e-2)
 
 
 def test_sobolev_gaussian_bump_below_optimal(sobolev_grid):
-    res = sobolev_check(np.exp(-0.5 * sobolev_grid.nodes**2), sobolev_grid)
-    assert res.ratio_to_optimal < 1.0
+    lhs, rhs = sobolev_check(np.exp(-0.5 * sobolev_grid.nodes**2), sobolev_grid)
+    assert lhs / rhs < 1.0
 
 
 def test_sobolev_rejects_boundary_mass(sobolev_grid):
@@ -119,8 +127,8 @@ def test_sobolev_constant_cached_and_positive():
 
 def test_sobolev_sensitivity(sobolev_grid):
     """A 10% deflated constant must be caught on the saturation case."""
-    res = sobolev_check(aubin_talenti_extremal(sobolev_grid), sobolev_grid)
-    assert res.ratio_to_optimal / 0.9 > 1.0 + 1e-6
+    lhs, rhs = sobolev_check(aubin_talenti_extremal(sobolev_grid), sobolev_grid)
+    assert lhs / rhs / 0.9 > 1.0 + 1e-6
 
 
 # --------------------------------------------------------------- EEP checks
@@ -185,8 +193,8 @@ def xlogx_problem(c=1.0, num=257):
 
 def test_zugmeyer_equal_functions():
     problem, g = xlogx_problem()
-    lhs, rhs, report = zugmeyer_check(problem, problem.v_values.copy())
-    assert report.ok
+    lhs, rhs = zugmeyer_check(problem, problem.v_values.copy())
+    assert check_hypotheses(problem, problem.v_values).ok
     assert abs(lhs) <= 1e-12
     assert abs(rhs) <= 1e-12
 
@@ -195,7 +203,7 @@ def test_zugmeyer_perturbation_holds():
     problem, g = xlogx_problem()
     u = problem.v_values * (1.0 + 0.1 * np.sin(2.0 * np.pi * g.nodes))
     u = u * (integrate(problem.v_values, g) / integrate(u, g))
-    lhs, rhs, _ = zugmeyer_check(problem, u)
+    lhs, rhs = zugmeyer_check(problem, u)
     assert 0.0 <= lhs <= rhs + scale_tol(rhs)
 
 
@@ -204,7 +212,7 @@ def test_zugmeyer_localized_perturbation_margin():
     bump = np.exp(-0.5 * ((g.nodes - 0.3) / 0.05) ** 2)
     u = problem.v_values * (1.0 + 0.25 * bump)
     u = u * (integrate(problem.v_values, g) / integrate(u, g))
-    lhs, rhs, _ = zugmeyer_check(problem, u)
+    lhs, rhs = zugmeyer_check(problem, u)
     assert lhs <= rhs
     assert rhs - lhs > 0.0
 
@@ -250,7 +258,7 @@ def test_zugmeyer_radial_hypotheses():
     assert check_hypotheses(problem).ok
     u = v * (1.0 + 0.1 * np.exp(-0.5 * ((g.nodes - 0.5) / 0.1) ** 2))
     u = u * (integrate(v, g) / integrate(u, g))
-    lhs, rhs, _ = zugmeyer_check(problem, u)
+    lhs, rhs = zugmeyer_check(problem, u)
     assert lhs <= rhs + scale_tol(rhs)
 
 
@@ -261,6 +269,24 @@ def test_run_bank_rows_and_order():
     assert len(rows) == 25
     assert [r.case_id for r in rows] == sorted(r.case_id for r in rows)
     assert all(r.passed for r in rows)
+
+
+@pytest.mark.parametrize("name", BANK_NAMES)
+def test_bank_checker_returns_its_two_sides(name, grid, sobolev_grid, radial_setup):
+    """Every checker a bank runs returns (lhs, rhs) and nothing else."""
+    g, stat = radial_setup
+    first_case = {
+        "lsi": lambda: lsi_check(lsi_bank(grid, 1, seed=7)[0][1], grid),
+        "sobolev": lambda: sobolev_check(
+            sobolev_bank(sobolev_grid, 1, seed=7)[0][1], sobolev_grid),
+        "eep_fp": lambda: eep_check_fp(eep_fp_bank(grid, 1, seed=7)[0][1]),
+        "eep_fd": lambda: eep_check_fd(
+            eep_fd_bank(g, 1, seed=7, stationary=stat)[0][1], stationary=stat),
+        "zugmeyer": lambda: zugmeyer_check(*zugmeyer_bank(1, seed=7)[0][1:]),
+    }
+    sides = first_case[name]()
+    assert type(sides) is tuple and len(sides) == 2
+    assert all(isinstance(side, float) for side in sides)
 
 
 def test_run_bank_unknown_name():

@@ -18,6 +18,7 @@ from entroflow.functionals import (
     lp_norm,
 )
 from entroflow.grids import (
+    DensityTrajectory,
     GridDensity,
     gaussian_density,
     integrate,
@@ -103,10 +104,17 @@ def test_solve_rejections(no_steps):
         with pytest.raises(ValueError):
             solve(model, normalize(np.ones(grid.num_nodes), grid), dt, 1.0,
                   snapshot_every)
+    densities = [
+        (GridDensity(line, np.full(65, 1.01 / 16.0)), "unit mass"),
+        (normalize(np.where(line.nodes < 0.0, 1.0, 0.0), line), "strictly positive"),
+    ]
+    for mu0, message in densities:
+        with pytest.raises(ValueError, match=message):
+            solve(heat, mu0, 0.1, 1.0)
 
 
 @pytest.mark.parametrize("horizon", [0.0015, 0.0014])
-def test_flow_spec_rejects_horizon_off_the_time_grid(horizon, no_steps):
+def test_solve_rejects_horizon_off_the_time_grid(horizon, no_steps):
     grid = make_uniform_grid(-8.0, 8.0, 65)
     with pytest.raises(ValueError, match="not a multiple of dt"):
         solve(boltzmann_entropy(), gaussian_density(grid), 0.001, horizon)
@@ -194,6 +202,14 @@ def test_de_bruijn_on_bimodal_data():
     traj = solve(boltzmann_entropy(), normalize(vals, grid), 2e-4, 0.2,
                  snapshot_every=50)
     assert de_bruijn_pde_check(traj) <= 5e-3
+
+
+def test_de_bruijn_needs_three_snapshots_at_uniform_cadence():
+    mu = gaussian_density(make_uniform_grid(-8.0, 8.0, 65))
+    with pytest.raises(ValueError, match="at least 3 snapshots"):
+        de_bruijn_pde_check(DensityTrajectory([0.0, 0.1], [mu, mu]))
+    with pytest.raises(ValueError, match="uniform cadence"):
+        de_bruijn_pde_check(DensityTrajectory([0.0, 0.1, 0.3], [mu, mu, mu]))
 
 
 def test_dirac_like_density_is_narrow():
