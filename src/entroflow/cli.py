@@ -197,16 +197,24 @@ def _cmd_simulate(args):
     stationary = pde.stationary_state(model, grid)   # checks n > 2
     mu0 = _parse_density(init, grid, stationary)
 
-    traj = pde.solve(model, mu0, dt, horizon, snapshot_every)
-    out = _start_run(args, "simulate", resolved)
-    for idx, state in enumerate(traj.states):
-        write_density_csv(state, out / f"snapshot_{idx:04d}.csv")
+    # snapshots are written as solve makes them, the first after its checks
+    out, times, values, productions = None, [], [], []
 
-    summary = {"flow": flow, "snapshots": len(traj.states),
-               "final_time": float(traj.times[-1])}
+    def emit(t, state):
+        nonlocal out
+        out = out or _start_run(args, "simulate", resolved)
+        write_density_csv(state, out / f"snapshot_{len(times):04d}.csv")
+        times.append(t)
+        if resolved["diagnose"]:
+            values.append(model.value(state))
+            productions.append(model.production(state))
+
+    pde.solve(model, mu0, dt, horizon, snapshot_every, emit)
+    summary = {"flow": flow, "snapshots": len(times), "final_time": times[-1]}
     code = 0
     if resolved["diagnose"]:
-        report = pde.dissipation_report(traj, model, stationary)
+        report = pde.dissipation_report(model, grid, times, values, productions,
+                                        stationary)
         pde.write_report_csv(report, out / "report.csv")
         summary.update(
             fitted_production_rate=report.fitted_production_rate,
@@ -280,6 +288,8 @@ def _cmd_jko(args):
     compare = args.compare_pde
 
     mu0 = _parse_density(init, grid)
+    if np.any(mu0.values <= 0.0):   # what pde.solve rejects, --compare-pde or not
+        raise ValueError("initial density must be strictly positive")
     model = JKO_FUNCTIONALS[functional_name]
     cfg = jko.JkoConfig(tau=tau, steps=steps, num_quantiles=quantiles)
 

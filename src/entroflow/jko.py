@@ -90,43 +90,50 @@ def quantile_free_energy(functional: FreeEnergy, x: np.ndarray) -> float:
     return _free_energy(functional, x, _increments(x))
 
 
-def _free_energy(functional, x, d):
-    """F at quantiles ``x`` whose floored increments are ``d``."""
+def _free_energy(functional, x, d, logs=None, squares=None):
+    """F at quantiles ``x`` with floored increments ``d``; optional scratch."""
     dq = 1.0 / x.size
-    logs = d / dq
+    logs = np.divide(d, dq, out=logs)
     value = -dq * float(np.sum(np.log(logs, out=logs)))
     if functional.confined:
-        squares = np.square(x)
+        squares = np.square(x, out=squares)
         squares *= 0.5
         value += dq * float(np.sum(squares))
     return value
 
 
-def _objective(functional, x, x_prev, tau, d):
+def _workspace(m):
+    """Gradient, band and scratch arrays that each iteration of a step refills."""
+    return np.empty(m), np.zeros((3, m)), np.empty(m), np.empty(m - 1)
+
+
+def _objective(functional, x, x_prev, tau, d, work=None):
     """Proximal objective at ``x``; ``d`` are its floored increments."""
     dq = 1.0 / x.size
-    moved = x - x_prev
+    _, _, moved, logs = work or (None,) * 4
+    moved = np.subtract(x, x_prev, out=moved)
     prox = 0.5 * dq * float(np.sum(np.square(moved, out=moved))) / tau
-    return _free_energy(functional, x, d) + prox
+    return _free_energy(functional, x, d, logs, moved) + prox
 
 
-def _grad_hess(functional, x, x_prev, tau, d):
+def _grad_hess(functional, x, x_prev, tau, d, work=None):
     """Gradient and tridiagonal Hessian bands of the proximal objective at
-    ``x``; ``d`` are its floored increments."""
+    ``x``, in ``work`` if given; ``d`` are its floored increments."""
     m = x.size
     dq = 1.0 / m
-    inv = 1.0 / d
-    barrier = dq * inv
-    grad = np.zeros(m)
+    grad, bands, moved, inv = work or _workspace(m)
+    np.divide(1.0, d, out=inv)
+    barrier = np.multiply(dq, inv, out=moved[:-1])
+    grad.fill(0.0)
     grad[1:] -= barrier       # d/dX_{j+1} of -dq log d_j
     grad[:-1] += barrier      # d/dX_j of -dq log d_j
     cross = np.square(inv, out=inv)
     cross *= dq               # log-barrier coupling on (j, j+1)
-    bands = flux_bands(0.0, cross, cross)
+    flux_bands(0.0, cross, cross, out=bands)
     if functional.confined:
-        grad += dq * x
+        grad += np.multiply(dq, x, out=moved)
         bands[1] += dq
-    moved = x - x_prev
+    np.subtract(x, x_prev, out=moved)
     moved *= dq
     moved /= tau
     grad += moved
@@ -138,31 +145,33 @@ def _jko_step_quantiles(functional, x_prev, tau):
     """Solve the proximal problem in quantile coordinates by damped Newton.
 
     Each accepted trial hands its floored increments to the next Hessian,
-    and the stay-put objective is the objective of the start.
+    and the stay-put objective is the objective of the start.  Its arrays
+    are refilled in place by the float operations of the plain expressions.
     """
-    x = x_prev.copy()
-    d = _increments(x)
-    obj = stay = _objective(functional, x, x_prev, tau, d)
+    m = x_prev.size
+    work, trial, trial_d = _workspace(m), np.empty(m), np.empty(m - 1)
+    x, d = x_prev.copy(), _increments(x_prev)
+    obj = stay = _objective(functional, x, x_prev, tau, d, work)
     # a trial with an increment below the floor is rejected like an
     # objective increase; a start with tied quantiles lowers the floor to
     # its smallest increment, so that the step can still move
     floor = min(INCREMENT_FLOOR, float(np.min(np.diff(x_prev))))
     iters = 0
     for iters in range(1, MAX_INNER + 1):
-        grad, bands = _grad_hess(functional, x, x_prev, tau, d)
+        grad, bands = _grad_hess(functional, x, x_prev, tau, d, work)
         delta = solve_banded(bands, np.negative(grad, out=grad))
         lam = 1.0
         improved = False
         for _ in range(50):
-            trial = delta * lam
+            np.multiply(delta, lam, out=trial)
             trial += x
-            trial_d = np.diff(trial)
+            np.subtract(trial[1:], trial[:-1], out=trial_d)
             if trial_d.min() >= floor:
                 np.maximum(trial_d, INCREMENT_FLOOR, out=trial_d)
-                trial_obj = _objective(functional, trial, x_prev, tau, trial_d)
+                trial_obj = _objective(functional, trial, x_prev, tau, trial_d, work)
                 if trial_obj <= obj:
                     improved = trial_obj < obj - INNER_TOL * max(1.0, abs(obj))
-                    x, obj, d = trial, trial_obj, trial_d
+                    x, trial, d, trial_d, obj = trial, x, trial_d, d, trial_obj
                     break
             lam *= 0.5
         step = lam * float(np.max(np.abs(delta)))

@@ -143,7 +143,7 @@ def solve_banded(ab, b):
     return x
 
 
-def flux_bands(diag, left, right, row_scale=None) -> np.ndarray:
+def flux_bands(diag, left, right, row_scale=None, out=None) -> np.ndarray:
     """``[upper, diag, lower]`` band array of the tridiagonal operator
 
         u -> diag u + row_scale (J_{i+1/2} - J_{i-1/2}),
@@ -151,11 +151,11 @@ def flux_bands(diag, left, right, row_scale=None) -> np.ndarray:
     with face flux J_{i+1/2} = left_i u_i - right_i u_{i+1} on the n - 1
     interior faces and no flux through the ends.  ``diag`` is a scalar or
     one value per row; ``row_scale`` is None (no scale), a scalar or one
-    factor per row (a step over the cell measure).  It never solves: every
-    solve goes through ``solve_banded``, whose calls
-    ``perfbench/traced_entry.py`` counts per caller.
+    factor per row (a step over the cell measure); ``out`` is refilled but
+    for its unused corners.  It never solves: every solve goes through
+    ``solve_banded``, whose calls ``perfbench/traced_entry.py`` counts per caller.
     """
-    bands = np.zeros((3, np.size(left) + 1))
+    bands = np.zeros((3, np.size(left) + 1)) if out is None else out
     upper, main, lower = bands
     main[:] = diag
     if row_scale is None:
@@ -281,12 +281,14 @@ def _fd_newton_step(grid: Grid, dt: float, mu_old: np.ndarray) -> np.ndarray:
 
 
 def solve(model: FreeEnergy, mu0: GridDensity, dt: float, horizon: float,
-          snapshot_every: int = 1) -> DensityTrajectory:
+          snapshot_every: int = 1, emit=None) -> DensityTrajectory | None:
     """Run the flow of ``model``, one of ``FLOWS``, from ``mu0`` on its grid
     in steps ``dt`` up to ``horizon``; snapshots every ``snapshot_every``
     steps plus the final state.  A model that is no flow, the wrong grid
     (geometry, n <= 2), dt <= 0, ``snapshot_every`` < 1 or a horizon that
-    ``step_count`` rejects raise ``ValueError`` before the first step."""
+    ``step_count`` rejects raise ``ValueError`` before the first snapshot.
+    Each snapshot goes to ``emit(t, state)`` as it is made and is not kept,
+    so memory stays O(N); without ``emit`` they are collected and returned."""
     grid = mu0.grid
     if model not in FLOWS.values():
         raise ValueError(f"{model} is not the free energy of a flow in FLOWS")
@@ -304,9 +306,10 @@ def solve(model: FreeEnergy, mu0: GridDensity, dt: float, horizon: float,
     if np.any(mu0.values <= 0.0):
         raise ValueError("initial density must be strictly positive")
 
+    times, states = [], []   # collected only without emit
+    emit = emit or (lambda t, state: (times.append(t), states.append(state)))
     mu = mu0.values.copy()
-    times = [0.0]
-    states = [GridDensity(grid, mu)]
+    emit(0.0, GridDensity(grid, mu))
     # mu log mu flows step with one constant matrix: factor it once
     lu = None if newton else TridiagonalLU(_linear_step_matrix(model, grid, dt))
 
@@ -321,10 +324,9 @@ def solve(model: FreeEnergy, mu0: GridDensity, dt: float, horizon: float,
                 raise SolverError(f"mass drifted to {state.mass} at step {k}")
             if np.any(state.values <= 0.0):
                 raise SolverError(f"positivity lost at step {k}")
-            times.append(k * dt)
-            states.append(state)
+            emit(k * dt, state)
 
-    return DensityTrajectory(np.asarray(times), states)
+    return DensityTrajectory(np.asarray(times), states) if states else None
 
 
 def _brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
@@ -496,21 +498,20 @@ def _fit_rate(times: np.ndarray, series: np.ndarray, floor: float) -> float | No
     return float(-slope)
 
 
-def dissipation_report(traj: DensityTrajectory, functional: FreeEnergy,
-                       minimizer: GridDensity | None = None) -> DissipationReport:
-    """Dissipation diagnostics of a flow under its Lyapunov functional.
+def dissipation_report(functional: FreeEnergy, grid: Grid, times, values,
+                       productions, minimizer: GridDensity | None = None):
+    """Dissipation diagnostics of a flow on ``grid`` from its snapshot
+    series of times, ``functional.value`` and ``functional.production``.
 
     The bound column is exp(-2 rho t) * production(mu_0), rho the
-    functional's on the trajectory's grid; the production may exceed it by ``BOUND_TOL``.  Fitted
-    decay rates come from log-linear regression of the production and, when
-    a ``minimizer`` (unit mass) is given, of the value excess.
+    functional's on ``grid``; the production may exceed it by ``BOUND_TOL``.
+    Fitted decay rates come from log-linear regression of the production
+    and, when a ``minimizer`` (unit mass) is given, of the value excess.
     """
-    rho = functional.rho(traj.states[0].grid)
+    rho = functional.rho(grid)
     if minimizer is not None and abs(minimizer.mass - 1.0) > 1e-8:
         raise ValueError("minimizer must have unit mass")
-    times = traj.times
-    values = np.array([functional.value(s) for s in traj.states])
-    productions = np.array([functional.production(s) for s in traj.states])
+    times, values, productions = map(np.asarray, (times, values, productions))
     bounds = np.exp(-2.0 * rho * (times - times[0])) * productions[0]
 
     scale = max(1.0, float(np.max(productions)))

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 
+from entroflow.pde import dissipation_report
+
 
 def brute_force_w2_atoms(x, y):
     """Exact W2 between two k-atom uniform discrete measures by enumerating
@@ -24,3 +26,12 @@ def monotone_w2_atoms(x, y):
     x = np.sort(np.asarray(x, dtype=float))
     y = np.sort(np.asarray(y, dtype=float))
     return math.sqrt(float(np.mean((x - y) ** 2)))
+
+
+def trajectory_report(traj, functional, minimizer=None):
+    """``dissipation_report`` of a collected trajectory: the value and
+    production of each of its states, at its time."""
+    return dissipation_report(functional, traj.states[0].grid, traj.times,
+                              [functional.value(s) for s in traj.states],
+                              [functional.production(s) for s in traj.states],
+                              minimizer)

@@ -35,9 +35,9 @@ from entroflow.inequalities import (
     zugmeyer_check,
 )
 from entroflow.jko import JkoConfig, jko_trajectory
-from entroflow.pde import de_bruijn_pde_check, dissipation_report, solve, stationary_fd
+from entroflow.pde import de_bruijn_pde_check, solve, stationary_fd
 from entroflow.transport import mccann_geodesic, mccann_path, path_action, w2_1d
-from oracles import brute_force_w2_atoms, monotone_w2_atoms
+from oracles import brute_force_w2_atoms, monotone_w2_atoms, trajectory_report
 
 # every PDE trajectory produced by the acceptance runs, for criterion 10
 PDE_RUNS = {}
@@ -131,7 +131,7 @@ def test_criterion_2_de_bruijn_along_heat_flow(heat_run):
 
 def test_criterion_3_fokker_planck_decay_rates(fp_run):
     grid = fp_run.states[0].grid
-    rep = dissipation_report(fp_run, fp_free_energy(), gaussian_density(grid))
+    rep = trajectory_report(fp_run, fp_free_energy(), gaussian_density(grid))
     ok = (rep.fitted_production_rate is not None
           and abs(rep.fitted_production_rate - 2.0) <= 0.1
           and rep.fitted_value_rate is not None
@@ -168,7 +168,7 @@ def test_criterion_6_fast_diffusion(fd_bundle):
     residual = max(integrate(np.abs(s.values - stationary.values), grid)
                    for s in fixed.states)
     fixed_ok = residual <= 1e-6
-    rep = dissipation_report(perturbed, fd_free_energy(), stationary)
+    rep = trajectory_report(perturbed, fd_free_energy(), stationary)
     rate_ok = (rep.fitted_value_rate is not None
                and rep.fitted_value_rate >= 2.0 * (2.0 / 3.0) * 0.95)
     rows = run_inequality_bank("eep_fd", seed=7, count=200, grid=grid)

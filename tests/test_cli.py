@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import entroflow
+from entroflow import pde
 from entroflow.cli import main
 from entroflow.grids import (
     GridDensity,
@@ -424,6 +426,8 @@ def test_config_values_are_converted_as_their_flags(tmp_path):
      "need at least 1 and at most 100000000 steps"),
     (["simulate", "--flow", "heat", "--init", "gaussian:7.5:0.05"],
      "initial density must be strictly positive"),     # underflows to 0
+    (["jko", "--init", "gaussian:7.5:0.05", "--steps", "2"],
+     "initial density must be strictly positive"),     # without --compare-pde
     (["simulate", "--flow", "heat", *SMALL_RUN, "--init", "csv:{heavy}"],
      "initial density must have unit mass"),
     (["jko", "--tau", "1000", "--steps", "101", "--compare-pde"],
@@ -431,7 +435,8 @@ def test_config_values_are_converted_as_their_flags(tmp_path):
     (["check", "--inequality", "lsi", "--seed", "-1"], "seed: must be non-negative"),
     (["diagnose", "--seed", "-1"], "seed: must be non-negative"),
 ], ids=["jko-quantiles", "w2-quantiles", "jko-steps", "simulate-positivity",
-        "simulate-mass", "jko-compare-pde-steps", "check-seed", "diagnose-seed"])
+        "jko-positivity", "simulate-mass", "jko-compare-pde-steps", "check-seed",
+        "diagnose-seed"])
 def test_rejected_input_writes_nothing(argv, fragment, tmp_path, capsys):
     # a density of mass 1.01 on the 129 nodes of SMALL_RUN
     heavy = tmp_path / "heavy.csv"
@@ -482,3 +487,46 @@ def test_manifest_reruns_as_config(argv, tmp_path):
     manifest = first / "manifest.json"
     assert main([argv[0], "--config", str(manifest), "--out", str(second)]) == 0
     assert (second / "manifest.json").read_bytes() == manifest.read_bytes()
+
+
+def test_simulate_memory_does_not_grow_with_the_snapshot_count(tmp_path):
+    """Snapshots are written as they are made, so a run at every step peaks
+    within a few N-sized arrays of a run at every 50th."""
+    num = 4097
+    argv = ["simulate", "--flow", "heat", "--N", str(num), "--T", "0.1",
+            "--diagnose"]
+    assert main([*argv, "--out", str(tmp_path / "warm")]) == 0   # lazy loads
+    peaks = {}
+    for every in (1, 50):
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--snapshot-every", str(every),
+                         "--out", str(tmp_path / str(every))]) == 0
+            peaks[every] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert len(list((tmp_path / "1").glob("snapshot_*.csv"))) == 101
+    assert abs(peaks[1] - peaks[50]) <= 3 * num * 8, peaks
+
+
+def test_solver_error_mid_run_leaves_the_snapshots_made(tmp_path, monkeypatch):
+    """A numerical failure at step 5 keeps the manifest and the snapshots of
+    steps 0, 2 and 4, writes no summary and propagates."""
+    calls = []
+
+    def failing_solve(ab, b):
+        calls.append(None)
+        if len(calls) == 5:
+            raise pde.SolverError("planted failure at step 5")
+        return solve_banded(ab, b)
+
+    solve_banded = pde.solve_banded
+    monkeypatch.setattr(pde, "solve_banded", failing_solve)
+    with pytest.raises(pde.SolverError, match="planted failure"):
+        main(["simulate", "--flow", "heat", "--N", "129", "--dt", "0.01",
+              "--T", "0.1", "--snapshot-every", "2", "--diagnose",
+              "--out", str(tmp_path)])
+    assert (tmp_path / "manifest.json").exists()
+    assert sorted(path.name for path in tmp_path.glob("snapshot_*.csv")) == [
+        "snapshot_0000.csv", "snapshot_0001.csv", "snapshot_0002.csv"]
+    assert not (tmp_path / "summary.json").exists()

@@ -38,7 +38,6 @@ from entroflow.pde import (
     _linear_step_matrix,
     de_bruijn_pde_check,
     dirac_like_density,
-    dissipation_report,
     flux_bands,
     solve,
     solve_banded,
@@ -47,6 +46,7 @@ from entroflow.pde import (
     step_count,
     write_report_csv,
 )
+from oracles import trajectory_report
 
 
 def exact_heat_gaussian(grid, t, sigma0=1.0):
@@ -249,7 +249,7 @@ def test_fp_gaussian_is_stationary():
 
 def test_fp_dissipation_report(fp_run):
     grid = fp_run.states[0].grid
-    report = dissipation_report(fp_run, fp_free_energy(), gaussian_density(grid))
+    report = trajectory_report(fp_run, fp_free_energy(), gaussian_density(grid))
     assert report.production_bounded
     assert report.value_monotone
     assert report.fitted_production_rate == pytest.approx(2.0, rel=0.05)
@@ -260,14 +260,14 @@ def test_fp_report_from_minimizer_trivially_passes():
     grid = make_uniform_grid(-8.0, 8.0, 513)
     gamma = gaussian_density(grid)
     traj = solve(fp_free_energy(), gamma, 1e-3, 0.05, snapshot_every=10)
-    report = dissipation_report(traj, fp_free_energy(), gamma)
+    report = trajectory_report(traj, fp_free_energy(), gamma)
     assert np.all(report.productions <= 1e-10)
     assert report.passed
 
 
 def test_report_csv(tmp_path, fp_run):
     grid = fp_run.states[0].grid
-    report = dissipation_report(fp_run, fp_free_energy(), gaussian_density(grid))
+    report = trajectory_report(fp_run, fp_free_energy(), gaussian_density(grid))
     path = tmp_path / "report.csv"
     write_report_csv(report, path)
     lines = path.read_text().splitlines()
@@ -279,7 +279,7 @@ def test_report_rejects_minimizer_without_unit_mass(fp_run):
     grid = fp_run.states[0].grid
     heavy = GridDensity(grid, 2.0 * gaussian_density(grid).values)
     with pytest.raises(ValueError, match="unit mass"):
-        dissipation_report(fp_run, fp_free_energy(), heavy)
+        trajectory_report(fp_run, fp_free_energy(), heavy)
 
 
 # ---------------------------------------------------------------- stationary states
@@ -342,7 +342,7 @@ def test_fd_relaxation_rate_and_conservation(fd_setup):
     for state in traj.states:
         assert abs(state.mass - 1.0) <= 1e-8
         assert state.values.min() > 0.0
-    report = dissipation_report(traj, fd_free_energy(), stat)
+    report = trajectory_report(traj, fd_free_energy(), stat)
     assert report.value_monotone
     assert report.fitted_value_rate is not None
     assert report.fitted_value_rate >= 2.0 * (2.0 / 3.0) * 0.95
@@ -584,3 +584,21 @@ def test_linear_step_conserves_weighted_mass(kind):
     column_sums = grid.quad_weights @ flux_part
     scale = np.max(np.abs(grid.quad_weights[:, None] * flux_part))
     assert np.max(np.abs(column_sums)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("kind", ["heat", "fast_diffusion"])
+def test_emitted_snapshots_equal_the_collected_ones_bitwise(kind):
+    if kind == "heat":
+        mu0 = gaussian_density(make_uniform_grid(-8.0, 8.0, 257), 0.5, 0.8)
+    else:
+        grid = staggered_radial_grid(10.0, 128, 3)
+        bump = 1.0 + 0.05 * np.exp(-0.5 * (grid.nodes - 2.0) ** 2)
+        mu0 = normalize(stationary_state(FLOWS[kind], grid).values * bump, grid)
+    traj = solve(FLOWS[kind], mu0, 1e-2, 0.2, snapshot_every=3)
+    emitted = []
+    assert solve(FLOWS[kind], mu0, 1e-2, 0.2, snapshot_every=3,
+                 emit=lambda t, state: emitted.append((t, state))) is None
+    assert [t for t, _ in emitted] == list(traj.times)
+    for (_, state), kept in zip(emitted, traj.states, strict=True):
+        assert state.grid is kept.grid
+        assert np.array_equal(state.values, kept.values)
