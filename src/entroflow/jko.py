@@ -21,10 +21,10 @@ increment).  dX/dq uses forward differences of X with that floor.
 
 Energy monotonicity F(mu_{k+1}) <= F(mu_k) and the step bound
 W2(mu_{k+1}, mu_k)^2 <= 2 tau (F(mu_k) - F(mu_{k+1})) are exact
-consequences of comparing against the stay-put candidate; an objective
-increase is a hard error.  The proximal map fixes the minimizer of the
-discretized functional exactly; conversions between grid densities and
-quantiles carry the usual O(1/M + h) representation error on top.
+consequences of comparing against the stay-put start: no trial that
+raises the objective is accepted.  The proximal map fixes the minimizer
+of the discretized functional exactly; conversions between grid densities
+and quantiles carry the usual O(1/M + h) representation error on top.
 """
 
 from __future__ import annotations
@@ -145,13 +145,13 @@ def _jko_step_quantiles(functional, x_prev, tau):
     """Solve the proximal problem in quantile coordinates by damped Newton.
 
     Each accepted trial hands its floored increments to the next Hessian,
-    and the stay-put objective is the objective of the start.  Its arrays
+    and none raises the objective above the stay-put start's.  Its arrays
     are refilled in place by the float operations of the plain expressions.
     """
     m = x_prev.size
     work, trial, trial_d = _workspace(m), np.empty(m), np.empty(m - 1)
     x, d = x_prev.copy(), _increments(x_prev)
-    obj = stay = _objective(functional, x, x_prev, tau, d, work)
+    obj = _objective(functional, x, x_prev, tau, d, work)
     # a trial with an increment below the floor is rejected like an
     # objective increase; a start with tied quantiles lowers the floor to
     # its smallest increment, so that the step can still move
@@ -177,9 +177,6 @@ def _jko_step_quantiles(functional, x_prev, tau):
         step = lam * float(np.max(np.abs(delta)))
         if not improved and step <= 1e-11 * max(1.0, float(np.max(np.abs(x)))):
             break
-    if obj > stay + 1e-12 * max(1.0, abs(stay)):
-        raise RuntimeError("proximal objective increased over the stay-put "
-                           "candidate; inner solver bug")
     return x, iters
 
 

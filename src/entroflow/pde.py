@@ -63,37 +63,40 @@ class SolverError(RuntimeError):
     pass
 
 
-def _flapack_path() -> str:
-    """File of scipy's f2py LAPACK extension, ``scipy/linalg/_flapack*``,
+def _extension_path(package: str, name: str) -> str:
+    """File of scipy's compiled extension ``scipy/<package>/<name>*``,
     found without importing any scipy module."""
     spec = importlib.util.find_spec("scipy")
     if spec is None:
         raise ImportError("scipy is not installed")
-    folder = os.path.join(spec.submodule_search_locations[0], "linalg")
+    folder = os.path.join(spec.submodule_search_locations[0], package)
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = os.path.join(folder, "_flapack" + suffix)
+        path = os.path.join(folder, name + suffix)
         if os.path.isfile(path):
             return path
-    raise ImportError(f"no _flapack extension in {folder}")
+    raise ImportError(f"no {name} extension in {folder}")
 
 
 @functools.cache
-def _lapack():
-    """scipy's LAPACK extension (``dgtsv``, ``dgttrf``, ``dgttrs``), loaded
-    by file path without the ``scipy.linalg`` package init (over 80 scipy
-    modules); on ``ImportError``, e.g. a changed private file layout, it
-    comes from ``scipy.linalg._flapack``.  The extension registers itself
-    in ``sys.modules`` under the name it is loaded as, hence a private one:
-    under scipy's own, a later ``import scipy.linalg`` would lack its
-    ``_flapack`` attribute."""
+def _extension(package: str, name: str):
+    """scipy's compiled extension ``scipy.<package>.<name>``, loaded by file
+    path without the package init (over 80 modules for ``scipy.linalg``),
+    or on ``ImportError`` (e.g. a changed file layout) imported from scipy.
+    It registers in ``sys.modules`` under the private name ``entroflow.<name>``:
+    under scipy's own name, a later scipy import would lack that attribute."""
     try:
-        spec = importlib.util.spec_from_file_location("entroflow._flapack",
-                                                      _flapack_path())
+        spec = importlib.util.spec_from_file_location(
+            f"entroflow.{name}", _extension_path(package, name))
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
     except ImportError:
-        from scipy.linalg import _flapack as module
+        module = importlib.import_module(f"scipy.{package}.{name}")
     return module
+
+
+def _lapack():
+    """scipy's LAPACK extension (``dgtsv``, ``dgttrf``, ``dgttrs``)."""
+    return _extension("linalg", "_flapack")
 
 
 class TridiagonalLU:
@@ -133,7 +136,7 @@ def solve_banded(ab, b):
     LAPACK comes from ``_lapack``, which loads scipy's extension file at the
     first banded solve without importing the ``scipy.linalg`` package, so
     no command imports that package and commands that never solve a banded
-    system (w2, check, diagnose) load no scipy file at all.
+    system (w2, check, diagnose) load no LAPACK file.
     """
     if isinstance(ab, TridiagonalLU):
         return ab.solve(b)
@@ -330,51 +333,21 @@ def solve(model: FreeEnergy, mu0: GridDensity, dt: float, horizon: float,
 
 
 def _brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
-    """Root of f in [xa, xb] by Brent's method (Brent 1973, ch. 4).
-
-    A line-by-line port of scipy's ``brentq.c``: the same float operations
-    in the same order, so the root equals ``scipy.optimize.brentq`` bit for
-    bit.  Converged when the bracket half-width drops below
+    """Root of f in [xa, xb] by Brent's method (Brent 1973, ch. 4): the
+    compiled routine behind ``scipy.optimize.brentq``, so the root is the
+    same bit for bit.  Converged when the bracket half-width drops below
     (xtol + rtol |x|) / 2 within scipy's default 100 iterations.
     """
-    xpre, xcur = xa, xb
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise SolverError("root is not bracketed")
-    for _ in range(100):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:        # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:                   # inverse quadratic
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
-    raise SolverError("Brent's method did not converge in 100 iterations")
+    try:
+        x, _, _, flag = _extension("optimize", "_zeros")._brentq(
+            f, xa, xb, xtol, rtol, 100, (), True, False)
+    except ValueError as err:   # f's own errors pass through unchanged
+        if str(err) != "f(a) and f(b) must have different signs":
+            raise
+        raise SolverError("root is not bracketed") from None
+    if flag != 0:
+        raise SolverError("Brent's method did not converge in 100 iterations")
+    return x
 
 
 def _fd_tail_mass(ambient_dim: int, c: float, radius: float) -> float:

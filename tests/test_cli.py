@@ -218,11 +218,14 @@ if argv:
 print("lapack=" + str("entroflow._flapack" in sys.modules))
 print("scipy_modules=" + ",".join(
     sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+print("extensions=" + ",".join(
+    sorted(m[len("entroflow."):] for m in sys.modules if m.startswith("entroflow._"))))
 """
 
 
 # No command imports a scipy module: a banded solve loads scipy's LAPACK
-# extension file under the private name entroflow._flapack, and only then.
+# extension file under the private name entroflow._flapack, and only then;
+# the fast-diffusion stationary state loads Brent's entroflow._zeros.
 @pytest.mark.parametrize("argv, solves_banded", [
     ([], False),
     (["w2"], False),
@@ -231,6 +234,7 @@ print("scipy_modules=" + ",".join(
     (["simulate", "--flow", "heat", "--N", "129", "--T", "0.01"], True),
     (["jko", "--steps", "2", "--compare-pde"], True),
     (["simulate", "--flow", "fast_diffusion", "--N", "64", "--T", "0.01"], True),
+    (["check", "--inequality", "lsi", "--count", "5"], False),
 ])
 def test_scipy_loaded_only_by_banded_solves(argv, solves_banded, tmp_path):
     src = str(Path(entroflow.__file__).resolve().parents[1])
@@ -239,9 +243,12 @@ def test_scipy_loaded_only_by_banded_solves(argv, solves_banded, tmp_path):
     proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    *_, lapack, loaded = proc.stdout.splitlines()
+    *_, lapack, loaded, extensions = proc.stdout.splitlines()
     assert lapack == f"lapack={solves_banded}"
     assert loaded == "scipy_modules="
+    brent = "eep_fd" in argv or "fast_diffusion" in argv   # stationary_fd
+    expected = ["_flapack"] * solves_banded + ["_zeros"] * brent
+    assert extensions == "extensions=" + ",".join(expected)
 
 
 # ------------------------------------------------------------ initial densities

@@ -1,3 +1,4 @@
+import importlib
 import math
 import os
 import subprocess
@@ -349,15 +350,16 @@ def test_fd_relaxation_rate_and_conservation(fd_setup):
 
 
 # ---------------------------------------------------------------- scipy oracles
-# The stationary constant and its tail check use numpy-only replacements of
-# scipy.optimize.brentq and scipy.integrate.quad; scipy is the oracle here.
+# The stationary constant comes from scipy's compiled Brent routine, loaded
+# by file path, and its tail mass from a numpy Gauss-Legendre rule in place of
+# scipy.integrate.quad; scipy's public functions are the oracles here.
 
 STATIONARY_CASES = [(dim, cells, radius) for dim in (3, 5, 10)
                     for cells in (64, 512, 65536) for radius in (5.0, 10.0, 200.0)]
 
 
 def _scipy_stationary_constant(dim, grid):
-    """The normalization constant as located before the numpy port."""
+    """The normalization constant as scipy.optimize.brentq locates it."""
     from scipy.optimize import brentq
 
     def excess(c):
@@ -417,6 +419,18 @@ def test_brentq_port_failures_are_solver_errors():
         _brentq(*triple, xtol=1e-14, rtol=8.9e-16)
 
 
+@pytest.mark.parametrize("error", [ValueError("f(a) is out of range"), KeyError("c")])
+def test_brentq_passes_errors_of_f_through(error):
+    def f(x):
+        if x > 0.5:
+            raise error
+        return x - 0.2
+
+    with pytest.raises(type(error)) as raised:
+        _brentq(f, 0.0, 1.0, xtol=1e-14, rtol=8.9e-16)
+    assert raised.value is error
+
+
 @pytest.mark.parametrize("kind", ["heat", "fokker_planck"])
 @pytest.mark.parametrize("n", [129, 1025, 16385])
 def test_prefactored_solve_is_one_shot_solve_banded_bitwise(kind, n):
@@ -463,21 +477,27 @@ def test_solve_banded_singular_band_is_solver_error():
 
 
 @pytest.mark.parametrize("broken", ["layout", "file"])
-def test_lapack_falls_back_to_scipy_linalg(broken, monkeypatch, tmp_path):
-    from scipy.linalg import _flapack
+@pytest.mark.parametrize("package, name", [("linalg", "_flapack"),
+                                           ("optimize", "_zeros")])
+def test_extension_falls_back_to_scipy(package, name, broken, monkeypatch, tmp_path):
     from scipy.linalg import solve_banded as scipy_solve_banded
-    corrupt = tmp_path / ("_flapack" + EXTENSION_SUFFIXES[0])
+    from scipy.optimize import brentq
+    corrupt = tmp_path / (name + EXTENSION_SUFFIXES[0])
     corrupt.write_bytes(b"not a shared library")
+    extension_path = pde._extension_path
 
-    def lookup():
+    def lookup(where, what):
+        if (where, what) != (package, name):
+            return extension_path(where, what)
         if broken == "layout":   # no extension where scipy used to keep it
-            raise ImportError("no _flapack extension")
+            raise ImportError(f"no {name} extension")
         return str(corrupt)      # an extension file that does not load
 
-    monkeypatch.setattr(pde, "_flapack_path", lookup)
-    pde._lapack.cache_clear()
+    monkeypatch.setattr(pde, "_extension_path", lookup)
+    pde._extension.cache_clear()
     try:
-        assert pde._lapack() is _flapack
+        assert pde._extension(package, name) is importlib.import_module(
+            f"scipy.{package}.{name}")
         rng = np.random.default_rng(5)
         ab = rng.uniform(-1.0, 1.0, (3, 257))
         ab[1] *= 0.5
@@ -490,8 +510,22 @@ def test_lapack_falls_back_to_scipy_linalg(broken, monkeypatch, tmp_path):
             TridiagonalLU(singular)
         with pytest.raises(SolverError, match="dgtsv failed with info=2"):
             solve_banded(singular, np.ones(3))
+        assert _brentq(math.cos, 1.0, 2.0, xtol=1e-14, rtol=8.9e-16) == brentq(
+            math.cos, 1.0, 2.0, xtol=1e-14, rtol=8.9e-16)
+        with pytest.raises(SolverError, match="not bracketed"):
+            _brentq(lambda x: x**2 + 1.0, -1.0, 1.0, xtol=1e-14, rtol=8.9e-16)
     finally:
-        pde._lapack.cache_clear()
+        pde._extension.cache_clear()
+
+
+def _run_fresh(probe):
+    src = str(Path(pde.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ok"]
 
 
 # Run in a fresh process: the library must solve before scipy.linalg is
@@ -522,13 +556,39 @@ print("ok")
 
 
 def test_scipy_linalg_imported_after_a_library_solve_is_complete():
-    src = str(Path(pde.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", COEXISTENCE_PROBE],
-                          env={**os.environ, "PYTHONPATH": path},
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["ok"]
+    _run_fresh(COEXISTENCE_PROBE)
+
+
+# The same for Brent's routine: the stationary state comes first, then
+# scipy.optimize is imported.
+BRENT_COEXISTENCE_PROBE = """
+import sys
+import warnings
+import numpy as np
+from entroflow.grids import integrate, staggered_radial_grid
+from entroflow.pde import stationary_fd
+grid = staggered_radial_grid(10.0, 512, 3)
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore")
+    stat = stationary_fd(grid)
+assert "entroflow._zeros" in sys.modules
+assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
+import scipy.optimize
+assert scipy.optimize._zeros is not sys.modules["entroflow._zeros"]
+r = grid.nodes
+def excess(c):
+    return integrate((c + 0.5 * r**2) ** (-3), grid) - 1.0
+hi = 1.0
+while excess(hi) > 0.0:
+    hi *= 2.0
+c = scipy.optimize.brentq(excess, 1e-8, hi, xtol=1e-14, rtol=8.9e-16)
+assert np.array_equal(stat.values, (c + 0.5 * r**2) ** (-3))
+print("ok")
+"""
+
+
+def test_scipy_optimize_imported_after_a_stationary_state_is_complete():
+    _run_fresh(BRENT_COEXISTENCE_PROBE)
 
 
 def _dense(bands):
