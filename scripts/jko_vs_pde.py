@@ -12,7 +12,7 @@ import numpy as np
 
 from entroflow.functionals import fp_free_energy
 from entroflow.grids import gaussian_density, integrate, make_uniform_grid
-from entroflow.jko import JkoConfig, jko_trajectory
+from entroflow.jko import jko_trajectory
 from entroflow.pde import solve
 
 
@@ -33,9 +33,7 @@ def main():
     print(f"{'tau':>8} {'steps':>6} {'max L1 gap':>12}")
     for tau in args.taus:
         steps = int(round(args.horizon / tau))
-        traj = jko_trajectory(functional, mu0,
-                              JkoConfig(tau=tau, steps=steps,
-                                        num_quantiles=args.quantiles))
+        traj = jko_trajectory(functional, mu0, tau, steps, args.quantiles)
         gap = 0.0
         for t, state in zip(traj.times[1:], traj.states[1:]):
             ref_state = ref_at[round(float(t), 9)]

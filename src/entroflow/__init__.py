@@ -52,7 +52,7 @@ from .inequalities import (
     sobolev_optimal_constant,
     zugmeyer_check,
 )
-from .jko import JkoConfig, jko_step, jko_trajectory
+from .jko import jko_trajectory
 from .pde import (
     DissipationReport,
     de_bruijn_pde_check,

@@ -280,7 +280,9 @@ JKO_FUNCTIONALS = {flow if model.confined else "entropy": model
 
 def _cmd_jko(args):
     functional_name = args.functional
-    tau = _positive(args.tau, "tau")
+    tau = args.tau   # sizes the --compare-pde step before jko_trajectory runs
+    if not 0.0 < tau < np.inf:
+        raise ConfigError("tau", f"must be positive and finite, got {tau}")
     steps = _positive(args.steps, "steps")
     quantiles = args.quantiles
     grid, fields = _line_grid(args.domain, args.num_nodes)
@@ -288,15 +290,12 @@ def _cmd_jko(args):
     compare = args.compare_pde
 
     mu0 = _parse_density(init, grid)
-    if np.any(mu0.values <= 0.0):   # what pde.solve rejects, --compare-pde or not
-        raise ValueError("initial density must be strictly positive")
     model = JKO_FUNCTIONALS[functional_name]
-    cfg = jko.JkoConfig(tau=tau, steps=steps, num_quantiles=quantiles)
 
     if compare:   # first, so that solve rejects its inputs before any JKO step
         per_step = max(1, round(tau / min(1e-3, tau / 10.0)))
-        ref = pde.solve(model, mu0, tau / per_step, cfg.horizon, per_step)
-    traj = jko.jko_trajectory(model, mu0, cfg)
+        ref = pde.solve(model, mu0, tau / per_step, tau * steps, per_step)
+    traj = jko.jko_trajectory(model, mu0, tau, steps, quantiles)
 
     out = _start_run(args, "jko", {
         "functional": functional_name, "tau": tau, "steps": steps,

@@ -53,7 +53,10 @@ def write_csv(path, header: str, row_format: str, rows) -> None:
 
 def sphere_area(dim: int) -> float:
     """Surface measure of the unit sphere in R^dim (2 for dim=1, 4*pi for dim=3)."""
-    return 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
+    try:
+        return 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
+    except OverflowError:   # Gamma(dim / 2) from dim 344 on
+        raise ValueError(f"the unit sphere area of R^{dim} overflows") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,7 +90,10 @@ class Grid:
         weights = np.full(nodes.size, self.spacing)
         weights[0] = weights[-1] = 0.5 * self.spacing
         if self.geometry == RADIAL:
-            weights *= sphere_area(self.ambient_dim) * nodes ** (self.ambient_dim - 1)
+            with np.errstate(over="ignore"):
+                weights *= sphere_area(self.ambient_dim) * nodes ** (self.ambient_dim - 1)
+        if not np.all(np.isfinite(weights)):
+            raise ValueError(f"grid weights overflow in dimension {self.ambient_dim}")
         nodes.setflags(write=False)
         weights.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
@@ -217,8 +223,8 @@ def normalize(samples, grid: Grid) -> GridDensity:
     if np.any(samples < 0.0):
         raise ValueError("cannot normalize samples with negative entries")
     mass = integrate(samples, grid)
-    if mass == 0.0 and samples.max() > 0.0:
-        # subnormal samples: their products with the weights underflow
+    if mass < np.finfo(float).tiny and samples.max() > 0.0:
+        # subnormal samples: their products with the weights underflow or lose digits
         samples = samples / samples.max()
         mass = integrate(samples, grid)
     if not mass > 0.0:

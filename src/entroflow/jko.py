@@ -25,11 +25,13 @@ consequences of comparing against the stay-put start: no trial that
 raises the objective is accepted.  The proximal map fixes the minimizer
 of the discretized functional exactly; conversions between grid densities
 and quantiles carry the usual O(1/M + h) representation error on top.
+
+``jko_trajectory(functional, mu0, tau, steps, num_quantiles)`` is the one
+entry point: the (model, density) call of ``pde.solve``, and like it, it
+rejects its inputs before the first step.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,34 +50,9 @@ INNER_TOL = 1e-9         # relative objective decrease that counts as progress
 MAX_INNER = 60
 
 
-@dataclass(frozen=True)
-class JkoConfig:
-    tau: float
-    steps: int
-    num_quantiles: int = 1024
-
-    def __post_init__(self):
-        if self.tau <= 0.0:
-            raise ValueError("tau must be positive")
-        if not 1 <= self.steps <= MAX_STEPS:
-            raise ValueError(f"need at least 1 and at most {MAX_STEPS} steps")
-        if self.num_quantiles < 64:
-            raise ValueError("need at least 64 quantile nodes")
-
-    @property
-    def horizon(self) -> float:
-        return self.tau * self.steps
-
-
 def supports(functional: FreeEnergy) -> bool:
     """JKO steps F = int mu log mu, with or without V = |x|^2/2, on the line."""
     return not functional.power_law
-
-
-def _require_supported(functional: FreeEnergy) -> None:
-    if not supports(functional):
-        raise ValueError("JKO stepping supports the Boltzmann entropy and the "
-                         "Fokker-Planck free energy on the line")
 
 
 def _increments(x: np.ndarray) -> np.ndarray:
@@ -85,8 +62,7 @@ def _increments(x: np.ndarray) -> np.ndarray:
 
 
 def quantile_free_energy(functional: FreeEnergy, x: np.ndarray) -> float:
-    """F(mu) evaluated in quantile coordinates (forward-difference dX/dq)."""
-    _require_supported(functional)
+    """F(mu) of a supported model in quantile coordinates (forward-difference dX/dq)."""
     return _free_energy(functional, x, _increments(x))
 
 
@@ -180,39 +156,38 @@ def _jko_step_quantiles(functional, x_prev, tau):
     return x, iters
 
 
-def jko_step(functional: FreeEnergy, mu_k: GridDensity, cfg: JkoConfig) -> GridDensity:
-    """One minimizing-movement step from a grid density."""
-    _require_supported(functional)
-    x_prev = cdf_and_quantile(mu_k, cfg.num_quantiles)
-    x, _ = _jko_step_quantiles(functional, x_prev, cfg.tau)
-    return density_from_quantile(x, mu_k.grid)
-
-
-def jko_trajectory(functional: FreeEnergy, mu0: GridDensity,
-                   cfg: JkoConfig) -> DensityTrajectory:
-    """Run cfg.steps JKO steps; the whole chain stays in quantile coordinates.
-
-    Snapshot k is the converted density at time k tau.  Per-step records
-    (quantile-coordinate free energy, W2 step length, inner iterations)
-    land in ``metadata["steps"]``.
+def jko_trajectory(functional: FreeEnergy, mu0: GridDensity, tau: float,
+                   steps: int, num_quantiles: int) -> DensityTrajectory:
+    """Run ``steps`` JKO steps of size ``tau`` from ``mu0`` in
+    ``num_quantiles`` quantile coordinates.  Snapshot k is the converted
+    density at time k tau; the per-step free energy, W2 step length and
+    inner iterations land in ``metadata["steps"]``.  A model that
+    ``supports`` rejects, a ``tau`` that is not positive and finite, steps
+    outside 1..MAX_STEPS, under 64 quantiles or a density that is not
+    strictly positive raise ``ValueError`` before the first step.
     """
-    _require_supported(functional)
-    dq = 1.0 / cfg.num_quantiles
-    x = cdf_and_quantile(mu0, cfg.num_quantiles)
-    times = [0.0]
-    states = [density_from_quantile(x, mu0.grid)]
-    logs = []
-    for k in range(1, cfg.steps + 1):
-        x_new, iters = _jko_step_quantiles(functional, x, cfg.tau)
+    if not supports(functional):
+        raise ValueError("JKO stepping supports the Boltzmann entropy and the "
+                         "Fokker-Planck free energy on the line")
+    if not 0.0 < tau < np.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
+    if not 1 <= steps <= MAX_STEPS:
+        raise ValueError(f"need at least 1 and at most {MAX_STEPS} steps")
+    if num_quantiles < 64:
+        raise ValueError("need at least 64 quantile nodes")
+    if np.any(mu0.values <= 0.0):
+        raise ValueError("initial density must be strictly positive")
+    dq = 1.0 / num_quantiles
+    x = cdf_and_quantile(mu0, num_quantiles)
+    states, logs = [density_from_quantile(x, mu0.grid)], []
+    for k in range(1, steps + 1):
+        x_new, iters = _jko_step_quantiles(functional, x, tau)
         w2_step = float(np.sqrt(dq * np.sum((x_new - x) ** 2)))
         x = x_new
-        logs.append({"k": k,
-                     "F": quantile_free_energy(functional, x),
-                     "W2_step": w2_step,
-                     "inner_iters": iters})
-        times.append(k * cfg.tau)
+        logs.append({"k": k, "F": quantile_free_energy(functional, x),
+                     "W2_step": w2_step, "inner_iters": iters})
         states.append(density_from_quantile(x, mu0.grid))
-    return DensityTrajectory(np.asarray(times), states,
+    return DensityTrajectory(np.arange(steps + 1) * tau, states,
                              metadata={"steps": logs})
 
 

@@ -34,7 +34,7 @@ from entroflow.inequalities import (
     xlogx,
     zugmeyer_check,
 )
-from entroflow.jko import JkoConfig, jko_trajectory
+from entroflow.jko import jko_trajectory
 from entroflow.pde import de_bruijn_pde_check, solve, stationary_fd
 from entroflow.transport import mccann_geodesic, mccann_path, path_action, w2_1d
 from oracles import brute_force_w2_atoms, monotone_w2_atoms, trajectory_report
@@ -91,9 +91,8 @@ def jko_bundle():
     functional = fp_free_energy()
     runs = {}
     for tau in (0.08, 0.04, 0.02):
-        cfg = JkoConfig(tau=tau, steps=int(round(horizon / tau)),
-                        num_quantiles=2048)
-        runs[tau] = jko_trajectory(functional, mu0, cfg)
+        runs[tau] = jko_trajectory(functional, mu0, tau,
+                                   int(round(horizon / tau)), 2048)
     return grid, ref_at, runs
 
 

@@ -441,9 +441,15 @@ def test_config_values_are_converted_as_their_flags(tmp_path):
      "horizon 101000.0 takes more than 100000000 steps"),   # the PDE's
     (["check", "--inequality", "lsi", "--seed", "-1"], "seed: must be non-negative"),
     (["diagnose", "--seed", "-1"], "seed: must be non-negative"),
+    (["jko", "--tau", "inf", "--steps", "2"], "tau: must be positive and finite"),
+    (["jko", "--tau", "inf", "--steps", "2", "--compare-pde"],
+     "tau: must be positive and finite"),     # before tau sizes the PDE step
+    (["simulate", "--flow", "fast_diffusion", "--dim", "344"],
+     "the unit sphere area of R^344 overflows"),
 ], ids=["jko-quantiles", "w2-quantiles", "jko-steps", "simulate-positivity",
         "jko-positivity", "simulate-mass", "jko-compare-pde-steps", "check-seed",
-        "diagnose-seed"])
+        "diagnose-seed", "jko-tau-inf", "jko-compare-pde-tau-inf",
+        "simulate-dim-344"])
 def test_rejected_input_writes_nothing(argv, fragment, tmp_path, capsys):
     # a density of mass 1.01 on the 129 nodes of SMALL_RUN
     heavy = tmp_path / "heavy.csv"

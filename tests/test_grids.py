@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -61,6 +62,17 @@ def test_grid_constructor_rejections():
         make_uniform_grid(-1.0, 1.0, 16, geometry="radial")
     with pytest.raises(ValueError):
         Grid(np.array([0.0, 1.0, 0.5]), 0.5)
+
+
+def test_radial_weights_that_overflow_are_rejected():
+    assert 0.0 < sphere_area(343) < math.inf
+    with pytest.raises(ValueError, match="unit sphere area of R\\^344 overflows"):
+        sphere_area(344)                        # Gamma(172) overflows
+    staggered_radial_grid(10.0, 512, 309)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")          # nor is numpy's warning shown
+        with pytest.raises(ValueError, match="weights overflow in dimension 310"):
+            staggered_radial_grid(10.0, 512, 310)   # r^309 near r = 10
 
 
 def test_staggered_radial_grid_avoids_origin():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from entroflow import jko
 from entroflow.functionals import (
     FreeEnergy,
     boltzmann_entropy,
@@ -15,17 +16,15 @@ from entroflow.grids import (
 )
 from entroflow.jko import (
     INCREMENT_FLOOR,
-    JkoConfig,
     _grad_hess,
     _increments,
     _jko_step_quantiles,
     _objective,
-    jko_step,
     jko_trajectory,
     quantile_free_energy,
     write_step_log_csv,
 )
-from entroflow.pde import solve, solve_banded
+from entroflow.pde import MAX_STEPS, solve, solve_banded
 
 
 def _objective_at(functional, x, x_prev, tau):
@@ -47,19 +46,55 @@ def grid():
     return make_uniform_grid(-8.0, 8.0, 1025)
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        JkoConfig(tau=-0.1, steps=10)
-    with pytest.raises(ValueError):
-        JkoConfig(tau=0.1, steps=0)
-    with pytest.raises(ValueError):
-        JkoConfig(tau=0.1, steps=10, num_quantiles=32)
-    assert JkoConfig(tau=0.05, steps=20).horizon == pytest.approx(1.0)
+def _forbid_steps(monkeypatch):
+    """Make any step fail, so that a rejection is seen to precede the first."""
+    def step(*args):
+        raise AssertionError("jko_trajectory stepped before rejecting its input")
+    monkeypatch.setattr(jko, "_jko_step_quantiles", step)
 
 
-def test_unsupported_functional_rejected(grid):
-    with pytest.raises(ValueError):
-        jko_step(fd_free_energy(), gaussian_density(grid), JkoConfig(tau=0.1, steps=1))
+@pytest.fixture
+def no_steps(monkeypatch):
+    _forbid_steps(monkeypatch)
+
+
+def _assert_rejected(cases):
+    for functional, mu0, tau, steps, m, message in cases:
+        with pytest.raises(ValueError, match=message):
+            jko_trajectory(functional, mu0, tau, steps, m)
+
+
+def test_config_validation(grid, monkeypatch):
+    mu = gaussian_density(grid)
+    traj = jko_trajectory(fp_free_energy(), mu, 0.05, 20, 64)
+    assert traj.times[-1] == pytest.approx(1.0)
+
+    _forbid_steps(monkeypatch)
+    fp = fp_free_energy()
+    _assert_rejected([
+        (fp, mu, -0.1, 10, 1024, "tau must be positive"),
+        (fp, mu, 0.0, 10, 1024, "tau must be positive"),
+        (fp, mu, np.nan, 10, 1024, "tau must be positive and finite"),
+        (fp, mu, np.inf, 10, 1024, "tau must be positive and finite"),
+        (fp, mu, 0.1, 0, 1024, "at least 1 and at most"),
+        (fp, mu, 0.1, MAX_STEPS + 1, 1024, "at least 1 and at most"),
+        (fp, mu, 0.1, 10, 32, "at least 64 quantile nodes"),
+    ])
+
+
+def test_unsupported_functional_rejected(grid, no_steps):
+    _assert_rejected([
+        (fd_free_energy(), gaussian_density(grid), 0.1, 1, 1024,
+         "Boltzmann entropy"),
+    ])
+
+
+def test_start_that_underflows_to_zero_rejected(grid, no_steps):
+    # the density underflows to 0 on part of [-8, 8]
+    _assert_rejected([
+        (boltzmann_entropy(), gaussian_density(grid, 7.5, 0.05), 0.1, 1, 1024,
+         "strictly positive"),
+    ])
 
 
 def test_infeasible_newton_step_is_backtracked():
@@ -129,11 +164,11 @@ def test_fp_fixed_point(grid):
     from entroflow.grids import cdf_and_quantile
     x_min = minimize_quantile_free_energy(functional,
                                           cdf_and_quantile(gamma, m))
-    cfg = JkoConfig(tau=0.05, steps=1, num_quantiles=m)
-    x_next, _ = _jko_step_quantiles(functional, x_min, cfg.tau)
+    tau = 0.05
+    x_next, _ = _jko_step_quantiles(functional, x_min, tau)
     assert np.sum(np.abs(x_next - x_min)) / m <= 1e-6
 
-    out = jko_step(functional, gamma, cfg)
+    out = jko_trajectory(functional, gamma, tau, 1, m).states[-1]
     assert integrate(np.abs(out.values - gamma.values), grid) <= 1e-2
     assert abs(out.mass - 1.0) <= 1e-12
     assert np.all(out.values >= 0.0)
@@ -142,8 +177,7 @@ def test_fp_fixed_point(grid):
 def test_entropy_step_spreads_variance_by_2tau(grid):
     tau = 0.05
     mu = gaussian_density(grid, sigma=1.0)
-    out = jko_step(boltzmann_entropy(), mu, JkoConfig(tau=tau, steps=1,
-                                                      num_quantiles=2048))
+    out = jko_trajectory(boltzmann_entropy(), mu, tau, 1, 2048).states[-1]
     var = integrate(grid.nodes**2 * out.values, grid) - \
         integrate(grid.nodes * out.values, grid) ** 2
     assert var == pytest.approx(1.0 + 2.0 * tau, abs=5e-3)  # O(tau^2) + conversion
@@ -152,24 +186,22 @@ def test_entropy_step_spreads_variance_by_2tau(grid):
 def test_objective_decreases_vs_stay_put(grid):
     mu = normalize(np.exp(-0.5 * (grid.nodes - 1.0) ** 2), grid)
     functional = fp_free_energy()
-    cfg = JkoConfig(tau=0.05, steps=8, num_quantiles=512)
-    traj = jko_trajectory(functional, mu, cfg)
+    tau, m = 0.05, 512
+    traj = jko_trajectory(functional, mu, tau, 8, m)
     logs = traj.metadata["steps"]
     from entroflow.grids import cdf_and_quantile
-    f_prev = quantile_free_energy(functional,
-                                  cdf_and_quantile(mu, cfg.num_quantiles))
+    f_prev = quantile_free_energy(functional, cdf_and_quantile(mu, m))
     for row in logs:
         # exact energy monotonicity in quantile coordinates
         assert row["F"] <= f_prev + 1e-9
         # step control from the minimizer property
-        assert row["W2_step"] ** 2 <= 2.0 * cfg.tau * (f_prev - row["F"]) + 1e-9
+        assert row["W2_step"] ** 2 <= 2.0 * tau * (f_prev - row["F"]) + 1e-9
         f_prev = row["F"]
 
 
 def test_constant_trajectory_from_minimizer(grid):
     gamma = gaussian_density(grid)
-    traj = jko_trajectory(fp_free_energy(), gamma,
-                          JkoConfig(tau=0.05, steps=5, num_quantiles=2048))
+    traj = jko_trajectory(fp_free_energy(), gamma, 0.05, 5, 2048)
     base = traj.states[0]
     for state in traj.states[1:]:
         # bounded by the quantile representation error of gamma
@@ -178,8 +210,9 @@ def test_constant_trajectory_from_minimizer(grid):
 
 def test_entropy_trajectory_tracks_heat_flow_variance(grid):
     tau, steps = 0.02, 10
-    traj = jko_trajectory(boltzmann_entropy(), gaussian_density(grid),
-                          JkoConfig(tau=tau, steps=steps, num_quantiles=2048))
+    traj = jko_trajectory(boltzmann_entropy(), gaussian_density(grid), tau,
+                          steps, 2048)
+    assert traj.times[-1] == pytest.approx(tau * steps)
     for k, state in enumerate(traj.states):
         var = integrate(grid.nodes**2 * state.values, grid) - \
             integrate(grid.nodes * state.values, grid) ** 2
@@ -194,9 +227,8 @@ def test_fp_jko_converges_to_pde_solution(grid):
     pde_at = {round(t, 6): s for t, s in zip(pde_traj.times, pde_traj.states)}
     gaps = []
     for tau in (0.08, 0.04):
-        cfg = JkoConfig(tau=tau, steps=int(round(horizon / tau)),
-                        num_quantiles=2048)
-        traj = jko_trajectory(fp_free_energy(), mu0, cfg)
+        traj = jko_trajectory(fp_free_energy(), mu0, tau,
+                              int(round(horizon / tau)), 2048)
         gap = 0.0
         for t, state in zip(traj.times[1:], traj.states[1:]):
             ref = pde_at[round(float(t), 6)]
@@ -207,9 +239,8 @@ def test_fp_jko_converges_to_pde_solution(grid):
 
 
 def test_step_log_csv(tmp_path, grid):
-    traj = jko_trajectory(fp_free_energy(),
-                          gaussian_density(grid, mean=0.5),
-                          JkoConfig(tau=0.05, steps=3, num_quantiles=256))
+    traj = jko_trajectory(fp_free_energy(), gaussian_density(grid, mean=0.5),
+                          0.05, 3, 256)
     path = tmp_path / "steps.csv"
     write_step_log_csv(traj, path)
     lines = path.read_text().splitlines()

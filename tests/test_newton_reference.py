@@ -131,20 +131,20 @@ def _ref_grad_hess(functional, x, x_prev, tau):
     return grad, bands
 
 
-def _ref_jko_step_quantiles(functional, x_prev, cfg):
+def _ref_jko_step_quantiles(functional, x_prev, tau):
     x = x_prev.copy()
-    obj = _ref_objective(functional, x, x_prev, cfg.tau)
+    obj = _ref_objective(functional, x, x_prev, tau)
     floor = min(jko.INCREMENT_FLOOR, float(np.min(np.diff(x_prev))))
     iters = 0
     for iters in range(1, jko.MAX_INNER + 1):
-        grad, bands = _ref_grad_hess(functional, x, x_prev, cfg.tau)
+        grad, bands = _ref_grad_hess(functional, x, x_prev, tau)
         delta = _ref_solves(bands, -grad)
         lam = 1.0
         improved = False
         for _ in range(50):
             trial = x + lam * delta
             if np.all(np.diff(trial) >= floor):
-                trial_obj = _ref_objective(functional, trial, x_prev, cfg.tau)
+                trial_obj = _ref_objective(functional, trial, x_prev, tau)
                 if trial_obj <= obj:
                     improved = trial_obj < obj - jko.INNER_TOL * max(1.0, abs(obj))
                     x, obj = trial, trial_obj
@@ -153,7 +153,7 @@ def _ref_jko_step_quantiles(functional, x_prev, cfg):
         step = float(np.max(np.abs(lam * delta)))
         if not improved and step <= 1e-11 * max(1.0, float(np.max(np.abs(x)))):
             break
-    stay = _ref_objective(functional, x_prev, x_prev, cfg.tau)
+    stay = _ref_objective(functional, x_prev, x_prev, tau)
     if obj > stay + 1e-12 * max(1.0, abs(stay)):
         raise RuntimeError("proximal objective increased over the stay-put "
                            "candidate; inner solver bug")
@@ -213,11 +213,10 @@ def _jko_start(m, tied=False):
 @pytest.mark.parametrize("kind", ["boltzmann_entropy", "fp_free_energy"])
 def test_jko_step_is_reference_bitwise(kind, m, tau, solves):
     functional = fp_free_energy() if kind == "fp_free_energy" else boltzmann_entropy()
-    cfg = jko.JkoConfig(tau=tau, steps=3, num_quantiles=m)
     x = x_ref = _jko_start(m)
-    for _ in range(cfg.steps):
-        x, iters = jko._jko_step_quantiles(functional, x, cfg.tau)
-        x_ref, iters_ref = _ref_jko_step_quantiles(functional, x_ref, cfg)
+    for _ in range(3):
+        x, iters = jko._jko_step_quantiles(functional, x, tau)
+        x_ref, iters_ref = _ref_jko_step_quantiles(functional, x_ref, tau)
         assert np.array_equal(x, x_ref)
         assert iters == iters_ref
         assert solves.calls == _ref_solves.calls
@@ -225,11 +224,11 @@ def test_jko_step_is_reference_bitwise(kind, m, tau, solves):
 
 def test_jko_step_from_tied_start_is_reference_bitwise(solves):
     functional = boltzmann_entropy()
-    cfg = jko.JkoConfig(tau=1.0, steps=1, num_quantiles=1024)
+    tau = 1.0
     start = _jko_start(1024, tied=True)
     assert np.min(np.diff(start)) == 0.0
-    x, iters = jko._jko_step_quantiles(functional, start, cfg.tau)
-    x_ref, iters_ref = _ref_jko_step_quantiles(functional, start, cfg)
+    x, iters = jko._jko_step_quantiles(functional, start, tau)
+    x_ref, iters_ref = _ref_jko_step_quantiles(functional, start, tau)
     assert np.array_equal(x, x_ref)
     assert iters == iters_ref
     assert solves.calls == _ref_solves.calls
