@@ -157,20 +157,19 @@ def zugmeyer_bank(count: int, seed: int) -> list[tuple[str, ZugmeyerProblem, np.
     return cases
 
 
-def run_inequality_bank(name: str, seed: int = 7, count: int | None = None,
-                        grid: Grid | None = None) -> list[CheckRow]:
+def run_inequality_bank(name: str, seed: int, count: int | None) -> list[CheckRow]:
     """Run a named checker over its seeded bank; rows ordered by case id."""
     if name not in BANK_NAMES:
         raise ValueError(f"unknown bank {name!r}; choose from {BANK_NAMES}")
     count = DEFAULT_COUNTS[name] if count is None else count
     rows = []
     if name == "lsi":
-        grid = grid or make_uniform_grid(*DEFAULT_LINE_DOMAIN, 2049)
+        grid = make_uniform_grid(*DEFAULT_LINE_DOMAIN, 2049)
         for case_id, f in lsi_bank(grid, count, seed):
             lhs, rhs = lsi_check(f, grid)
             rows.append(_row(case_id, lhs, rhs))
     elif name == "sobolev":
-        grid = grid or staggered_radial_grid(200.0, 20000, 3)
+        grid = staggered_radial_grid(200.0, 20000, 3)
         c_opt_gap = 0.01
         for case_id, f in sobolev_bank(grid, count, seed):
             lhs, rhs = sobolev_check(f, grid)
@@ -181,12 +180,12 @@ def run_inequality_bank(name: str, seed: int = 7, count: int | None = None,
                 passed = ratio <= 1.0 + 1e-6
             rows.append(CheckRow(case_id, lhs, rhs, rhs - lhs, bool(passed)))
     elif name == "eep_fp":
-        grid = grid or make_uniform_grid(*DEFAULT_LINE_DOMAIN, 2049)
+        grid = make_uniform_grid(*DEFAULT_LINE_DOMAIN, 2049)
         for case_id, mu in eep_fp_bank(grid, count, seed):
             lhs, rhs = eep_check_fp(mu)
             rows.append(_row(case_id, lhs, rhs))
     elif name == "eep_fd":
-        grid = grid or staggered_radial_grid(DEFAULT_RADIUS, 512, 3)
+        grid = staggered_radial_grid(DEFAULT_RADIUS, 512, 3)
         stationary = stationary_state(fd_free_energy(), grid)
         for case_id, mu in eep_fd_bank(grid, count, seed, stationary):
             lhs, rhs = eep_check_fd(mu, stationary=stationary)

@@ -127,7 +127,7 @@ def locate_minimizer(spec: PotentialSpec, x0=None) -> np.ndarray:
     return x
 
 
-def de_bruijn_residual(spec: PotentialSpec, traj: Trajectory) -> float:
+def de_bruijn_residual(traj: Trajectory) -> float:
     """max_t | d/dt E(S_t) + |grad E(S_t)|^2 |, centered differences in t."""
     if len(traj.times) < 3:
         raise ValueError("need at least 3 time points")
@@ -137,34 +137,26 @@ def de_bruijn_residual(spec: PotentialSpec, traj: Trajectory) -> float:
     return float(np.max(np.abs(dedt + traj.grad_norms_sq[1:-1])))
 
 
-@dataclass(frozen=True)
-class DecayCheck:
-    worst_ratio: float
-    degenerate: bool
-    passed: bool
-
-
-def _decay_check(spec: PotentialSpec, traj: Trajectory, series) -> DecayCheck:
-    """Worst ratio of ``series`` over exp(-2 rho t) series[0]; degenerate
-    (and passed) when series[0] vanishes."""
+def _decay_check(spec: PotentialSpec, traj: Trajectory, series) -> float:
+    """Worst ratio of ``series`` over exp(-2 rho t) series[0]; 0 when
+    series[0] vanishes.  The decay holds when it is at most 1 + DECAY_TOL."""
     if series[0] <= 1e-30:
-        return DecayCheck(0.0, True, True)
+        return 0.0
     ratios = series / (np.exp(-2.0 * spec.rho * traj.times) * series[0])
-    worst = float(np.max(ratios))
-    return DecayCheck(worst, False, worst <= 1.0 + DECAY_TOL)
+    return float(np.max(ratios))
 
 
-def production_decay_check(spec: PotentialSpec, traj: Trajectory) -> DecayCheck:
+def production_decay_check(spec: PotentialSpec, traj: Trajectory) -> float:
     """Worst ratio of |grad E(S_t)|^2 over exp(-2 rho t) |grad E(x0)|^2."""
     return _decay_check(spec, traj, traj.grad_norms_sq)
 
 
-def entropy_decay_check(spec: PotentialSpec, traj: Trajectory) -> DecayCheck:
+def entropy_decay_check(spec: PotentialSpec, traj: Trajectory) -> float:
     """Worst ratio of E(S_t) - E(beta) over exp(-2 rho t) (E(x0) - E(beta))."""
     beta = locate_minimizer(spec, x0=traj.states[-1])
     excess = traj.energies - float(spec.energy(beta))
     if excess[0] > 1e-30 and np.any(excess < -DECAY_TOL * max(1.0, excess[0])):
-        return DecayCheck(float("inf"), False, False)
+        return float("inf")
     return _decay_check(spec, traj, excess)
 
 
@@ -178,24 +170,25 @@ def eep_inequality_check(spec: PotentialSpec, x) -> tuple[float, float]:
     return lhs, rhs
 
 
-def write_trajectory_csv(spec: PotentialSpec, traj: Trajectory, path) -> None:
+def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Dump ``t,x_1..x_n,E,gradnorm2`` rows."""
-    cols = ",".join(f"x_{i + 1}" for i in range(spec.dim))
+    dim = traj.states.shape[1]
+    cols = ",".join(f"x_{i + 1}" for i in range(dim))
     table = np.column_stack((traj.times, traj.states, traj.energies,
                              traj.grad_norms_sq))
-    write_csv(path, f"t,{cols},E,gradnorm2", ",".join(["%.17g"] * (spec.dim + 3)),
+    write_csv(path, f"t,{cols},E,gradnorm2", ",".join(["%.17g"] * (dim + 3)),
               map(tuple, table))
 
 
-def quadratic_potential(dim: int = 2) -> PotentialSpec:
-    """E = |x|^2/2, rho = 1, beta = 0; flow is exactly exp(-t) x."""
+def quadratic_potential() -> PotentialSpec:
+    """E = |x|^2/2 in 2D, rho = 1, beta = 0; flow is exactly exp(-t) x."""
     return PotentialSpec(
-        "quadratic", dim,
+        "quadratic", 2,
         energy=lambda x: 0.5 * float(np.dot(x, x)),
         grad=lambda x: np.asarray(x, dtype=float),
-        hess=lambda x: np.eye(dim),
+        hess=lambda x: np.eye(2),
         rho=1.0,
-        minimizer=np.zeros(dim),
+        minimizer=np.zeros(2),
     )
 
 

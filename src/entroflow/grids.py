@@ -133,18 +133,15 @@ class Grid:
             [fmt_float(x) + ",%.17g\n" for x in self.nodes.tolist()])
 
 
-def make_uniform_grid(a: float, b: float, num_nodes: int, ambient_dim: int = 1,
-                      geometry: str = LINE) -> Grid:
-    """Uniform grid of ``num_nodes`` nodes on [a, b]."""
+def make_uniform_grid(a: float, b: float, num_nodes: int) -> Grid:
+    """Uniform line grid of ``num_nodes`` nodes on [a, b]."""
     if a >= b:
         raise ValueError(f"need a < b, got a={a}, b={b}")
     if num_nodes < 8:
         raise ValueError(f"need at least 8 nodes, got {num_nodes}")
-    if geometry == RADIAL and a < 0.0:
-        raise ValueError("radial grid requires a >= 0")
     spacing = (b - a) / (num_nodes - 1)
     nodes = a + spacing * np.arange(num_nodes)
-    return Grid(nodes, spacing, ambient_dim, geometry)
+    return Grid(nodes, spacing)
 
 
 def staggered_radial_grid(radius: float, num_cells: int, ambient_dim: int) -> Grid:
@@ -342,18 +339,12 @@ def read_density_csv(path, ambient_dim: int = 1) -> GridDensity:
     if len(fields) != 2 or fields[1] != "value" or fields[0] not in ("x", "r"):
         raise ValueError(f"unrecognized density CSV header: {header!r}")
     geometry = RADIAL if fields[0] == "r" else LINE
-    # Every row is "node,value": commas and line ends must alternate, and
-    # the last row ends in a value.  A row with one or three fields would
+    # Every row is "node,value": a row with one or three fields would
     # otherwise shift every later row of the flat parse below.
-    chars = np.frombuffer(body.encode(), np.uint8)
-    seps = chars[(chars == ord(",")) | (chars == ord("\n"))]
-    alternating = np.resize(np.frombuffer(b",\n", np.uint8), seps.size)
-    bad = np.flatnonzero(seps != alternating)
-    if bad.size or seps.size % 2 == 0:
-        row = int(bad[0] if bad.size else seps.size) // 2
-        line = body.split("\n")[row]
-        raise ValueError(f"density CSV line {row + 2} does not have two "
-                         f"fields: {line!r}")
+    for row, line in enumerate(body.split("\n"), start=2):
+        if line.count(",") != 1:
+            raise ValueError(f"density CSV line {row} does not have two "
+                             f"fields: {line!r}")
     tokens = body.replace("\n", ",").split(",")
     data = np.fromiter(map(float, tokens), float, len(tokens)).reshape(-1, 2)
     if data.shape[0] < 2:

@@ -305,6 +305,38 @@ def test_simulate_unknown_init_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("mu, nu", [
+    ("gaussian", "gaussian:0:1"),
+    ("gaussian:0.5", "gaussian:0.5:1"),
+    ("gaussian:0.5:2.0", "gaussian:0.5:2"),
+])
+def test_density_spec_fields_default_as_before(mu, nu, tmp_path, capsys):
+    assert main(["w2", "--mu", mu, "--nu", nu, "--quantiles", "256",
+                 "--out", str(tmp_path)]) == 0
+    assert "w2=0\n" in capsys.readouterr().out
+
+
+def test_csv_init_path_may_hold_colons(tmp_path):
+    source = tmp_path / "a:b" / "density.csv"
+    source.parent.mkdir()
+    write_density_csv(gaussian_density(make_uniform_grid(-8.0, 8.0, 129)), source)
+    out = tmp_path / "out"
+    assert main(["simulate", "--flow", "heat", "--init", f"csv:{source}",
+                 *SMALL_RUN, "--out", str(out)]) == 0
+    assert (out / "snapshot_0000.csv").read_bytes() == source.read_bytes()
+
+
+def test_stationary_perturbed_default_eps_is_0_05(tmp_path):
+    runs = {}
+    for init in ("stationary-perturbed", "stationary-perturbed:0.05"):
+        out = tmp_path / init.replace(":", "_")
+        assert main(["simulate", "--flow", "fast_diffusion", "--N", "32",
+                     "--dt", "0.005", "--T", "0.005", "--init", init,
+                     "--out", str(out)]) == 0
+        runs[init] = (out / "snapshot_0000.csv").read_bytes()
+    assert runs["stationary-perturbed"] == runs["stationary-perturbed:0.05"]
+
+
 def test_fokker_planck_stationary_init_is_the_gaussian(tmp_path):
     assert main(["simulate", "--flow", "fokker_planck", "--init", "stationary",
                  *SMALL_RUN, "--out", str(tmp_path)]) == 0
@@ -446,10 +478,41 @@ def test_config_values_are_converted_as_their_flags(tmp_path):
      "tau: must be positive and finite"),     # before tau sizes the PDE step
     (["simulate", "--flow", "fast_diffusion", "--dim", "344"],
      "the unit sphere area of R^344 overflows"),
+    (["simulate", "--init", "csv"], "init: 'csv' does not match csv:path"),
+    (["w2", "--mu", "csv"], "mu: 'csv' does not match csv:path"),
+    (["w2", "--nu", "csv:"], "nu: 'csv:' does not match csv:path"),
+    (["jko", "--init", "dirac:5", "--steps", "2"],
+     "init: 'dirac:5' does not match dirac"),
+    (["jko", "--init", "uniform:3", "--steps", "2"],
+     "init: 'uniform:3' does not match uniform"),
+    (["jko", "--init", "gaussian:0:1:5", "--steps", "2"],
+     "init: 'gaussian:0:1:5' does not match gaussian[:mean[:sigma]]"),
+    (["simulate", "--init", "stationary:1"],
+     "init: 'stationary:1' does not match stationary"),
+    (["simulate", "--flow", "fast_diffusion", "--init",
+      "stationary-perturbed:0.1:2"],
+     "init: 'stationary-perturbed:0.1:2' does not match stationary-perturbed[:eps]"),
+    (["w2", "--mu", "bogus"], "mu: unknown density spec 'bogus'"),
+    (["w2", "--nu", "stationary"], "nu: unknown density spec 'stationary'"),
+    (["simulate", "--init", "gaussian:x"], "init: could not convert string"),
+    (["w2", "--nu", "gaussian:0:-1"], "nu: sigma must be positive"),
+    (["jko", "--init", "csv:{missing}", "--steps", "2"],
+     "init: [Errno 2] No such file"),
+    (["jko", "--tau", "5e-324", "--steps", "2", "--compare-pde"],
+     "dt must be positive"),    # tau / 10 underflows to 0 in the PDE step
+    (["simulate", "--flow", "fast_diffusion", "--init", "gaussian:0:1"],
+     "init: fast diffusion supports stationary inits"),
+    (["check"], "inequality: choose one of"),
 ], ids=["jko-quantiles", "w2-quantiles", "jko-steps", "simulate-positivity",
         "jko-positivity", "simulate-mass", "jko-compare-pde-steps", "check-seed",
         "diagnose-seed", "jko-tau-inf", "jko-compare-pde-tau-inf",
-        "simulate-dim-344"])
+        "simulate-dim-344", "simulate-csv-no-path", "w2-mu-csv-no-path",
+        "w2-nu-csv-empty-path", "jko-dirac-field", "jko-uniform-field",
+        "jko-gaussian-third-field", "simulate-stationary-field",
+        "simulate-stationary-perturbed-second-field", "w2-mu-unknown",
+        "w2-nu-stationary", "simulate-gaussian-not-a-number",
+        "w2-nu-gaussian-sigma", "jko-csv-missing", "jko-compare-pde-subnormal-tau",
+        "simulate-fast-diffusion-gaussian", "check-no-inequality"])
 def test_rejected_input_writes_nothing(argv, fragment, tmp_path, capsys):
     # a density of mass 1.01 on the 129 nodes of SMALL_RUN
     heavy = tmp_path / "heavy.csv"
@@ -457,7 +520,8 @@ def test_rejected_input_writes_nothing(argv, fragment, tmp_path, capsys):
     write_density_csv(GridDensity(grid, 1.01 * gaussian_density(grid).values),
                       heavy)
     out = tmp_path / "out"
-    argv = [arg.format(heavy=heavy) for arg in argv]
+    argv = [arg.format(heavy=heavy, missing=tmp_path / "missing.csv")
+            for arg in argv]
     assert main([*argv, "--out", str(out)]) == 2
     assert f"config error: {fragment}" in capsys.readouterr().err
     assert not out.exists()

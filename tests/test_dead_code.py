@@ -7,6 +7,10 @@ another top-level statement of a ``src/entroflow`` module (an import in
 that only tests call belongs in the tests.  Dunder names are exempt.  The
 files are read as text; nothing under ``perfbench/`` or ``scripts/`` runs
 except the ``WRAPS`` list.
+
+Every parameter of a ``def`` in ``src/entroflow`` is also read in its body,
+so no caller sets a value that nothing uses.  ``self`` is exempt, and so are
+lambdas, which keep the arity of the callable they stand for.
 """
 
 import ast
@@ -60,3 +64,25 @@ def unused_definitions() -> list[str]:
 
 def test_every_src_definition_is_used_outside_tests():
     assert unused_definitions() == []
+
+
+def unread_parameters() -> list[str]:
+    """``module.function(parameter)`` of each parameter of a ``def`` in
+    ``src/entroflow`` that its body never reads."""
+    unread = []
+    for path in sorted((ROOT / "src" / "entroflow").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs
+            params += [p for p in (a.vararg, a.kwarg) if p]
+            read = {sub.id for stmt in node.body for sub in ast.walk(stmt)
+                    if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+            unread += [f"{path.stem}.{node.name}({p.arg})" for p in params
+                       if p.arg != "self" and p.arg not in read]
+    return unread
+
+
+def test_every_src_parameter_is_read():
+    assert unread_parameters() == []

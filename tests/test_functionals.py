@@ -12,6 +12,7 @@ from entroflow.functionals import (
     lp_norm,
 )
 from entroflow.grids import (
+    Grid,
     gaussian_density,
     gradient_fd,
     integrate,
@@ -138,7 +139,8 @@ def test_fd_production_zero_at_stationary_state(radial_setup):
 @pytest.mark.parametrize("method", ["value", "otto_gradient", "production",
                                     "otto_hessian_quadform"])
 def test_power_law_rejects_line_grid(method, dim):
-    mu = gaussian_density(make_uniform_grid(-8.0, 8.0, 257, ambient_dim=dim))
+    line = make_uniform_grid(-8.0, 8.0, 257)
+    mu = gaussian_density(Grid(line.nodes, line.spacing, ambient_dim=dim))
     args = (mu,) if method != "otto_hessian_quadform" else (mu, mu.grid.nodes)
     with pytest.raises(ValueError, match="radial grid with n >= 2"):
         getattr(fd_free_energy(), method)(*args)

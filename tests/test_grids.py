@@ -39,7 +39,7 @@ def test_uniform_grid_nodes():
 
 
 def test_radial_grid_weights_carry_sphere_factor():
-    g = make_uniform_grid(0.0, 10.0, 101, ambient_dim=3, geometry="radial")
+    g = Grid(0.1 * np.arange(101), 0.1, ambient_dim=3, geometry="radial")
     assert g.spacing == pytest.approx(0.1)
     # interior weight = h * 4 pi r^2
     r = g.nodes[50]
@@ -58,8 +58,8 @@ def test_grid_constructor_rejections():
         make_uniform_grid(1.0, 0.0, 16)
     with pytest.raises(ValueError):
         make_uniform_grid(0.0, 1.0, 7)
-    with pytest.raises(ValueError):
-        make_uniform_grid(-1.0, 1.0, 16, geometry="radial")
+    with pytest.raises(ValueError, match="radial grids require nonnegative nodes"):
+        Grid(np.linspace(-1.0, 1.0, 16), 2.0 / 15, geometry="radial")
     with pytest.raises(ValueError):
         Grid(np.array([0.0, 1.0, 0.5]), 0.5)
 

@@ -291,7 +291,7 @@ def test_bank_checker_returns_its_two_sides(name, grid, sobolev_grid, radial_set
 
 def test_run_bank_unknown_name():
     with pytest.raises(ValueError):
-        run_inequality_bank("nope")
+        run_inequality_bank("nope", 7, None)
 
 
 def test_run_zugmeyer_bank_small():
@@ -305,6 +305,6 @@ def test_run_eep_fd_bank_small():
 
 
 def test_run_eep_fp_full_bank():
-    rows = run_inequality_bank("eep_fp", seed=7)
+    rows = run_inequality_bank("eep_fp", seed=7, count=None)
     assert len(rows) == 200
     assert all(r.passed for r in rows)

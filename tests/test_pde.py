@@ -20,6 +20,7 @@ from entroflow.functionals import (
 )
 from entroflow.grids import (
     DensityTrajectory,
+    Grid,
     GridDensity,
     gaussian_density,
     integrate,
@@ -320,7 +321,8 @@ def test_stationary_fd_profile(fd_setup):
 def test_stationary_fd_constant_matches_high_resolution_oracle():
     # same node-centered quadrature family, 10x resolution
     def constant_on(num):
-        grid = make_uniform_grid(0.0, 10.0, num, ambient_dim=3, geometry="radial")
+        h = 10.0 / (num - 1)
+        grid = Grid(h * np.arange(num), h, ambient_dim=3, geometry="radial")
         with pytest.warns(UserWarning):
             stat = stationary_fd(grid)
         return stat.values[0] ** (-1.0 / 3.0)  # C = mu(0)^(-1/n)
