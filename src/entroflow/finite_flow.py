@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grids import write_csv
+from .grids import write_float_csv
 from .pde import step_count
 
 DIVERGENCE_LIMIT = 1e12
@@ -174,10 +174,8 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Dump ``t,x_1..x_n,E,gradnorm2`` rows."""
     dim = traj.states.shape[1]
     cols = ",".join(f"x_{i + 1}" for i in range(dim))
-    table = np.column_stack((traj.times, traj.states, traj.energies,
-                             traj.grad_norms_sq))
-    write_csv(path, f"t,{cols},E,gradnorm2", ",".join(["%.17g"] * (dim + 3)),
-              map(tuple, table))
+    write_float_csv(path, f"t,{cols},E,gradnorm2", np.column_stack(
+        (traj.times, traj.states, traj.energies, traj.grad_norms_sq)))
 
 
 def quadratic_potential() -> PotentialSpec:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 
 import numpy as np
@@ -42,13 +42,129 @@ def fmt_float(x: float) -> str:
 
 
 def write_csv(path, header: str, row_format: str, rows) -> None:
-    """Write ``header`` and one ``row_format % row`` line per row tuple.
-
-    Float fields use ``%.17g``, the same digits as :func:`fmt_float`; other
-    fields use ``%s``.
+    """Write ``header`` and one ``row_format % row`` line per row tuple, for
+    tables that hold strings, bools or integers (all-float ones go through
+    :func:`write_float_csv`).  Float fields use ``%.17g``, the same digits
+    as :func:`fmt_float`; other fields use ``%s``.
     """
     lines = [header, *(row_format % row for row in rows)]
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+CSV_CHUNK = 4096   # values per pass of the '%.17g' kernel; bounds its memory
+
+
+@cache
+def _g17_tables() -> dict:
+    """Tables of :func:`g17_words`, built at its first call: ``H + L`` at
+    q + 300 is 10^q, q in [-300, 300], as a double-double from exact
+    integers; NUL-padded text words of 4-digit groups (in full, without
+    leading zeros, the same keeping a lone 0, without trailing zeros); and
+    at k + 301 for a decimal exponent k in [-301, 300], 10^(digits after
+    the point), the point (with the zeros of 0.000ddd) and the 8-byte
+    exponent, ending in a comma."""
+    powers = [10**q for q in range(301)]   # 10^-q = n/d + (d - n 10^q) / (d 10^q)
+    ratios = [((1 / p).as_integer_ratio(), p) for p in powers[:0:-1]]
+    high = [n / d for (n, d), _ in ratios] + [float(p) for p in powers]
+    low = ([(d - n * p) / (d * p) for (n, d), p in ratios]
+           + [float(p - int(float(p))) for p in powers])
+    group = np.arange(10000)[:, None]
+    text = (group // [1000, 100, 10, 1] % 10 + 48).astype(np.uint8)
+    digits = [np.where(keep, text, 0).view(np.uint32).ravel() for keep in (
+        True, group >= [1000, 100, 10, 1], group >= [1000, 100, 10, 0],
+        group % [10000, 1000, 100, 10] > 0)]
+    fixed, ks = range(-4, 17), range(-301, 301)   # %g's k without an exponent
+    dot = [b"." + b"0" * (-k - 1) * (k < 0) * (k in fixed) for k in ks]
+    exp = [b"\0e%+03d" % k * (k not in fixed) for k in ks]
+    return dict(
+        H=np.array(high), L=np.array(low), digits=np.concatenate(digits),
+        shift=10 ** np.array([min(16 - k, 17) if k in fixed else 16 for k in ks]),
+        dot=np.frombuffer(b"".join(d.ljust(4, b"\0") for d in dot), "u4"),
+        exp=np.frombuffer(b"".join(e.ljust(7, b"\0") + b"," for e in exp), "u8"))
+
+
+def _g17_groups(n):
+    """The four 4-digit groups of integers below 10^16, the first leading."""
+    high = n // 10**8
+    low = n - high * 10**8
+    first, third = high // 10**4, low // 10**4
+    return first, high - first * 10**4, third, low - third * 10**4
+
+
+def g17_words(values: np.ndarray) -> np.ndarray:
+    """``'%.17g,' % v`` of each value of a 1-d float64 array as a row of
+    NUL-padded native-order uint32 words: the sign, the integer part right
+    aligned (the words some value fills), '.' and the zeros of 0.000ddd,
+    the fraction left aligned, the exponent and the comma.  With k =
+    floor(log10 |v|), Dekker's exact two-product (Numer. Math. 18 (1971)
+    224) gives P = |v| 10^(16-k) within about 1e-14: round(P) holds the
+    17 correctly rounded digits.  Values outside [1e-280, 1e280] or not
+    finite, and those whose P lies within 1e-7 of a half-integer (a
+    decimal tie), go to Python's ``%``."""
+    tables = _g17_tables()
+    a = np.abs(values)
+    zero, ok = a == 0.0, (a >= 1e-280) & (a <= 1e280)
+    a = np.where(ok, a, 1.0)
+    k = np.floor(np.log10(a) - 1e-12).astype(np.int64)   # floor(log10 a), or 1 less
+    h = tables["H"][316 - k]
+    split_a, split_h = 134217729.0 * a, 134217729.0 * h   # 26-bit halves
+    a_hi, h_hi = split_a - (split_a - a), split_h - (split_h - h)
+    a_lo, h_lo, p = a - a_hi, h - h_hi, a * h
+    p_low = ((((a_hi * h_hi - p) + a_hi * h_lo) + a_lo * h_hi) + a_lo * h_lo
+             + a * tables["L"][316 - k])
+    rounded = np.rint(p_low)
+    digits = p.astype(np.int64) + rounded.astype(np.int64)
+    fallback = (~(ok | zero) | (np.abs(np.abs(p_low - rounded) - 0.5) < 1e-7)
+                | (digits > 10**17))   # k one less and a not a power of ten
+    carry = digits == 10**17   # rounded up to the next decade
+    k, digits = k + carry, digits - carry * 9 * 10**16
+    digits[zero], k[zero] = 0, -1
+    shift = tables["shift"][k + 301]
+    whole = digits // shift   # the integer part; then the fraction's 17 digits
+    frac = (digits - whole * shift) * (10**17 // shift)
+    table, negative = tables["digits"], np.signbit(values)
+    words = np.empty((12, values.size), np.uint32)   # word by word, for all rows
+    top, widest = whole // 10**16, whole.max(initial=0)
+    keep = ([negative.any() or widest >= 10**16]
+            + [widest >= 10**bound for bound in (12, 8, 4)] + [True] * 8)
+    for word, group, bound in zip(range(5), (top, *_g17_groups(whole - top * 10**16)),
+                                  (17, 16, 12, 8, 4)):
+        if keep[word]:   # the last group keeps a lone 0
+            words[word] = table[group + (10000 + 10000 * (word == 4))
+                                * (whole < 10**bound)]
+    words[0] |= negative * np.frombuffer(b"-\0\0\0", "u4")[0]
+    words[5] = tables["dot"][k + 301] * (frac > 0)
+    high, last = frac // 10, frac % 10
+    bare = last == 0   # nothing but zeros after the group written next
+    for word, group in zip((9, 8, 7, 6), _g17_groups(high)[::-1]):
+        words[word] = table[group + 30000 * bare]
+        bare &= group == 0
+    tail = tables["exp"][k + 301].view(np.uint32)
+    words[10] = table[30000 + 1000 * last] | tail[0::2]
+    words[11] = tail[1::2]
+    words = words[keep]
+    for row in np.flatnonzero(fallback):
+        text = (b"%.17g" % values[row]).ljust(4 * len(words) - 1, b"\0") + b","
+        words[:, row] = np.frombuffer(text, np.uint32)
+    return words.T
+
+
+def write_float_csv(path, header: str, table, lead=None) -> None:
+    """Write ``header`` and each row of the 2-d float ``table`` as its
+    ``'%.17g'`` values joined by commas, after ``lead`` (a first column of
+    NUL-padded text words), :data:`CSV_CHUNK` values per :func:`g17_words`."""
+    table = np.asarray(table, dtype=float)
+    step = max(1, CSV_CHUNK // table.shape[1])   # rows per pass
+    newline = np.bitwise_xor.reduce(np.frombuffer(b"\0\0\0,\0\0\0\n", "u4"))
+    with open(path, "wb") as out:
+        out.write(f"{header}\n".encode())
+        for start in range(0, len(table), step):
+            rows = table[start:start + step]
+            words = g17_words(rows.ravel()).reshape(len(rows), -1)
+            words[:, -1] ^= newline   # the comma ending each row becomes '\n'
+            if lead is not None:
+                words = np.hstack((lead[start:start + step], words))
+            out.write(words.tobytes().translate(None, b"\0"))
 
 
 def sphere_area(dim: int) -> float:
@@ -125,12 +241,16 @@ class Grid:
         return potential
 
     @cached_property
-    def csv_template(self) -> str:
-        """Density CSV text with the header and node column filled in and a
-        ``%.17g`` slot per value; built at the first write on this grid."""
-        coord = "r" if self.is_radial else "x"
-        return f"{coord},value\n" + "".join(
-            [fmt_float(x) + ",%.17g\n" for x in self.nodes.tolist()])
+    def csv_nodes(self) -> np.ndarray:
+        """Each node's ``%.17g`` text, NUL padded and ended by a comma, as uint32
+        words: the first column of a density CSV, built at the first write."""
+        parts = np.split(self.nodes, range(CSV_CHUNK, self.num_nodes, CSV_CHUNK))
+        texts = b"".join(g17_words(p).tobytes() for p in parts).translate(None, b"\0")
+        texts = texts.split(b",")[:-1]
+        width = max(map(len, texts)) // 4 * 4 + 4   # the text, NULs and a comma
+        column = np.array(texts, f"S{width}").view(np.uint8).reshape(-1, width)
+        column[:, -1] = ord(",")
+        return np.frombuffer(column.tobytes(), np.uint32).reshape(self.num_nodes, -1)
 
 
 def make_uniform_grid(a: float, b: float, num_nodes: int) -> Grid:
@@ -328,8 +448,8 @@ class DensityTrajectory:
 
 def write_density_csv(density: GridDensity, path) -> None:
     """CSV dump with header ``x,value`` (line) or ``r,value`` (radial)."""
-    values = tuple(density.values.tolist())
-    Path(path).write_text(density.grid.csv_template % values)
+    write_float_csv(path, ("r" if density.grid.is_radial else "x") + ",value",
+                    density.values[:, None], density.grid.csv_nodes)
 
 
 def read_density_csv(path, ambient_dim: int = 1) -> GridDensity:

@@ -50,7 +50,7 @@ from .grids import (
     integrate,
     normalize,
     sphere_area,
-    write_csv,
+    write_float_csv,
 )
 
 # flow name -> the free energy whose Wasserstein gradient flow it is
@@ -116,7 +116,7 @@ class TridiagonalLU:
         self._dgttrs = lapack.dgttrs
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        x, info = self._dgttrs(*self._factors, b)
+        x, info = self._dgttrs(*self._factors, b, overwrite_b=1)
         if info != 0:
             raise SolverError(f"dgttrs failed with info={info}")
         return x
@@ -130,7 +130,9 @@ def solve_banded(ab, b):
     ``dgtsv`` is what scipy's ``solve_banded`` runs for (1, 1) bands, so the
     result is the same bit for bit, without that wrapper's validation and
     copies.  Its elimination overwrites the bands of ``ab``, which every
-    caller builds for one solve; ``b`` is left alone.  A singular matrix
+    caller builds for one solve; ``b`` is left alone.  With factors, the
+    back-substitution consumes ``b`` instead: the solution is written over
+    it, so ``pde.solve`` steps its state in place.  A singular matrix
     raises ``SolverError``.
 
     LAPACK comes from ``_lapack``, which loads scipy's extension file at the
@@ -506,5 +508,5 @@ def dissipation_report(functional: FreeEnergy, grid: Grid, times, values,
 
 
 def write_report_csv(report: DissipationReport, path) -> None:
-    write_csv(path, "t,value,production,bound", "%.17g,%.17g,%.17g,%.17g",
-              zip(report.times, report.values, report.productions, report.bounds))
+    write_float_csv(path, "t,value,production,bound", np.column_stack(
+        (report.times, report.values, report.productions, report.bounds)))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import entroflow
-from entroflow import pde
+from entroflow import finite_flow, pde
 from entroflow.cli import main
 from entroflow.grids import (
     GridDensity,
@@ -111,6 +111,22 @@ def test_diagnose_command(tmp_path, capsys):
     assert lines[0] == "potential,check,value,pass"
     assert len(lines) == 1 + 3 * 4  # three potentials, four checks each
     assert all(line.endswith("true") for line in lines[1:])
+
+
+def test_diagnose_trajectory_csvs_match_row_oracle(tmp_path):
+    assert main(["diagnose", "--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    rng = np.random.default_rng(manifest["seed"])   # as diagnose draws its starts
+    for spec in finite_flow.builtin_potential_bank():
+        traj = finite_flow.integrate_flow(spec, rng.uniform(-1.5, 1.5, size=spec.dim),
+                                          manifest["dt"], manifest["T"])
+        table = np.column_stack((traj.times, traj.states, traj.energies,
+                                 traj.grad_norms_sq))
+        header = ",".join(["t", *(f"x_{i + 1}" for i in range(spec.dim)), "E",
+                           "gradnorm2"])
+        rows = [",".join("%.17g" % v for v in row) for row in table.tolist()]
+        text = (tmp_path / f"trajectory_{spec.name}.csv").read_text()
+        assert text == "\n".join([header, *rows]) + "\n"
 
 
 def test_jko_command_with_pde_comparison(tmp_path, capsys):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entroflow.grids import (
+    CSV_CHUNK,
     Grid,
     GridDensity,
     cdf_and_quantile,
@@ -22,7 +23,9 @@ from entroflow.grids import (
     second_derivative_fd,
     sphere_area,
     staggered_radial_grid,
+    write_csv,
     write_density_csv,
+    write_float_csv,
 )
 
 
@@ -330,6 +333,83 @@ def test_density_csv_write_read_bitwise(tmp_path_factory, samples, radial):
     assert back.grid.is_radial == radial
     assert np.array_equal(back.grid.nodes, grid.nodes)
     assert np.array_equal(back.values, density.values)
+
+
+def g17_families(rng, size):
+    """Seeded doubles of every kind the '%.17g' kernel formats: uniform and
+    log-uniform values, random bit patterns of finite doubles (subnormals
+    included), 10^k and 1 to 8 ulps on either side, integers, binary
+    fractions, grid nodes, exact decimal ties (odd multiples of 1/4 near
+    1e15 have 18 digits, the last a 5) and the edges of the range."""
+    powers = np.array([float(f"1e{k}") for k in range(-308, 309)])
+    near = [powers]
+    for toward in (np.inf, 0.0):
+        x = powers
+        for _ in range(8):
+            x = np.nextafter(x, toward)
+            near.append(x)
+    bits = rng.integers(0, 0x7FF0000000000000, size, dtype=np.int64).view(np.float64)
+    return np.concatenate([
+        rng.random(size), 10.0 ** rng.uniform(-279.0, 279.0, size), bits, *near,
+        rng.integers(0, 10**18, size).astype(float),
+        rng.integers(-10**12, 10**12, size) / 1024.0, np.linspace(-8.0, 8.0, 4097),
+        (2.0 * rng.integers(2 * 10**15, 4 * 10**15, size) + 1.0) / 4.0,
+        [m * 2.0**-24 for m in range(3, 16, 2)],   # ties with 10^q inexact
+        [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-281, 1e-280, 1e280, 1e281,
+         np.finfo(float).max, np.inf]])
+
+
+def assert_same_text(path, expected):
+    text = path.read_text()
+    if text != expected:
+        got, want = text.splitlines(), expected.splitlines()
+        row = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]),
+                   min(len(got), len(want)))
+        pytest.fail(f"line {row + 1}: {got[row:row + 1]} != {want[row:row + 1]} "
+                    f"({len(got)} lines against {len(want)})")
+
+
+@pytest.mark.parametrize("radial", [False, True], ids=["line", "radial"])
+def test_density_csv_bytes_match_row_reference_over_value_families(tmp_path, radial):
+    values = g17_families(np.random.default_rng(20), 31000)
+    values = np.where(values < 0.0, -values, values)   # nonnegative; -0.0 stays
+    assert values.size > 2 * 10**5
+    grid = (staggered_radial_grid(10.0, values.size, 3) if radial
+            else make_uniform_grid(-8.0, 8.0, values.size))
+    density = GridDensity(grid, values)
+    write_density_csv(density, tmp_path / "density.csv")
+    assert_same_text(tmp_path / "density.csv", reference_density_csv(density))
+
+
+@pytest.mark.parametrize("n", [CSV_CHUNK - 1, CSV_CHUNK, CSV_CHUNK + 1])
+def test_density_csv_bytes_at_chunk_edges(tmp_path, n):
+    grid = make_uniform_grid(-8.0, 8.0, n)
+    noise = np.random.default_rng(n).random(n)
+    for density in (normalize(np.exp(-0.5 * grid.nodes**2) * (1.0 + noise), grid),
+                    GridDensity(grid, 10.0 ** (300.0 * noise - 150.0))):
+        write_density_csv(density, tmp_path / "density.csv")
+        assert_same_text(tmp_path / "density.csv", reference_density_csv(density))
+
+
+def test_density_csv_whose_values_all_fall_back(tmp_path):
+    # outside [1e-280, 1e280], subnormal, infinite or an exact decimal tie
+    rng = np.random.default_rng(3)
+    values = np.concatenate([1e281 * (1.0 + rng.random(50)), 1e-300 * rng.random(50),
+                             5e-324 * rng.integers(1, 10**6, 50), [np.inf],
+                             (2.0 * rng.integers(2 * 10**15, 4 * 10**15, 50) + 1.0) / 4.0])
+    grid = staggered_radial_grid(10.0, values.size, 3)
+    density = GridDensity(grid, values)
+    write_density_csv(density, tmp_path / "density.csv")
+    assert_same_text(tmp_path / "density.csv", reference_density_csv(density))
+
+
+def test_float_csv_is_write_csv_with_signs_and_specials(tmp_path):
+    values = g17_families(np.random.default_rng(5), 2000)
+    values = np.concatenate([values, -values, [np.nan, -np.inf, -0.0]])
+    table = values[:values.size // 3 * 3].reshape(-1, 3)
+    write_float_csv(tmp_path / "kernel.csv", "a,b,c", table)
+    write_csv(tmp_path / "rows.csv", "a,b,c", "%.17g,%.17g,%.17g", map(tuple, table))
+    assert_same_text(tmp_path / "kernel.csv", (tmp_path / "rows.csv").read_text())
 
 
 @pytest.mark.parametrize("body, line", [

@@ -451,8 +451,10 @@ def test_prefactored_solve_is_one_shot_solve_banded_bitwise(kind, n):
 
 def test_tridiagonal_lu_solves_and_fails_as_solver_error():
     band = np.array([[0.0, -1.0, -1.0], [4.0, 4.0, 4.0], [-1.0, -1.0, 0.0]])
-    x = solve_banded(TridiagonalLU(band), np.ones(3))
+    b = np.ones(3)
+    x = solve_banded(TridiagonalLU(band), b)
     assert np.allclose(x, np.array([5.0, 6.0, 5.0]) / 14.0, rtol=1e-15)
+    assert np.shares_memory(x, b)   # the factored path writes over b
     singular = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
     with pytest.raises(SolverError, match="dgttrf"):
         TridiagonalLU(singular)
@@ -505,7 +507,7 @@ def test_extension_falls_back_to_scipy(package, name, broken, monkeypatch, tmp_p
         ab[1] *= 0.5
         b = rng.standard_normal(257)
         expected = scipy_solve_banded((1, 1), ab, b)
-        assert np.array_equal(solve_banded(TridiagonalLU(ab), b), expected)
+        assert np.array_equal(solve_banded(TridiagonalLU(ab), b.copy()), expected)
         assert np.array_equal(solve_banded(ab.copy(), b), expected)
         singular = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
         with pytest.raises(SolverError, match="dgttrf"):
@@ -530,6 +532,12 @@ def _run_fresh(probe):
     assert proc.stdout.split() == ["ok"]
 
 
+def test_importing_the_cli_builds_no_csv_kernel_table():
+    # the '%.17g' kernel's tables are built at the first float CSV, not at import
+    _run_fresh("import entroflow.cli\nfrom entroflow import grids\n"
+               "assert grids._g17_tables.cache_info().currsize == 0\nprint('ok')")
+
+
 # Run in a fresh process: the library must solve before scipy.linalg is
 # first imported.
 COEXISTENCE_PROBE = """
@@ -541,7 +549,7 @@ ab = rng.uniform(-1.0, 1.0, (3, 1025))
 ab[1] *= 0.5
 b = rng.standard_normal(1025)
 x = solve_banded(ab.copy(), b)
-y = solve_banded(TridiagonalLU(ab), b)
+y = solve_banded(TridiagonalLU(ab), b.copy())
 assert "entroflow._flapack" in sys.modules
 assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
 import scipy.linalg
