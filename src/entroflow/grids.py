@@ -24,6 +24,7 @@ from functools import cache, cached_property
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 # Clamp for log/negative-power evaluation only.
 DENSITY_FLOOR = 1e-300
@@ -63,24 +64,48 @@ def _g17_tables() -> dict:
     at k + 301 for a decimal exponent k in [-301, 300], 10^(digits after
     the point), the point (with the zeros of 0.000ddd) and the 8-byte
     exponent, ending in a comma."""
-    powers = [10**q for q in range(301)]   # 10^-q = n/d + (d - n 10^q) / (d 10^q)
-    ratios = [((1 / p).as_integer_ratio(), p) for p in powers[:0:-1]]
-    high = [n / d for (n, d), _ in ratios] + [float(p) for p in powers]
-    low = ([(d - n * p) / (d * p) for (n, d), p in ratios]
-           + [float(p - int(float(p))) for p in powers])
-    group = np.arange(10000)[:, None]
-    text = (group // [1000, 100, 10, 1] % 10 + 48).astype(np.uint8)
-    digits = [np.where(keep, text, 0).view(np.uint32).ravel() for keep in (
-        True, group >= [1000, 100, 10, 1], group >= [1000, 100, 10, 0],
-        group % [10000, 1000, 100, 10] > 0)]
-    fixed, ks = range(-4, 17), range(-301, 301)   # %g's k without an exponent
-    dot = [b"." + b"0" * (-k - 1) * (k < 0) * (k in fixed) for k in ks]
-    exp = [b"\0e%+03d" % k * (k not in fixed) for k in ks]
+    powers = [1]   # 10^q, q in [0, 300]
+    for _ in range(300):
+        powers.append(powers[-1] * 10)
+    high, low = [], []
+    for p in powers[:0:-1]:   # 10^-q = n/d + (d - n 10^q) / (d 10^q), d = 2^s
+        h = 1 / p
+        n, d = h.as_integer_ratio()
+        high.append(h)
+        low.append((d - n * p) / (p << d.bit_length() - 1))
+    for p in powers:
+        h = float(p)
+        high.append(h)
+        low.append(float(p - int(h)))
+    text = np.empty((10, 10, 10, 10, 4), np.uint8)   # the 4 digits of 0..9999
+    digit = np.arange(48, 58, dtype=np.uint8)
+    for j in range(4):
+        text[..., j] = digit.reshape((1,) * j + (10,) + (1,) * (3 - j))
+    text = text.reshape(10000, 4)
+    words = text.view(np.uint32).ravel()
+    first, last = (np.frombuffer(b"".join(pad(b"\xff" * m, 4, b"\0") for m in range(5)),
+                                 np.uint32) for pad in (bytes.ljust, bytes.rjust))
+    group, tens = np.arange(10000), [1, 10, 100, 1000]
+    lead = np.searchsorted(tens, group, "right")   # digits from the first nonzero one
+    reverse = group.reshape((10,) * 4).T.ravel()   # each group's digits reversed
+    trail = np.searchsorted(tens, reverse, "right")   # digits up to the last nonzero one
+    k = np.arange(-301, 301)
+    fixed, mag = (k >= -4) & (k < 17), np.abs(k)   # %g's k without an exponent
+    exp = np.zeros((k.size, 8), np.uint8)   # NUL, e, the sign, 2 or 3 digits; a comma
+    exp[:, 1] = ord("e")
+    exp[:, 2] = np.where(k < 0, ord("-"), ord("+"))
+    exp[mag >= 100, 3:6] = text[mag[mag >= 100], 1:]
+    exp[mag < 100, 3:5] = text[mag[mag < 100], 2:]
+    exp[fixed, 1:6] = 0
+    exp[:, 7] = ord(",")
     return dict(
-        H=np.array(high), L=np.array(low), digits=np.concatenate(digits),
-        shift=10 ** np.array([min(16 - k, 17) if k in fixed else 16 for k in ks]),
-        dot=np.frombuffer(b"".join(d.ljust(4, b"\0") for d in dot), "u4"),
-        exp=np.frombuffer(b"".join(e.ljust(7, b"\0") + b"," for e in exp), "u8"))
+        H=np.array(high), L=np.array(low),
+        digits=np.concatenate([words, words & last[lead],
+                               words & last[np.maximum(lead, 1)], words & first[trail]]),
+        shift=10 ** np.where(fixed, np.minimum(16 - k, 17), 16),
+        dot=np.frombuffer(b".\0\0\0.0\0\0.00\0.000", np.uint32)[
+            np.where(fixed & (k < 0), -k - 1, 0)],   # '.' and 0 to 3 zeros
+        exp=exp.view(np.uint64).ravel())
 
 
 def _g17_groups(n):
@@ -243,14 +268,24 @@ class Grid:
     @cached_property
     def csv_nodes(self) -> np.ndarray:
         """Each node's ``%.17g`` text, NUL padded and ended by a comma, as uint32
-        words: the first column of a density CSV, built at the first write."""
-        parts = np.split(self.nodes, range(CSV_CHUNK, self.num_nodes, CSV_CHUNK))
-        texts = b"".join(g17_words(p).tobytes() for p in parts).translate(None, b"\0")
-        texts = texts.split(b",")[:-1]
-        width = max(map(len, texts)) // 4 * 4 + 4   # the text, NULs and a comma
-        column = np.array(texts, f"S{width}").view(np.uint8).reshape(-1, width)
+        words: the first column of a density CSV, built at the first write.
+        Each row is a window of the kernel's NUL-free text at the node's
+        start, cut at its comma by a byte mask, so no node becomes a Python
+        object."""
+        text = np.concatenate([np.frombuffer(
+            g17_words(self.nodes[start:start + CSV_CHUNK]).tobytes().translate(None, b"\0"),
+            np.uint8) for start in range(0, self.num_nodes, CSV_CHUNK)] + [np.zeros(32, np.uint8)])
+        ends = np.flatnonzero(text == ord(","))   # 32 NULs: room for the last window
+        starts = np.concatenate(([0], ends[:-1] + 1))
+        lengths = ends - starts
+        width = int(lengths.max()) // 4 * 4 + 4   # the text, NULs and a comma
+        column = sliding_window_view(text, width)[starts]
+        keep = np.tri(width + 1, width, -1, np.uint8) * np.uint8(255)   # row m: m bytes
+        words = column.view(np.uint32)
+        words &= keep.view(np.uint32)[lengths]
         column[:, -1] = ord(",")
-        return np.frombuffer(column.tobytes(), np.uint32).reshape(self.num_nodes, -1)
+        words.setflags(write=False)
+        return words
 
 
 def make_uniform_grid(a: float, b: float, num_nodes: int) -> Grid:

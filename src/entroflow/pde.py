@@ -13,9 +13,24 @@ Heat and Fokker-Planck (line geometry)
     which vanishes exactly on the discretized Gibbs state mu ~ exp(-V):
     the discrete stationary state of the Fokker-Planck scheme is the
     discretized standard Gaussian.  Backward Euler with the resulting
-    M-matrix is unconditionally stable, positivity preserving, and
-    conserves sum(w_i mu_i) exactly (w = quadrature weights, used as cell
-    measures).
+    M-matrix is unconditionally stable and positivity preserving, and each
+    of its columns keeps sum(w_i mu_i) (w = quadrature weights, used as
+    cell measures).
+
+    The face weights keep detailed balance, B(-z) / B(z) = e^z, so the step
+    matrix A = I + dt M is self-adjoint in L^2(w e^V): the diagonal
+    similarity T = sqrt(w) e^(V/2) (sqrt(w) for heat) makes S = T A T^-1
+    symmetric positive definite, with A's diagonal and the off-diagonal
+    -sqrt(A_{i,i+1} A_{i+1,i}).  ``solve`` factors S = L D L^T once
+    (LAPACK dpttrf), steps y = T mu by its two substitutions (dpttrs) and
+    forms mu = y / T only at snapshots.  L's off-diagonal is negative and
+    D positive, so each substitution step adds a positive term to a
+    positive one: the recurrences have no cancellation and keep y > 0.
+    Mass is conserved to roundoff, not exactly: on heat the interior
+    diagonal 1 + 2 dt / h^2 rounds alike on every row, so the mass drifts
+    linearly with the step count (ROADMAP item 1).  For Fokker-Planck on
+    [-L, L] the scale T spans e^(L^2 / 4), a finite double only for L
+    below about 53.3; a wider domain is rejected.
 
 Fast diffusion with confinement (radial geometry, n > 2)
     The flux is kept in gradient-flow form mu * d/dr(-mu^(-1/n) + r^2/2):
@@ -95,52 +110,73 @@ def _extension(package: str, name: str):
 
 
 def _lapack():
-    """scipy's LAPACK extension (``dgtsv``, ``dgttrf``, ``dgttrs``)."""
+    """scipy's LAPACK extension (``dgtsv``, ``dpttrf``, ``dpttrs``)."""
     return _extension("linalg", "_flapack")
 
 
-class TridiagonalLU:
-    """LAPACK ``dgttrf`` factors of a tridiagonal band array, for repeated solves.
+class SymmetrizedLDL:
+    """LAPACK ``dpttrf`` factors of the symmetric form of a tridiagonal band
+    array A whose off-diagonal pairs A_{i,i+1}, A_{i+1,i} have one sign, for
+    repeated solves.
 
-    ``dgttrs`` with these factors repeats, operation by operation, the
-    elimination that ``dgtsv`` (what scipy's ``solve_banded`` runs for
-    (1, 1) bands) does in one shot, so each solve equals the one-shot solve
-    bit for bit at the cost of the back-substitution only.
+    The diagonal similarity ``scale`` = T, with T_{i+1} / T_i =
+    sqrt(A_{i,i+1} / A_{i+1,i}) summed in log space and centered on 1,
+    turns A into S = T A T^-1: A's diagonal and off-diagonal
+    -sqrt(A_{i,i+1} A_{i+1,i}).  A detailed-balance operator has such a
+    form: T is sqrt(w) e^(V/2) for the Fokker-Planck step and sqrt(w) for
+    heat.  S is factored as L D L^T once; :meth:`solve` solves S y = T b,
+    whose solution is y = T x for A x = b.  A zero or mixed-sign
+    off-diagonal pair and a scale whose largest over smallest value
+    overflows a double raise ``ValueError``; an S that is not positive
+    definite raises ``SolverError``.
     """
 
     def __init__(self, ab: np.ndarray):
+        upper, lower = ab[0, 1:], ab[2, :-1]
+        coupling = upper * lower
+        if not np.all(coupling > 0.0):
+            raise ValueError("the band has no symmetric form: an off-diagonal "
+                             "is zero or the pair differs in sign")
+        log_scale = np.zeros(ab.shape[1])
+        np.cumsum(0.5 * np.log(upper / lower), out=log_scale[1:])
+        high, low = log_scale.max(), log_scale.min()
+        if not high - low <= np.log(np.finfo(float).max):
+            raise ValueError(f"the symmetrizing scale spans e^{high - low:.6g}, "
+                             f"beyond the double range")
+        self.scale = np.exp(log_scale - 0.5 * (high + low))
         lapack = _lapack()
-        *self._factors, info = lapack.dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
+        *self._factors, info = lapack.dpttrf(ab[1], -np.sqrt(coupling))
         if info != 0:
-            raise SolverError(f"dgttrf failed with info={info}")
-        self._dgttrs = lapack.dgttrs
+            raise SolverError(f"dpttrf failed with info={info}")
+        self._dpttrs = lapack.dpttrs
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        x, info = self._dgttrs(*self._factors, b, overwrite_b=1)
+    def solve(self, y: np.ndarray) -> np.ndarray:
+        x, info = self._dpttrs(*self._factors, y, overwrite_b=1)
         if info != 0:
-            raise SolverError(f"dgttrs failed with info={info}")
+            raise SolverError(f"dpttrs failed with info={info}")
         return x
 
 
 def solve_banded(ab, b):
     """Solve the tridiagonal system with (1, 1) band array ``ab`` (rows
     upper, diagonal, lower) by LAPACK ``dgtsv``, consuming ``ab``; ``ab``
-    may also be a :class:`TridiagonalLU`, whose factors are then reused.
+    may also be a :class:`SymmetrizedLDL`, whose factors then solve the
+    symmetric form for ``b`` = T b_A, in place.
 
     ``dgtsv`` is what scipy's ``solve_banded`` runs for (1, 1) bands, so the
     result is the same bit for bit, without that wrapper's validation and
     copies.  Its elimination overwrites the bands of ``ab``, which every
     caller builds for one solve; ``b`` is left alone.  With factors, the
-    back-substitution consumes ``b`` instead: the solution is written over
-    it, so ``pde.solve`` steps its state in place.  A singular matrix
-    raises ``SolverError``.
+    ``dpttrs`` substitutions consume ``b`` instead: the solution y = T x is
+    written over it, so ``pde.solve`` steps its scaled state in place.  A
+    singular matrix raises ``SolverError``.
 
     LAPACK comes from ``_lapack``, which loads scipy's extension file at the
     first banded solve without importing the ``scipy.linalg`` package, so
     no command imports that package and commands that never solve a banded
     system (w2, check, diagnose) load no LAPACK file.
     """
-    if isinstance(ab, TridiagonalLU):
+    if isinstance(ab, SymmetrizedLDL):
         return ab.solve(b)
     *_, x, info = _lapack().dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b, 1, 1, 1)
     if info != 0:
@@ -311,20 +347,28 @@ def solve(model: FreeEnergy, mu0: GridDensity, dt: float, horizon: float,
     if np.any(mu0.values <= 0.0):
         raise ValueError("initial density must be strictly positive")
 
+    factors = None   # mu log mu flows step with one constant matrix: factor it once
+    if not newton:
+        try:
+            factors = SymmetrizedLDL(_linear_step_matrix(model, grid, dt))
+        except ValueError as err:
+            raise ValueError(f"domain [{grid.nodes[0]:g}, {grid.nodes[-1]:g}] "
+                             f"is too wide: {err}") from None
+
     times, states = [], []   # collected only without emit
     emit = emit or (lambda t, state: (times.append(t), states.append(state)))
     mu = mu0.values.copy()
     emit(0.0, GridDensity(grid, mu))
-    # mu log mu flows step with one constant matrix: factor it once
-    lu = None if newton else TridiagonalLU(_linear_step_matrix(model, grid, dt))
+    if factors is not None:
+        mu *= factors.scale   # the linear flows step y = T mu
 
     for k in range(1, steps + 1):
         if newton:
             mu = _fd_newton_step(grid, dt, mu)
         else:
-            mu = solve_banded(lu, mu)
+            mu = solve_banded(factors, mu)
         if k % snapshot_every == 0 or k == steps:
-            state = GridDensity(grid, mu)
+            state = GridDensity(grid, mu if newton else mu / factors.scale)
             if abs(state.mass - 1.0) > 1e-8:
                 raise SolverError(f"mass drifted to {state.mass} at step {k}")
             if np.any(state.values <= 0.0):

@@ -519,6 +519,8 @@ def test_config_values_are_converted_as_their_flags(tmp_path):
     (["simulate", "--flow", "fast_diffusion", "--init", "gaussian:0:1"],
      "init: fast diffusion supports stationary inits"),
     (["check"], "inequality: choose one of"),
+    (["simulate", "--init", "uniform", "--domain", "-60", "60"],
+     "domain [-60, 60] is too wide"),   # no symmetric step in doubles
 ], ids=["jko-quantiles", "w2-quantiles", "jko-steps", "simulate-positivity",
         "jko-positivity", "simulate-mass", "jko-compare-pde-steps", "check-seed",
         "diagnose-seed", "jko-tau-inf", "jko-compare-pde-tau-inf",
@@ -528,7 +530,8 @@ def test_config_values_are_converted_as_their_flags(tmp_path):
         "simulate-stationary-perturbed-second-field", "w2-mu-unknown",
         "w2-nu-stationary", "simulate-gaussian-not-a-number",
         "w2-nu-gaussian-sigma", "jko-csv-missing", "jko-compare-pde-subnormal-tau",
-        "simulate-fast-diffusion-gaussian", "check-no-inequality"])
+        "simulate-fast-diffusion-gaussian", "check-no-inequality",
+        "simulate-fokker-planck-domain-too-wide"])
 def test_rejected_input_writes_nothing(argv, fragment, tmp_path, capsys):
     # a density of mass 1.01 on the 129 nodes of SMALL_RUN
     heavy = tmp_path / "heavy.csv"

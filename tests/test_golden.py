@@ -170,21 +170,21 @@ GOLDEN = {
     },
     "fokker_planck": {
         "<stdout>":
-            "f23554bf2c01321047c3c48bf749ba9a4b6c797db46aeae8684a9baac390287e",
+            "2201d51fef8c99f2c402296138c0ec86b54f98ecf2e14f25052ce7557c27f2aa",
         "manifest.json":
             "8a12f358976491e92ca015ef2c0fc3f7455ad447911bf1a98db085196c488e1a",
         "report.csv":
-            "30bae177067fbc620d365d42c8e5e1dd16bdc4f9cdef792372743fb1cf63a429",
+            "8a6782950d6f2e70d6506cb262704e9292de6ed16a88ca3d902b6a4a846cc601",
         "snapshot_0000.csv":
             "9ac546c98e3d114a64d9134a80a23e7fd5be465a72bbe54280def85cd2d02ef3",
         "snapshot_0001.csv":
-            "d89b52c0b19f5f34348bd351e245f7109659d8ee2c9d87fc902952591ce207b4",
+            "d04b0ee813b5534f3b91a3a23e40b44474d9a709e9404340b37df36c80b10e60",
         "snapshot_0002.csv":
-            "33c9e89646c45a4b81c9885a71538a4a94e6c21d16f096b3f158e5118bfe841e",
+            "245b945ae603786c93ca03aced8aafbbe2489403584877e0dcb8e74a80454e47",
         "snapshot_0003.csv":
-            "b68080ccf55dd3ca79deae2eb743ac2683c35199dead6d9fb7b2a29f48f40ac1",
+            "f27cfd05b455ca4d6ed41f5dddceb2d8fabf73ae94313c07677151230e3804a3",
         "summary.json":
-            "9c0b096f7b02d341cd8583cca5a8cfd10cad252bde4907da0c4317f352451ab1",
+            "c3433569ea0b0e2632868b5d4b6ee13d3012094ee6e2dd623c7d0be707445d60",
     },
     "heat": {
         "<stdout>":
@@ -192,23 +192,23 @@ GOLDEN = {
         "manifest.json":
             "b0ece8cd05154c48966c35ddc673f7159d50a825eaec1e163cab76106963778d",
         "report.csv":
-            "ef73be2f6e6513a2340da7dd591ade390ec157fe702948aeb1c2749def38f942",
+            "c1bab9c12c64330f69c3915e4f434e5328574b594a5f7a8d5344caa521740153",
         "snapshot_0000.csv":
             "acf2daf5e309fb7a3ee5a186ed86da6ea4e1ee6c68a20c56f50988996d41e81f",
         "snapshot_0001.csv":
-            "ab1252880560e47d78787aed22d5902f8916a4519389013e366aa53e86b34f68",
+            "7e8f781d2b4f3031c17b2c7c61b495b12b17b43c0fc63c469ee636a53f7da796",
         "snapshot_0002.csv":
-            "5dd6eededf2909232f355386efdb10c48efa7f076bded1bb68c36fcf1caef8f2",
+            "c07bd185a625ca0212910d162701d2ddb65841a4ccf20cec39c0cb3ae9216a78",
         "snapshot_0003.csv":
-            "89c69c3e7c67e5e70c16ab754a469b226f25f8dfa20dc6da6471729e8748d108",
+            "c265d979dfd40b9fbe54a04d88c85dfc87a0dddcfac5b1733bb40807d5e5e91c",
         "snapshot_0004.csv":
-            "9dc51f25919d4134c0f1b220ab90ba41d2b9431908a5d68abaa8d64312594935",
+            "181593a25f0c9c6b5eb158eaaf54a8e03ee655a255dd21e7bc748e5246704800",
         "summary.json":
             "7f1ac8958e84f708de79b1dbaffe1526b1ca704825ff643649b566c76e9d31ce",
     },
     "jko": {
         "<stdout>":
-            "c13159f3f0c142878e82c45eb41f3ed7f2b23de59cecfc51917ae78ee7519e5f",
+            "2f2fc80091bbca1e0a393f684569e5475731de719c1cb736088f3bed210bf452",
         "final_density.csv":
             "77b6e6bcdcc045653a763212ccb458b9d93429f1caeff6261d4aa5759045c27f",
         "jko_steps.csv":
@@ -216,11 +216,11 @@ GOLDEN = {
         "manifest.json":
             "b3279cdf97dda88e2573a2bdbbc3fa785af5b24166a3f93b2c57595b16341724",
         "summary.json":
-            "6ceb5ccac8765a94a786fc14ceb3b80e5fc878e73a75027ff7cb394e01c5e4d7",
+            "80bd6fd5668be8dd4cc65c1c49b71f40f27b49c3f8daa44f1d62029f109e9a99",
     },
     "jko_entropy": {
         "<stdout>":
-            "0b85461e57951777d1ab47799cfb716eecb1db00a59f755337f0b04584fcbdb2",
+            "84b23e364cf19b6fed588ffc541e3d49283e970d34d9da76fb6b46232d240421",
         "final_density.csv":
             "46b1f729799a810037c81b9605bd72c795923d4a6b7441b01b460e6bb29e702e",
         "jko_steps.csv":
@@ -228,7 +228,7 @@ GOLDEN = {
         "manifest.json":
             "2b82d4982731508b7670b1e3557a6ffda42d436c49ff8b549e7f59eb377a506b",
         "summary.json":
-            "484c7487c027892bacb2c195c128b2f5052a8d0bbf89603794f44d42ce3f6cc2",
+            "ca04a74cdcf70b123a2d96a0c74e52209a33cf79906db80cd6e5ca987e572122",
     },
     "jko_entropy_m65536": {
         "<stdout>":

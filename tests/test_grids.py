@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 from entroflow.grids import (
     CSV_CHUNK,
+    _g17_tables,
     Grid,
     GridDensity,
     cdf_and_quantile,
     density_from_quantile,
     fmt_float,
+    g17_words,
     gaussian_density,
     gradient_fd,
     integrate,
@@ -410,6 +412,63 @@ def test_float_csv_is_write_csv_with_signs_and_specials(tmp_path):
     write_float_csv(tmp_path / "kernel.csv", "a,b,c", table)
     write_csv(tmp_path / "rows.csv", "a,b,c", "%.17g,%.17g,%.17g", map(tuple, table))
     assert_same_text(tmp_path / "kernel.csv", (tmp_path / "rows.csv").read_text())
+
+
+def reference_g17_tables():
+    """The tables of the '%.17g' kernel built by exact integers and Python
+    bytes, one entry at a time, as the oracle of their vectorized build."""
+    powers = [10**q for q in range(301)]   # 10^-q = n/d + (d - n 10^q) / (d 10^q)
+    ratios = [((1 / p).as_integer_ratio(), p) for p in powers[:0:-1]]
+    high = [n / d for (n, d), _ in ratios] + [float(p) for p in powers]
+    low = ([(d - n * p) / (d * p) for (n, d), p in ratios]
+           + [float(p - int(float(p))) for p in powers])
+    group = np.arange(10000)[:, None]
+    text = (group // [1000, 100, 10, 1] % 10 + 48).astype(np.uint8)
+    digits = [np.where(keep, text, 0).view(np.uint32).ravel() for keep in (
+        True, group >= [1000, 100, 10, 1], group >= [1000, 100, 10, 0],
+        group % [10000, 1000, 100, 10] > 0)]
+    fixed, ks = range(-4, 17), range(-301, 301)
+    dot = [b"." + b"0" * (-k - 1) * (k < 0) * (k in fixed) for k in ks]
+    exp = [b"\0e%+03d" % k * (k not in fixed) for k in ks]
+    return dict(
+        H=np.array(high), L=np.array(low), digits=np.concatenate(digits),
+        shift=10 ** np.array([min(16 - k, 17) if k in fixed else 16 for k in ks]),
+        dot=np.frombuffer(b"".join(d.ljust(4, b"\0") for d in dot), "u4"),
+        exp=np.frombuffer(b"".join(e.ljust(7, b"\0") + b"," for e in exp), "u8"))
+
+
+def test_g17_tables_equal_the_reference_construction():
+    tables, reference = _g17_tables(), reference_g17_tables()
+    assert tables.keys() == reference.keys()
+    for name, table in reference.items():
+        assert tables[name].dtype == table.dtype, name
+        assert np.array_equal(tables[name], table), name
+
+
+def reference_csv_nodes(grid):
+    """Each node's text split into Python bytes objects and padded to a
+    fixed width, as the oracle of ``Grid.csv_nodes``."""
+    parts = np.split(grid.nodes, range(CSV_CHUNK, grid.num_nodes, CSV_CHUNK))
+    texts = b"".join(g17_words(p).tobytes() for p in parts).translate(None, b"\0")
+    texts = texts.split(b",")[:-1]
+    width = max(map(len, texts)) // 4 * 4 + 4   # the text, NULs and a comma
+    column = np.array(texts, f"S{width}").view(np.uint8).reshape(-1, width)
+    column[:, -1] = ord(",")
+    return np.frombuffer(column.tobytes(), np.uint32).reshape(grid.num_nodes, -1)
+
+
+@pytest.mark.parametrize("grid", [
+    make_uniform_grid(-8.0, 8.0, 65537),
+    staggered_radial_grid(10.0, 3 * CSV_CHUNK + 5, 3),
+    make_uniform_grid(-1e5, 3e-7, 1000),
+    Grid(np.array([1e-300, 2e-300, 3e-300]), 1e-300),
+], ids=["line-65537", "radial", "wide", "tiny"])
+def test_csv_nodes_equal_the_reference_construction(grid):
+    column = grid.csv_nodes
+    reference = reference_csv_nodes(grid)
+    assert column.dtype == reference.dtype
+    assert np.array_equal(column, reference)
+    assert not column.flags.writeable
 
 
 @pytest.mark.parametrize("body, line", [
