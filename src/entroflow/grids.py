@@ -392,21 +392,6 @@ def gaussian_density(grid: Grid, mean: float = 0.0, sigma: float = 1.0) -> GridD
     return normalize(profile, grid)
 
 
-@dataclass(frozen=True, eq=False)
-class TangentField:
-    """Samples of a gradient field (Phi' in 1D/radial coordinates)."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.array(self.values, dtype=float)
-        if values.shape != self.grid.nodes.shape:
-            raise ValueError("field length does not match grid")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-
 def midpoint_q_nodes(num_quantiles: int) -> np.ndarray:
     return (np.arange(num_quantiles) + 0.5) / num_quantiles
 

@@ -141,18 +141,15 @@ def eep_check_fp(mu: GridDensity) -> tuple[float, float]:
 
 # --------------------------------------------------- energy-production (FD)
 
-def eep_check_fd(mu: GridDensity,
-                 stationary: GridDensity | None = None) -> tuple[float, float]:
+def eep_check_fd(mu: GridDensity, stationary: GridDensity) -> tuple[float, float]:
     """Fast-diffusion energy-production inequality on a radial grid of R^n:
 
         F(mu) - F(mu_inf) <= (n-1)/(2n) int |grad(mu^(-1/n) - r^2/2)|^2 dmu
 
-    mu_inf is ``stationary``, by default the grid's ``stationary_state``.
+    mu_inf is ``stationary``, the ``stationary_state`` of ``mu``'s grid.
     """
     n = mu.grid.ambient_dim
     functional = fd_free_energy()
-    if stationary is None:
-        stationary = stationary_state(functional, mu.grid)
     lhs = functional.value(mu) - functional.value(stationary)
     potential = mu.values ** (-1.0 / n) - 0.5 * mu.grid.nodes**2
     grad = gradient_fd(potential, mu.grid)
@@ -203,8 +200,8 @@ class ZugmeyerProblem:
         return x * self.psi(x) - self.h(x)
 
 
-def check_hypotheses(problem: ZugmeyerProblem, u_values=None) -> HypothesesReport:
-    """Numerical verification of the structural hypotheses.
+def check_hypotheses(problem: ZugmeyerProblem, u_values) -> HypothesesReport:
+    """Numerical verification of the structural hypotheses for ``u_values``.
 
     U' is sampled by finite differences on a log-spaced positive grid up
     to the largest value of u and v; the Hessian condition is checked
@@ -214,9 +211,7 @@ def check_hypotheses(problem: ZugmeyerProblem, u_values=None) -> HypothesesRepor
     slack = 1e-10   # absolute; ROADMAP item 1 would scale it with roundoff
     v = np.asarray(problem.v_values, dtype=float)
     h_at_zero = float(np.asarray(problem.h(np.array([0.0])))[0])
-    top = float(np.max(v))
-    if u_values is not None:
-        top = max(top, float(np.max(np.asarray(u_values))))
+    top = max(float(np.max(v)), float(np.max(np.asarray(u_values))))
     xs = np.geomspace(1e-8 * max(top, 1.0), max(top, 1.0), 512)
     hpp = np.gradient(np.gradient(problem.h(xs), xs), xs)
     convexity_min = float(np.min(hpp))

@@ -83,21 +83,22 @@ def _workspace(m):
     return np.empty(m), np.zeros((3, m)), np.empty(m), np.empty(m - 1)
 
 
-def _objective(functional, x, x_prev, tau, d, work=None):
-    """Proximal objective at ``x``; ``d`` are its floored increments."""
+def _objective(functional, x, x_prev, tau, d, work):
+    """Proximal objective at ``x``; ``d`` are its floored increments and
+    ``work`` a ``_workspace`` whose scratch arrays it fills."""
     dq = 1.0 / x.size
-    _, _, moved, logs = work or (None,) * 4
+    _, _, moved, logs = work
     moved = np.subtract(x, x_prev, out=moved)
     prox = 0.5 * dq * float(np.sum(np.square(moved, out=moved))) / tau
     return _free_energy(functional, x, d, logs, moved) + prox
 
 
-def _grad_hess(functional, x, x_prev, tau, d, work=None):
+def _grad_hess(functional, x, x_prev, tau, d, work):
     """Gradient and tridiagonal Hessian bands of the proximal objective at
-    ``x``, in ``work`` if given; ``d`` are its floored increments."""
-    m = x.size
-    dq = 1.0 / m
-    grad, bands, moved, inv = work or _workspace(m)
+    ``x``, in the arrays of the ``_workspace`` ``work``; ``d`` are its
+    floored increments."""
+    dq = 1.0 / x.size
+    grad, bands, moved, inv = work
     np.divide(1.0, d, out=inv)
     barrier = np.multiply(dq, inv, out=moved[:-1])
     grad.fill(0.0)

@@ -242,12 +242,14 @@ BOUND_TOL = 0.05         # dissipation-bound slack for the O(dt) bias of implici
 
 
 def _bernoulli(z: np.ndarray) -> np.ndarray:
-    """B(z) = z / (e^z - 1), stable near 0."""
+    """B(z) = z / (e^z - 1), stable near 0.  For z above about 709 e^z - 1
+    overflows to inf, and B = z / inf = 0 is the correct value."""
     out = np.empty_like(z)
     small = np.abs(z) < 1e-10
     out[small] = 1.0 - 0.5 * z[small]
     zs = z[~small]
-    out[~small] = zs / np.expm1(zs)
+    with np.errstate(over="ignore"):
+        out[~small] = zs / np.expm1(zs)
     return out
 
 
@@ -470,25 +472,6 @@ def dirac_like_density(grid: Grid) -> GridDensity:
     profile = np.maximum(profile, 1e-290)
     mu = normalize(profile, grid)
     return mu
-
-
-def de_bruijn_pde_check(traj: DensityTrajectory) -> float:
-    """Max residual of d/dt Ent(mu_t) + int |grad mu_t|^2 / mu_t along the flow.
-
-    The entropy derivative uses centered differences over the snapshot
-    times; the Fisher information is quadrature of the entropy-gradient
-    field.  Needs at least 3 snapshots at uniform cadence.
-    """
-    if len(traj) < 3:
-        raise ValueError("need at least 3 snapshots")
-    dts = np.diff(traj.times)
-    if not np.allclose(dts, dts[0], rtol=1e-8):
-        raise ValueError("snapshots must be at uniform cadence")
-    ent = boltzmann_entropy()
-    values = np.array([ent.value(s) for s in traj.states])
-    fisher = np.array([ent.production(s) for s in traj.states])
-    dent = (values[2:] - values[:-2]) / (2.0 * dts[0])
-    return float(np.max(np.abs(dent + fisher[1:-1])))
 
 
 @dataclass(eq=False)

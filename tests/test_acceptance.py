@@ -19,9 +19,9 @@ from entroflow.functionals import (
     boltzmann_entropy,
     fd_free_energy,
     fp_free_energy,
-    lp_norm,
 )
 from entroflow.grids import (
+    DensityTrajectory,
     gaussian_density,
     integrate,
     make_uniform_grid,
@@ -36,9 +36,16 @@ from entroflow.inequalities import (
     zugmeyer_check,
 )
 from entroflow.jko import jko_trajectory
-from entroflow.pde import de_bruijn_pde_check, solve, stationary_fd
-from entroflow.transport import mccann_geodesic, mccann_path, path_action, w2_1d
-from oracles import brute_force_w2_atoms, monotone_w2_atoms, trajectory_report
+from entroflow.pde import solve, stationary_fd
+from entroflow.transport import w2_1d
+from oracles import (
+    brute_force_w2_atoms,
+    de_bruijn_pde_check,
+    mccann_geodesic,
+    monotone_w2_atoms,
+    path_action,
+    trajectory_report,
+)
 
 # every PDE trajectory produced by the acceptance runs, for criterion 10
 PDE_RUNS = {}
@@ -201,7 +208,9 @@ def test_criterion_7_wasserstein_oracles():
                   mccann_geodesic(mu, nu, sp, m), m)
         speed_ok &= abs(d - abs(sp - s) * w) <= 1e-4
 
-    action = path_action(mccann_path(mu, nu, num_times=33, num_quantiles=m))
+    times = np.linspace(0.0, 1.0, 33)
+    action = path_action(DensityTrajectory(
+        times, [mccann_geodesic(mu, nu, s, m) for s in times]))
     action_ok = abs(action - w**2) <= 0.02 * w**2
     report(7, gauss_ok and atoms_ok and speed_ok and action_ok,
            "W2 closed form 1e-4, 8-atom brute force = monotone coupling "
@@ -262,8 +271,9 @@ def test_criterion_10_conservation_positivity_monotonicity(
             positivity_ok &= bool(np.all(state.values > 0.0))
 
     monotone_ok = True
-    for value in (boltzmann_entropy().value, lambda s: lp_norm(s, 2.0),
-                  lambda s: lp_norm(s, 3.0)):
+    for value in (boltzmann_entropy().value,
+                  lambda s: integrate(s.values**2, s.grid),
+                  lambda s: integrate(s.values**3, s.grid)):
         vals = np.array([value(s) for s in heat_run.states])
         monotone_ok &= bool(np.all(np.diff(vals) <= 1e-10
                                    * max(1.0, np.max(np.abs(vals)))))

@@ -1,12 +1,14 @@
-"""Every top-level function and class in ``src/entroflow`` has a user.
+"""Every function, class and method in ``src/entroflow`` has a user.
 
 A definition is used when its name is referenced outside its own body: by
-another top-level statement of a ``src/entroflow`` module (an import in
-``__init__`` included), by a script under ``scripts/``, or as a target of
+another statement of a ``src/entroflow`` module (a sibling method or class
+attribute included), by a script under ``scripts/``, or as a target of
 ``perfbench/traced_entry.py``'s ``WRAPS``.  Tests do not count, so a helper
-that only tests call belongs in the tests.  Dunder names are exempt.  The
-files are read as text; nothing under ``perfbench/`` or ``scripts/`` runs
-except the ``WRAPS`` list.
+that only tests call belongs in the tests; nor does ``__init__``, whose
+imports would otherwise count as uses of what they import.  Top-level
+definitions and the methods of top-level classes are checked; dunder names
+are exempt.  The files are read as text; nothing under ``perfbench/`` or
+``scripts/`` runs except the ``WRAPS`` list.
 
 Every parameter of a ``def`` in ``src/entroflow`` is also read in its body,
 so no caller sets a value that nothing uses.  ``self`` is exempt, and so are
@@ -40,26 +42,40 @@ def _wrapped_names() -> set[str]:
 
 
 def unused_definitions() -> list[str]:
-    """``module.name`` of each top-level definition in ``src/entroflow``
-    that nothing outside its own body references."""
-    statements = []   # (module, top-level statement)
+    """``module.name`` (``module.Class.name`` for a method) of each
+    definition in ``src/entroflow`` that nothing outside its own body
+    references."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    units = []         # node lists whose names count as uses: one per statement
+    definitions = []   # (qualified name, name, indices of its own units)
     for path in sorted((ROOT / "src" / "entroflow").glob("*.py")):
-        statements += [(path.stem, stmt) for stmt in ast.parse(path.read_text()).body]
+        if path.stem == "__init__":
+            continue
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, ast.ClassDef):
+                first = len(units)
+                units.append(stmt.decorator_list + stmt.bases + stmt.keywords)
+                units += [[sub] for sub in stmt.body]
+                definitions.append((f"{path.stem}.{stmt.name}", stmt.name,
+                                    range(first, len(units))))
+                definitions += [(f"{path.stem}.{stmt.name}.{sub.name}", sub.name,
+                                 [first + 1 + k])
+                                for k, sub in enumerate(stmt.body)
+                                if isinstance(sub, functions)]
+            else:
+                if isinstance(stmt, functions):
+                    definitions.append((f"{path.stem}.{stmt.name}", stmt.name,
+                                        [len(units)]))
+                units.append([stmt])
     outside = _wrapped_names()
     for path in sorted((ROOT / "scripts").glob("*.py")):
         outside |= _names(ast.parse(path.read_text()))
-    referenced = [_names(stmt) for _, stmt in statements]
-    unused = []
-    for i, (module, stmt) in enumerate(statements):
-        if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            continue
-        name = stmt.name
-        if name.startswith("__") and name.endswith("__"):
-            continue
-        if name not in outside and not any(
-                name in refs for j, refs in enumerate(referenced) if j != i):
-            unused.append(f"{module}.{name}")
-    return unused
+    referenced = [set().union(*map(_names, nodes)) for nodes in units]
+    return [qualified for qualified, name, own in definitions
+            if not (name.startswith("__") and name.endswith("__"))
+            and name not in outside
+            and not any(name in refs for j, refs in enumerate(referenced)
+                        if j not in own)]
 
 
 def test_every_src_definition_is_used_outside_tests():

@@ -255,6 +255,7 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_golden_bytes(name, tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("ENTROFLOW_OUT", raising=False)

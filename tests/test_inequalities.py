@@ -12,6 +12,7 @@ from entroflow.banks import (
     sobolev_bank,
     zugmeyer_bank,
 )
+from entroflow.functionals import fd_free_energy
 from entroflow.grids import (
     gaussian_density,
     integrate,
@@ -33,7 +34,7 @@ from entroflow.inequalities import (
     xlogx,
     zugmeyer_check,
 )
-from entroflow.pde import stationary_fd
+from entroflow.pde import stationary_fd, stationary_state
 
 
 @pytest.fixture(scope="module")
@@ -168,7 +169,7 @@ def test_eep_fd_at_stationary(radial_setup):
 def test_eep_fd_rejects_line_density(grid):
     gauss = gaussian_density(grid)
     with pytest.raises(ValueError, match="radial grid"):
-        eep_check_fd(gauss)
+        eep_check_fd(gauss, stationary_state(fd_free_energy(), gauss.grid))
     with pytest.raises(ValueError, match="radial grid with n >= 2"):
         eep_check_fd(gauss, stationary=gauss)
 
@@ -224,7 +225,7 @@ def test_zugmeyer_refuses_inflated_constant():
     v = np.exp(-0.5 * 1.0 * (g.nodes - 0.5) ** 2)
     v = v / integrate(v, g)
     problem = ZugmeyerProblem(h, psi, g, v, c=2.0)
-    report = check_hypotheses(problem)
+    report = check_hypotheses(problem, problem.v_values)
     assert not report.ok
     with pytest.raises(HypothesisViolation) as err:
         zugmeyer_check(problem, v.copy())
@@ -246,7 +247,7 @@ def test_zugmeyer_dimension_comes_from_the_domain(grid, holds):
     holds in n = 1 and fails in n = 3."""
     problem = ZugmeyerProblem(lambda x: -np.sqrt(x), lambda x: -0.5 / np.sqrt(x),
                               grid, np.ones_like(grid.nodes), c=1.0)
-    assert (check_hypotheses(problem).hyp1_min >= 0.0) == holds
+    assert (check_hypotheses(problem, problem.v_values).hyp1_min >= 0.0) == holds
 
 
 def test_zugmeyer_radial_hypotheses():
@@ -255,7 +256,7 @@ def test_zugmeyer_radial_hypotheses():
     v = np.exp(-0.5 * 1.5 * g.nodes**2)
     v = v / integrate(v, g)
     problem = ZugmeyerProblem(h, psi, g, v, c=1.5)
-    assert check_hypotheses(problem).ok
+    assert check_hypotheses(problem, problem.v_values).ok
     u = v * (1.0 + 0.1 * np.exp(-0.5 * ((g.nodes - 0.5) / 0.1) ** 2))
     u = u * (integrate(v, g) / integrate(u, g))
     lhs, rhs = zugmeyer_check(problem, u)

@@ -20,6 +20,7 @@ from entroflow.jko import (
     _increments,
     _jko_step_quantiles,
     _objective,
+    _workspace,
     jko_trajectory,
     quantile_free_energy,
     write_step_log_csv,
@@ -28,7 +29,7 @@ from entroflow.pde import MAX_STEPS, solve, solve_banded
 
 
 def _objective_at(functional, x, x_prev, tau):
-    return _objective(functional, x, x_prev, tau, _increments(x))
+    return _objective(functional, x, x_prev, tau, _increments(x), _workspace(x.size))
 
 
 def minimize_quantile_free_energy(functional: FreeEnergy,
@@ -105,7 +106,7 @@ def test_infeasible_newton_step_is_backtracked():
     x_prev = np.sort(np.random.default_rng(3).standard_normal(m))
     x_prev[0] -= 50.0
     grad, bands = _grad_hess(functional, x_prev, x_prev, tau,
-                             _increments(x_prev))
+                             _increments(x_prev), _workspace(m))
     full_step = x_prev + solve_banded(bands, -grad)
     assert np.any(np.diff(full_step) < INCREMENT_FLOOR)
 
@@ -147,7 +148,7 @@ def test_hessian_equals_hand_assembled_bands_bitwise(kind):
     if kind == "fp":
         diag += dq
     diag += dq / tau
-    _, bands = _grad_hess(functional, x, x_prev, tau, _increments(x))
+    _, bands = _grad_hess(functional, x, x_prev, tau, _increments(x), _workspace(m))
     assert np.array_equal(bands, np.vstack([upper, diag, lower]))
 
 

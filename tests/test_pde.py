@@ -17,7 +17,6 @@ from entroflow.functionals import (
     boltzmann_entropy,
     fd_free_energy,
     fp_free_energy,
-    lp_norm,
 )
 from entroflow.grids import (
     DensityTrajectory,
@@ -39,7 +38,6 @@ from entroflow.pde import (
     _brentq,
     _fd_tail_mass,
     _linear_step_matrix,
-    de_bruijn_pde_check,
     dirac_like_density,
     flux_bands,
     solve,
@@ -49,7 +47,7 @@ from entroflow.pde import (
     step_count,
     write_report_csv,
 )
-from oracles import trajectory_report
+from oracles import de_bruijn_pde_check, trajectory_report
 
 
 def exact_heat_gaussian(grid, t, sigma0=1.0):
@@ -171,8 +169,9 @@ def test_heat_flow_mass_and_positivity(heat_run):
 
 
 def test_heat_flow_entropy_and_lp_monotone(heat_run):
-    for value in (boltzmann_entropy().value, lambda s: lp_norm(s, 2.0),
-                  lambda s: lp_norm(s, 3.0)):
+    for value in (boltzmann_entropy().value,
+                  lambda s: integrate(s.values**2, s.grid),
+                  lambda s: integrate(s.values**3, s.grid)):
         vals = [value(s) for s in heat_run.states]
         assert np.all(np.diff(vals) <= 1e-10 * max(1.0, np.max(np.abs(vals))))
 
@@ -570,6 +569,38 @@ def test_heat_mass_holds_over_many_large_steps():
     assert max(abs(state.mass - 1.0) for state in traj.states) <= 1e-10
 
 
+@pytest.mark.xfail(strict=True, raises=SolverError, reason=(
+    "beyond |x| ~ 38.6 the Gibbs density e^(-x^2/2) underflows, and solve "
+    "requires mu > 0 at every node: positivity lost at step 3450 here "
+    "(ROADMAP item 1)"))
+def test_fokker_planck_runs_long_on_a_wide_domain():
+    mu0 = normalize(np.ones(1025), make_uniform_grid(-40.0, 40.0, 1025))
+    traj = solve(FLOWS["fokker_planck"], mu0, 1e-3, 5.0, snapshot_every=500)
+    assert max(abs(state.mass - 1.0) for state in traj.states) <= 1e-8
+
+
+def test_bernoulli_overflow_is_silent():
+    # e^z - 1 overflows to inf above z ~ 709, where B = z / inf = 0 is exact
+    z = np.array([800.0, -800.0, 1e-12, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _bernoulli(z)
+    assert np.array_equal(got, [0.0, 800.0, 1.0 - 0.5 * 1e-12, 0.5 / np.expm1(0.5)])
+
+
+def test_coarse_wide_domain_prints_only_the_config_error(tmp_path):
+    # faces of dV ~ 875 on [-60, 60] with 8 nodes
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "entroflow.cli", "simulate", "--flow", "fokker_planck",
+         "--init", "uniform", "--domain", "-60", "60", "--N", "8", "--out", str(out)],
+        env=_fresh_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error: domain [-60, 60] is too wide")
+    assert len(proc.stderr.splitlines()) == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("n", [3, 4, 17, 1025, 65537])
 def test_solve_banded_is_scipy_solve_banded_bitwise(n):
     from scipy.linalg import solve_banded as scipy_solve_banded
@@ -634,11 +665,15 @@ def test_extension_falls_back_to_scipy(package, name, broken, monkeypatch, tmp_p
         pde._extension.cache_clear()
 
 
-def _run_fresh(probe):
+def _fresh_env():
+    """The environment of a fresh interpreter that imports this ``entroflow``."""
     src = str(Path(pde.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", probe],
-                          env={**os.environ, "PYTHONPATH": path},
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def _run_fresh(probe):
+    proc = subprocess.run([sys.executable, "-c", probe], env=_fresh_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["ok"]
