@@ -145,7 +145,9 @@ def _parse_density(field, spec, grid, stationary=None):
         raise ConfigError(field, f"{spec!r} does not match {SPEC_FORMS[shape]}")
     try:
         if shape == "csv":
-            mu = read_density_csv(path)
+            nodes, values = read_density_csv(path)
+            if np.array_equal(nodes, grid.nodes):
+                return GridDensity(grid, values)
         elif shape == "gaussian":
             return gaussian_density(grid, *map(float, fields))
         elif shape == "stationary-perturbed":
@@ -155,10 +157,8 @@ def _parse_density(field, spec, grid, stationary=None):
     except (OSError, ValueError) as err:
         raise ConfigError(field, str(err)) from None
     if shape == "csv":
-        if not np.array_equal(mu.grid.nodes, grid.nodes):
-            raise ConfigError("N", f"{path} is not on the {grid.num_nodes}"
-                                   f" nodes of --N and --domain")
-        return GridDensity(grid, mu.values)
+        raise ConfigError("N", f"{path} is not on the {grid.num_nodes}"
+                               f" nodes of --N and --domain")
     if shape == "uniform":
         return normalize(np.ones_like(grid.nodes), grid)
     return pde.dirac_like_density(grid) if shape == "dirac" else stationary

@@ -15,7 +15,6 @@ rho-convex potentials in the built-in bank).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -34,26 +33,26 @@ class FlowDivergence(RuntimeError):
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """Potential E with gradient/Hessian callables and convexity constant rho."""
+    """Potential E with its gradient, convexity constant rho and minimizer
+    beta; the dimension is beta's size."""
 
     name: str
-    dim: int
     energy: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray]
-    hess: Callable[[np.ndarray], np.ndarray]
     rho: float
-    minimizer: np.ndarray | None = None
+    minimizer: np.ndarray
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dimension must be >= 1")
         if self.rho <= 0.0:
             raise ValueError("rho must be positive")
-        if self.minimizer is not None:
-            m = np.asarray(self.minimizer, dtype=float)
-            if m.shape != (self.dim,):
-                raise ValueError("minimizer has the wrong dimension")
-            object.__setattr__(self, "minimizer", m)
+        m = np.asarray(self.minimizer, dtype=float)
+        if m.ndim != 1 or m.size < 1:
+            raise ValueError("minimizer must be a nonempty 1d array")
+        object.__setattr__(self, "minimizer", m)
+
+    @property
+    def dim(self) -> int:
+        return self.minimizer.size
 
 
 @dataclass(eq=False)
@@ -110,23 +109,6 @@ def integrate_flow(spec: PotentialSpec, x0, dt: float, horizon: float) -> Trajec
     return Trajectory(dt * np.arange(steps + 1), states, energies, grad_norms_sq)
 
 
-def locate_minimizer(spec: PotentialSpec, x0=None) -> np.ndarray:
-    """Run the flow to T = 20/rho, then one Newton polish."""
-    if spec.minimizer is not None:
-        return spec.minimizer
-    start = np.zeros(spec.dim) if x0 is None else np.asarray(x0, dtype=float)
-    horizon = 20.0 / spec.rho
-    # dt <= 1e-2 that divides the horizon, at least 64 steps
-    steps = max(64, math.ceil(horizon / 1e-2))
-    traj = integrate_flow(spec, start, horizon / steps, horizon)
-    x = traj.states[-1]
-    x = x - np.linalg.solve(np.atleast_2d(spec.hess(x)), np.asarray(spec.grad(x)))
-    if np.linalg.norm(spec.grad(x)) > 1e-10:
-        raise ValueError(f"{spec.name}: failed to locate the minimizer "
-                         "(coercivity violated?)")
-    return x
-
-
 def de_bruijn_residual(traj: Trajectory) -> float:
     """max_t | d/dt E(S_t) + |grad E(S_t)|^2 |, centered differences in t."""
     if len(traj.times) < 3:
@@ -153,8 +135,7 @@ def production_decay_check(spec: PotentialSpec, traj: Trajectory) -> float:
 
 def entropy_decay_check(spec: PotentialSpec, traj: Trajectory) -> float:
     """Worst ratio of E(S_t) - E(beta) over exp(-2 rho t) (E(x0) - E(beta))."""
-    beta = locate_minimizer(spec, x0=traj.states[-1])
-    excess = traj.energies - float(spec.energy(beta))
+    excess = traj.energies - float(spec.energy(spec.minimizer))
     if excess[0] > 1e-30 and np.any(excess < -DECAY_TOL * max(1.0, excess[0])):
         return float("inf")
     return _decay_check(spec, traj, excess)
@@ -163,8 +144,7 @@ def entropy_decay_check(spec: PotentialSpec, traj: Trajectory) -> float:
 def eep_inequality_check(spec: PotentialSpec, x) -> tuple[float, float]:
     """Energy-production inequality sides: (E(x)-E(beta), |grad E(x)|^2/(2 rho))."""
     x = np.asarray(x, dtype=float).reshape(spec.dim)
-    beta = locate_minimizer(spec, x0=x)
-    lhs = float(spec.energy(x) - spec.energy(beta))
+    lhs = float(spec.energy(x) - spec.energy(spec.minimizer))
     g = np.asarray(spec.grad(x))
     rhs = float(np.dot(g, g)) / (2.0 * spec.rho)
     return lhs, rhs
@@ -181,10 +161,9 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
 def quadratic_potential() -> PotentialSpec:
     """E = |x|^2/2 in 2D, rho = 1, beta = 0; flow is exactly exp(-t) x."""
     return PotentialSpec(
-        "quadratic", 2,
+        "quadratic",
         energy=lambda x: 0.5 * float(np.dot(x, x)),
         grad=lambda x: np.asarray(x, dtype=float),
-        hess=lambda x: np.eye(2),
         rho=1.0,
         minimizer=np.zeros(2),
     )
@@ -193,10 +172,9 @@ def quadratic_potential() -> PotentialSpec:
 def quartic_potential() -> PotentialSpec:
     """E = x^2/2 + x^4/4 in 1D; Hess = 1 + 3 x^2 >= 1."""
     return PotentialSpec(
-        "quartic", 1,
+        "quartic",
         energy=lambda x: 0.5 * float(x[0] ** 2) + 0.25 * float(x[0] ** 4),
         grad=lambda x: np.array([x[0] + x[0] ** 3]),
-        hess=lambda x: np.array([[1.0 + 3.0 * x[0] ** 2]]),
         rho=1.0,
         minimizer=np.zeros(1),
     )
@@ -206,10 +184,9 @@ def anisotropic_quadratic_potential() -> PotentialSpec:
     """E = (2 x1^2 + 5 x2^2)/2; rho = smallest Hessian eigenvalue = 2."""
     a = np.diag([2.0, 5.0])
     return PotentialSpec(
-        "anisotropic_quadratic", 2,
+        "anisotropic_quadratic",
         energy=lambda x: 0.5 * float(x @ a @ x),
         grad=lambda x: a @ np.asarray(x, dtype=float),
-        hess=lambda x: a,
         rho=2.0,
         minimizer=np.zeros(2),
     )

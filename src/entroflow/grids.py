@@ -462,9 +462,6 @@ class DensityTrajectory:
         if np.any(np.diff(self.times) <= 0.0):
             raise ValueError("times must be strictly increasing")
 
-    def __len__(self) -> int:
-        return len(self.states)
-
 
 def write_density_csv(density: GridDensity, path) -> None:
     """CSV dump with header ``x,value`` (line) or ``r,value`` (radial)."""
@@ -472,13 +469,12 @@ def write_density_csv(density: GridDensity, path) -> None:
                     density.values[:, None], density.grid.csv_nodes)
 
 
-def read_density_csv(path, ambient_dim: int = 1) -> GridDensity:
-    """Read a density written by :func:`write_density_csv`."""
+def read_density_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes and values of a density written by :func:`write_density_csv`."""
     header, _, body = Path(path).read_text().strip().partition("\n")
     fields = header.strip().split(",")
     if len(fields) != 2 or fields[1] != "value" or fields[0] not in ("x", "r"):
         raise ValueError(f"unrecognized density CSV header: {header!r}")
-    geometry = RADIAL if fields[0] == "r" else LINE
     # Every row is "node,value": a row with one or three fields would
     # otherwise shift every later row of the flat parse below.
     for row, line in enumerate(body.split("\n"), start=2):
@@ -489,7 +485,4 @@ def read_density_csv(path, ambient_dim: int = 1) -> GridDensity:
     data = np.fromiter(map(float, tokens), float, len(tokens)).reshape(-1, 2)
     if data.shape[0] < 2:
         raise ValueError("density CSV needs at least two rows")
-    nodes, values = data[:, 0], data[:, 1]
-    spacing = float(nodes[1] - nodes[0])
-    grid = Grid(nodes, spacing, ambient_dim, geometry)
-    return GridDensity(grid, values)
+    return data[:, 0], data[:, 1]

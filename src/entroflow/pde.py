@@ -436,6 +436,14 @@ def stationary_fd(grid: Grid) -> GridDensity:
         hi *= 2.0
         if hi > 1e12:
             raise SolverError("failed to bracket the normalization constant")
+    # from n = 133 the first radial weights underflow where (lo + r^2/2)^(-n)
+    # overflows, so the mass at lo = 1e-8 is nan: raise lo until it exceeds 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        while not grid_mass(lo) > 1.0:
+            lo *= 2.0
+            if lo >= hi:
+                raise ValueError(f"the stationary state of dimension {n} has no "
+                                 f"finite grid mass above 1 for C in [1e-08, {hi:g}]")
     c = _brentq(lambda cc: grid_mass(cc) - 1.0, lo, hi, xtol=1e-14, rtol=8.9e-16)
 
     radius = r[-1] + 0.5 * grid.spacing
@@ -501,14 +509,15 @@ def _fit_rate(times: np.ndarray, series: np.ndarray, floor: float) -> float | No
 
 
 def dissipation_report(functional: FreeEnergy, grid: Grid, times, values,
-                       productions, minimizer: GridDensity | None = None):
+                       productions, minimizer: GridDensity | None):
     """Dissipation diagnostics of a flow on ``grid`` from its snapshot
     series of times, ``functional.value`` and ``functional.production``.
 
     The bound column is exp(-2 rho t) * production(mu_0), rho the
     functional's on ``grid``; the production may exceed it by ``BOUND_TOL``.
     Fitted decay rates come from log-linear regression of the production
-    and, when a ``minimizer`` (unit mass) is given, of the value excess.
+    and, when a ``minimizer`` (unit mass) is given, of the value excess;
+    flows without one (heat) pass None.
     """
     rho = functional.rho(grid)
     if minimizer is not None and abs(minimizer.mass - 1.0) > 1e-8:

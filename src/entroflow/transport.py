@@ -14,11 +14,8 @@ import numpy as np
 
 from .grids import GridDensity, cdf_and_quantile
 
-DEFAULT_QUANTILES = 4096
 
-
-def w2_1d(mu: GridDensity, nu: GridDensity,
-          num_quantiles: int = DEFAULT_QUANTILES) -> float:
+def w2_1d(mu: GridDensity, nu: GridDensity, num_quantiles: int) -> float:
     """Quadratic Wasserstein distance between line densities."""
     if mu.grid.is_radial or nu.grid.is_radial:
         raise ValueError("w2_1d is for line densities")

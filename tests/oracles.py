@@ -46,7 +46,7 @@ from entroflow.grids import (
     second_derivative_fd,
 )
 from entroflow.pde import dissipation_report
-from entroflow.transport import DEFAULT_QUANTILES, w2_1d
+from entroflow.transport import w2_1d
 
 # below this level the density cannot support a meaningful velocity
 VELOCITY_FLOOR = 1e-12
@@ -73,7 +73,7 @@ def monotone_w2_atoms(x, y):
     return math.sqrt(float(np.mean((x - y) ** 2)))
 
 
-def trajectory_report(traj, functional, minimizer=None):
+def trajectory_report(traj, functional, minimizer):
     """``dissipation_report`` of a collected trajectory: the value and
     production of each of its states, at its time."""
     return dissipation_report(functional, traj.states[0].grid, traj.times,
@@ -92,7 +92,7 @@ def de_bruijn_pde_check(traj):
     times; the Fisher information is the entropy's production.  Needs at
     least 3 snapshots at uniform cadence.
     """
-    if len(traj) < 3:
+    if len(traj.states) < 3:
         raise ValueError("need at least 3 snapshots")
     dts = np.diff(traj.times)
     if not np.allclose(dts, dts[0], rtol=1e-8):
@@ -106,7 +106,7 @@ def de_bruijn_pde_check(traj):
 
 # ------------------------------------------------------------ Otto calculus
 
-def w2_radial_profile(mu, nu):
+def w2_radial_profile(mu, nu, num_quantiles):
     """W2 between the radial-profile pushforwards of two radial densities
     (``w2_1d`` checks their unit mass, which the pushforward keeps)."""
     if not (mu.grid.is_radial and nu.grid.is_radial):
@@ -121,7 +121,7 @@ def w2_radial_profile(mu, nu):
         factor = g.quad_weights / line.quad_weights
         return GridDensity(line, d.values * factor)
 
-    return w2_1d(as_line(mu), as_line(nu))
+    return w2_1d(as_line(mu), as_line(nu), num_quantiles)
 
 
 def continuity_velocity(before, after, dt):
@@ -148,7 +148,7 @@ def continuity_velocity(before, after, dt):
     return np.where(mid >= VELOCITY_FLOOR, -dcdf / np.maximum(mid, VELOCITY_FLOOR), 0.0)
 
 
-def mccann_geodesic(mu, nu, s, num_quantiles=DEFAULT_QUANTILES):
+def mccann_geodesic(mu, nu, s, num_quantiles):
     """Displacement interpolation at time s: quantile (1-s) X_mu + s X_nu."""
     if not 0.0 <= s <= 1.0:
         raise ValueError("interpolation parameter must lie in [0, 1]")
@@ -160,7 +160,7 @@ def mccann_geodesic(mu, nu, s, num_quantiles=DEFAULT_QUANTILES):
 
 def _uniform_path_step(path):
     steps = np.diff(path.times)
-    if len(path) < 3 or not np.allclose(steps, steps[0], rtol=1e-8):
+    if len(path.states) < 3 or not np.allclose(steps, steps[0], rtol=1e-8):
         raise ValueError("path needs >= 3 snapshots at uniform cadence")
     return float(steps[0])
 

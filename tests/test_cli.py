@@ -313,6 +313,43 @@ def test_csv_density_on_another_grid_writes_nothing(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("node, value, fragment", [
+    (0.0, -1e-3, "init: density values must be nonnegative"),
+    (0.01, 0.0, "N: {path} is not on the 129 nodes of --N and --domain"),
+], ids=["negative-value", "non-uniform-nodes"])
+def test_csv_init_names_the_flag_of_its_fault(node, value, fragment, tmp_path,
+                                               capsys):
+    # the Gaussian on the 129 nodes of SMALL_RUN, node 5 moved by ``node``
+    # and its value set to ``value``
+    grid = make_uniform_grid(-8.0, 8.0, 129)
+    nodes, values = grid.nodes.tolist(), gaussian_density(grid).values.tolist()
+    nodes[5] += node
+    values[5] = value
+    path = tmp_path / "density.csv"
+    path.write_text("x,value\n" + "".join(f"{x!r},{v!r}\n"
+                                          for x, v in zip(nodes, values)))
+    out = tmp_path / "out"
+    assert main(["simulate", "--flow", "heat", *SMALL_RUN, "--init",
+                 f"csv:{path}", "--out", str(out)]) == 2
+    assert f"config error: {fragment.format(path=path)}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_fast_diffusion_from_dimension_133(tmp_path, capsys):
+    # from n = 133 the stationary mass at C = 1e-8 is nan, and the
+    # normalization constant is bracketed from a larger C; from n = 250 no
+    # C has a finite grid mass above 1
+    argv = ["simulate", "--flow", "fast_diffusion", "--T", "0.01", "--diagnose"]
+    assert main([*argv, "--dim", "133", "--out", str(tmp_path / "a")]) == 0
+    assert "passed=True" in capsys.readouterr().out
+    assert main([*argv, "--dim", "309", "--out", str(tmp_path / "b")]) == 2
+    assert capsys.readouterr().err == (
+        "config error: the stationary state of dimension 309 has no finite "
+        "grid mass above 1 for C in [1e-08, 1]\n")
+    assert not (tmp_path / "b").exists()
+
+
 def test_simulate_unknown_init_is_config_error(tmp_path, capsys):
     code = main(["simulate", "--flow", "heat", "--init", "cauchy:0:1",
                  *SMALL_RUN, "--out", str(tmp_path)])
@@ -356,9 +393,9 @@ def test_stationary_perturbed_default_eps_is_0_05(tmp_path):
 def test_fokker_planck_stationary_init_is_the_gaussian(tmp_path):
     assert main(["simulate", "--flow", "fokker_planck", "--init", "stationary",
                  *SMALL_RUN, "--out", str(tmp_path)]) == 0
-    start = read_density_csv(tmp_path / "snapshot_0000.csv")
+    _, start = read_density_csv(tmp_path / "snapshot_0000.csv")
     gamma = gaussian_density(make_uniform_grid(-8.0, 8.0, 129))
-    assert np.array_equal(start.values, gamma.values)
+    assert np.array_equal(start, gamma.values)
 
 
 def test_heat_has_no_stationary_init(tmp_path, capsys):

@@ -13,6 +13,13 @@ are exempt.  The files are read as text; nothing under ``perfbench/`` or
 Every parameter of a ``def`` in ``src/entroflow`` is also read in its body,
 so no caller sets a value that nothing uses.  ``self`` is exempt, and so are
 lambdas, which keep the arity of the callable they stand for.
+
+Every default of a ``def`` parameter or a dataclass init field in
+``src/entroflow`` is taken by some call and overridden by another, counting
+only the calls in ``src/``, ``scripts/`` and ``perfbench/traced_entry.py``:
+a default that only tests take is a second source of its value.  Calls are
+matched by the callee's name, and a ``*args`` or ``**kwargs`` argument counts
+as both passing and omitting the parameters it may cover.
 """
 
 import ast
@@ -102,3 +109,74 @@ def unread_parameters() -> list[str]:
 
 def test_every_src_parameter_is_read():
     assert unread_parameters() == []
+
+
+def _defaults(tree, module):
+    """``(label, callee name, parameter, index)`` of each defaulted parameter
+    of a ``def`` and each defaulted init field of a dataclass in ``tree``;
+    ``index`` is the position a call may pass it at, None for keyword-only.
+    A method's index skips ``self``, and a class's ``__init__`` is called by
+    the class's name."""
+    found = []
+    classes = [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    methods = {id(sub): cls for cls in classes for sub in cls.body}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            positional = a.posonlyargs + a.args
+            cls = methods.get(id(node))
+            if cls is not None:
+                positional = positional[1:]
+            callee = cls.name if cls is not None and node.name == "__init__" else node.name
+            first = len(positional) - len(a.defaults)
+            found += [(f"{module}.{callee}({p.arg})", callee, p.arg, first + k)
+                      for k, p in enumerate(positional[first:])]
+            found += [(f"{module}.{callee}({p.arg})", callee, p.arg, None)
+                      for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+        elif isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list):
+            fields = [stmt for stmt in node.body if isinstance(stmt, ast.AnnAssign)
+                      and "init=False" not in ast.unparse(stmt)]
+            found += [(f"{module}.{node.name}({stmt.target.id})", node.name,
+                       stmt.target.id, k)
+                      for k, stmt in enumerate(fields) if stmt.value is not None]
+    return found
+
+
+def _passes(call, parameter, index) -> set[bool]:
+    """Whether ``call`` passes ``parameter``: {True}, {False} or, through a
+    starred argument that may cover it, both."""
+    if any(kw.arg == parameter for kw in call.keywords):
+        return {True}
+    starred = [k for k, arg in enumerate(call.args) if isinstance(arg, ast.Starred)]
+    if index is not None and index < (starred[0] if starred else len(call.args)):
+        return {True}
+    if any(kw.arg is None for kw in call.keywords) or (
+            index is not None and starred):
+        return {True, False}
+    return {False}
+
+
+def untaken_defaults() -> list[str]:
+    """``module.function(parameter)`` (``module.Class(field)``) of each
+    default in ``src/entroflow`` that no call outside the tests takes, or
+    that no such call overrides."""
+    defaults, calls = [], {}
+    paths = [*sorted((ROOT / "src" / "entroflow").glob("*.py")),
+             *sorted((ROOT / "scripts").glob("*.py")),
+             ROOT / "perfbench" / "traced_entry.py"]
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        if path.parent.name == "entroflow":
+            defaults += _defaults(tree, path.stem)
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call):
+                name = getattr(call.func, "id", getattr(call.func, "attr", None))
+                calls.setdefault(name, []).append(call)
+    return [label for label, callee, parameter, index in defaults
+            if set().union(*(_passes(call, parameter, index)
+                             for call in calls.get(callee, []))) != {True, False}]
+
+
+def test_every_src_default_is_taken_outside_tests():
+    assert untaken_defaults() == []

@@ -13,7 +13,6 @@ from entroflow.finite_flow import (
     eep_inequality_check,
     entropy_decay_check,
     integrate_flow,
-    locate_minimizer,
     production_decay_check,
     quadratic_potential,
     quartic_potential,
@@ -21,8 +20,21 @@ from entroflow.finite_flow import (
 )
 
 
+def fd_hessian(spec: PotentialSpec, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
+    """Symmetrized central differences of ``spec.grad`` at ``x``."""
+    columns = []
+    for i in range(spec.dim):
+        step = np.zeros(spec.dim)
+        step[i] = eps * max(1.0, abs(x[i]))
+        columns.append((np.asarray(spec.grad(x + step))
+                        - np.asarray(spec.grad(x - step))) / (2.0 * step[i]))
+    hess = np.column_stack(columns)
+    return 0.5 * (hess + hess.T)
+
+
 def validate_potential(spec: PotentialSpec, box: np.ndarray, seed: int = 0) -> None:
-    """Spot-check grad consistency (FD, rel err <= 1e-5) and Hess >= rho Id.
+    """Spot-check grad consistency (FD, rel err <= 1e-5) and Hess >= rho Id,
+    the Hessian by central differences of the gradient.
 
     ``box`` is a (dim, 2) array of coordinate bounds, e.g. the bounding box
     of a computed trajectory.
@@ -41,7 +53,7 @@ def validate_potential(spec: PotentialSpec, box: np.ndarray, seed: int = 0) -> N
         scale = max(1.0, float(np.linalg.norm(g)))
         if np.linalg.norm(fd - g) > 1e-5 * scale:
             raise ValueError(f"{spec.name}: gradient inconsistent with energy at {x}")
-        eigs = np.linalg.eigvalsh(np.atleast_2d(spec.hess(x)))
+        eigs = np.linalg.eigvalsh(fd_hessian(spec, x))
         if eigs.min() < spec.rho - 1e-9:
             raise ValueError(f"{spec.name}: Hessian eigenvalue {eigs.min()} "
                              f"below rho={spec.rho} at {x}")
@@ -80,11 +92,13 @@ def test_quartic_self_convergence():
 
 def test_divergence_detection():
     runaway = PotentialSpec(
-        "runaway", 1,
+        "runaway",
         energy=lambda x: -0.5 * float(x[0] ** 2),
         grad=lambda x: -np.asarray(x, dtype=float),
-        hess=lambda x: -np.eye(1),
-        rho=1.0,  # deliberately wrong; integrate_flow only sees grad
+        # rho and the "minimizer" 0, a maximizer, are deliberately wrong;
+        # integrate_flow only sees grad
+        rho=1.0,
+        minimizer=np.zeros(1),
     )
     with pytest.raises(FlowDivergence):
         integrate_flow(runaway, np.array([1.0]), dt=0.5, horizon=100.0)
@@ -150,8 +164,8 @@ def test_entropy_decay_quartic(quartic_traj):
 def test_inflated_rho_is_detected_on_quartic(quartic_traj):
     """Doubling rho beyond the true bound must fail: the checker is sensitive."""
     spec = quartic_potential()
-    inflated = PotentialSpec(spec.name, spec.dim, spec.energy, spec.grad,
-                             spec.hess, rho=2.0, minimizer=spec.minimizer)
+    inflated = PotentialSpec(spec.name, spec.energy, spec.grad, rho=2.0,
+                             minimizer=spec.minimizer)
     assert not production_decay_check(inflated, quartic_traj) <= 1.0 + DECAY_TOL
 
 
@@ -197,34 +211,41 @@ def test_builtin_bank_passes_all_checks():
 
 def test_validate_potential_catches_bad_gradient():
     broken = PotentialSpec(
-        "broken", 1,
+        "broken",
         energy=lambda x: 0.5 * float(x[0] ** 2),
         grad=lambda x: 1.1 * np.asarray(x, dtype=float),
-        hess=lambda x: np.eye(1),
         rho=1.0,
+        minimizer=np.zeros(1),
     )
     with pytest.raises(ValueError):
         validate_potential(broken, np.array([[0.5, 2.0]]), seed=1)
 
 
-def test_locate_minimizer_quartic():
-    spec = quartic_potential()
-    bare = PotentialSpec(spec.name, spec.dim, spec.energy, spec.grad,
-                         spec.hess, spec.rho)
-    beta = locate_minimizer(bare, x0=np.array([1.3]))
-    assert abs(beta[0]) <= 1e-10
+def test_bank_minimizers_are_critical_points():
+    for spec in builtin_potential_bank():
+        assert spec.minimizer.shape == (spec.dim,)
+        assert np.all(np.asarray(spec.grad(spec.minimizer)) == 0.0), spec.name
 
 
-def test_locate_minimizer_rho_3_horizon_off_the_1e_2_grid():
-    # the flow horizon 20 / rho = 6.67 is no multiple of 1e-2
-    shifted = PotentialSpec(
-        "shifted", 1,
-        energy=lambda x: 1.5 * float((x[0] - 1.0) ** 2),
-        grad=lambda x: np.array([3.0 * (x[0] - 1.0)]),
-        hess=lambda x: np.array([[3.0]]),
-        rho=3.0,
-    )
-    assert locate_minimizer(shifted)[0] == pytest.approx(1.0, abs=1e-12)
+def test_bank_rho_bounds_the_hessian_eigenvalues():
+    # closed-form Hessians of the three bank potentials
+    hessians = {"quadratic": lambda x: np.eye(2),
+                "quartic": lambda x: np.array([[1.0 + 3.0 * x[0] ** 2]]),
+                "anisotropic_quadratic": lambda x: np.diag([2.0, 5.0])}
+    rng = np.random.default_rng(5)
+    for spec in builtin_potential_bank():
+        for _ in range(32):
+            x = rng.uniform(-1.5, 1.5, size=spec.dim)
+            assert spec.rho <= np.linalg.eigvalsh(hessians[spec.name](x)).min()
+            assert fd_hessian(spec, x) == pytest.approx(hessians[spec.name](x),
+                                                         rel=1e-6, abs=1e-6)
+
+
+def test_potential_spec_needs_a_nonempty_1d_minimizer():
+    spec = quadratic_potential()
+    for bad in (np.zeros(0), np.zeros((2, 1)), 0.0):
+        with pytest.raises(ValueError, match="minimizer"):
+            PotentialSpec(spec.name, spec.energy, spec.grad, spec.rho, bad)
 
 
 def test_integrate_flow_rejects_horizon_off_the_time_grid():
@@ -238,7 +259,8 @@ def test_integrate_flow_rejects_horizon_off_the_time_grid():
 
 def test_anisotropic_rho_is_smallest_eigenvalue():
     spec = anisotropic_quadratic_potential()
-    assert spec.rho == pytest.approx(np.linalg.eigvalsh(spec.hess(np.zeros(2))).min())
+    hess = fd_hessian(spec, np.zeros(2))
+    assert spec.rho == pytest.approx(np.linalg.eigvalsh(hess).min())
 
 
 # ---------------------------------------------------------------- CSV

@@ -279,9 +279,9 @@ def test_density_csv_roundtrip(tmp_path):
     write_density_csv(d, path)
     text = path.read_text().splitlines()
     assert text[0] == "x,value"
-    back = read_density_csv(path)
-    assert np.allclose(back.values, d.values, rtol=0, atol=0)
-    assert not back.grid.is_radial
+    nodes, values = read_density_csv(path)
+    assert np.allclose(values, d.values, rtol=0, atol=0)
+    assert np.array_equal(nodes, d.grid.nodes)
 
 
 def test_radial_csv_header(tmp_path):
@@ -290,9 +290,9 @@ def test_radial_csv_header(tmp_path):
     path = tmp_path / "radial.csv"
     write_density_csv(d, path)
     assert path.read_text().splitlines()[0] == "r,value"
-    back = read_density_csv(path, ambient_dim=3)
-    assert back.grid.is_radial
-    assert np.allclose(back.values, d.values)
+    nodes, values = read_density_csv(path)
+    assert np.array_equal(nodes, g.nodes)
+    assert np.array_equal(values, d.values)
 
 
 EXTREMES = [5e-324, 1e-300, 1e300, 1.0, 1.0 / 3.0]
@@ -331,10 +331,10 @@ def test_density_csv_write_read_bitwise(tmp_path_factory, samples, radial):
     density = GridDensity(grid, samples)
     path = tmp_path_factory.mktemp("csv") / "density.csv"
     write_density_csv(density, path)
-    back = read_density_csv(path, ambient_dim=grid.ambient_dim)
-    assert back.grid.is_radial == radial
-    assert np.array_equal(back.grid.nodes, grid.nodes)
-    assert np.array_equal(back.values, density.values)
+    nodes, values = read_density_csv(path)
+    assert path.read_text().startswith("r," if radial else "x,")
+    assert np.array_equal(nodes, grid.nodes)
+    assert np.array_equal(values, density.values)
 
 
 def g17_families(rng, size):
@@ -497,4 +497,6 @@ def test_read_density_csv_accepts_crlf(tmp_path):
     path = tmp_path / "density.csv"
     write_density_csv(d, path)
     path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
-    assert np.array_equal(read_density_csv(path).values, d.values)
+    nodes, values = read_density_csv(path)
+    assert np.array_equal(nodes, d.grid.nodes)
+    assert np.array_equal(values, d.values)

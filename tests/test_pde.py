@@ -149,7 +149,7 @@ def test_flow_spec_accepts_compare_pde_horizons(tau, steps):
     grid = make_uniform_grid(-8.0, 8.0, 65)
     traj = solve(fp_free_energy(), gaussian_density(grid), dt, tau * steps,
                  snapshot_every=per_step)
-    assert len(traj) == steps + 1
+    assert len(traj.states) == steps + 1
     assert traj.times[-1] == pytest.approx(tau * steps, rel=1e-12)
 
 
@@ -451,7 +451,7 @@ def test_prefactored_solve_is_one_shot_solve_banded_bitwise(kind, n):
         if k % 50 == 0:
             got = traj.states[k // 50].values
             assert np.max(np.abs(got - mu) / mu) <= 1e-10
-    assert len(traj) == 5
+    assert len(traj.states) == 5
 
 
 # A symmetrizable band: lower_i / upper_i = 2, diagonally dominant
@@ -537,7 +537,7 @@ def test_wide_fokker_planck_domain_is_rejected_before_the_first_snapshot():
               emit=lambda t, state: emitted.append(t))
     assert emitted == []
     # heat's scale sqrt(w) spans only the half end weights
-    assert len(solve(FLOWS["heat"], mu0, 1e-3, 2e-3)) == 3
+    assert len(solve(FLOWS["heat"], mu0, 1e-3, 2e-3).states) == 3
 
 
 # Fitted production and value rates of `simulate --flow fokker_planck --init

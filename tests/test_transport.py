@@ -17,7 +17,7 @@ from entroflow.grids import (
     staggered_radial_grid,
 )
 from entroflow.pde import solve
-from entroflow.transport import DEFAULT_QUANTILES, w2_1d
+from entroflow.transport import w2_1d
 from oracles import (
     brute_force_w2_atoms,
     continuity_velocity,
@@ -39,7 +39,7 @@ def fine_grid():
     return make_uniform_grid(-8.0, 8.0, 4097)
 
 
-def geodesic_path(mu, nu, num_times, num_quantiles=DEFAULT_QUANTILES):
+def geodesic_path(mu, nu, num_times, num_quantiles):
     """The McCann geodesic from ``mu`` to ``nu`` at ``num_times`` uniform
     times on [0, 1]."""
     times = np.linspace(0.0, 1.0, num_times)
@@ -58,13 +58,13 @@ def mixture(grid, params):
 
 def test_w2_identity(grid):
     mu = gaussian_density(grid)
-    assert w2_1d(mu, mu) == 0.0
+    assert w2_1d(mu, mu, 4096) == 0.0
 
 
 def test_w2_translation(grid):
     mu = gaussian_density(grid)
     nu = gaussian_density(grid, mean=0.5)  # 64 grid cells, exactly representable
-    assert w2_1d(nu, mu) == pytest.approx(0.5, abs=1e-6)
+    assert w2_1d(nu, mu, 4096) == pytest.approx(0.5, abs=1e-6)
 
 
 def test_w2_gaussians_closed_form(fine_grid):
@@ -78,9 +78,9 @@ def test_w2_rejects_radial(grid):
     radial = staggered_radial_grid(10.0, 64, 3)
     d = normalize(np.exp(-radial.nodes), radial)
     with pytest.raises(ValueError):
-        w2_1d(d, d)
+        w2_1d(d, d, 4096)
     with pytest.raises(ValueError):
-        w2_radial_profile(gaussian_density(grid), gaussian_density(grid))
+        w2_radial_profile(gaussian_density(grid), gaussian_density(grid), 4096)
 
 
 def test_w2_radial_profile_scaling_oracle():
@@ -89,7 +89,7 @@ def test_w2_radial_profile_scaling_oracle():
     g = staggered_radial_grid(15.0, 2048, 3)
     mu = normalize(np.exp(-0.5 * g.nodes**2), g)
     nu = normalize(np.exp(-0.5 * (g.nodes / 1.2) ** 2), g)
-    assert w2_radial_profile(mu, nu) == pytest.approx(0.2 * math.sqrt(3.0), abs=1e-4)
+    assert w2_radial_profile(mu, nu, 4096) == pytest.approx(0.2 * math.sqrt(3.0), abs=1e-4)
 
 
 def test_monotone_coupling_matches_brute_force_assignment():
@@ -104,9 +104,9 @@ def test_w2_symmetry_and_triangle(grid):
     a = mixture(grid, [(1.0, -1.0, 0.8)])
     b = mixture(grid, [(0.7, 0.5, 1.2), (0.3, -2.0, 0.5)])
     c = mixture(grid, [(1.0, 2.0, 1.0)])
-    assert w2_1d(a, b) == w2_1d(b, a)
-    assert w2_1d(a, c) <= w2_1d(a, b) + w2_1d(b, c) + 1e-8
-    assert w2_1d(a, b) > 0.0  # distinct densities separate
+    assert w2_1d(a, b, 4096) == w2_1d(b, a, 4096)
+    assert w2_1d(a, c, 4096) <= w2_1d(a, b, 4096) + w2_1d(b, c, 4096) + 1e-8
+    assert w2_1d(a, b, 4096) > 0.0  # distinct densities separate
 
 
 @settings(max_examples=15, deadline=None)
@@ -215,7 +215,7 @@ def test_geodesic_endpoints(grid):
     mu = mixture(grid, [(1.0, -1.0, 0.8)])
     nu = mixture(grid, [(1.0, 1.5, 1.1)])
     for s, target in ((0.0, mu), (1.0, nu)):
-        state = mccann_geodesic(mu, nu, s)
+        state = mccann_geodesic(mu, nu, s, 4096)
         assert integrate(np.abs(state.values - target.values), grid) <= 1e-3
 
 
@@ -223,7 +223,7 @@ def test_geodesic_between_gaussians_interpolates_parameters(fine_grid):
     mu = gaussian_density(fine_grid, -1.0, 1.0)
     nu = gaussian_density(fine_grid, 1.0, 1.5)
     for s in (0.25, 0.5, 0.75):
-        state = mccann_geodesic(mu, nu, s)
+        state = mccann_geodesic(mu, nu, s, 4096)
         mean = integrate(fine_grid.nodes * state.values, fine_grid)
         var = integrate(fine_grid.nodes**2 * state.values, fine_grid) - mean**2
         assert mean == pytest.approx(-1.0 + 2.0 * s, abs=1e-3)
@@ -243,14 +243,14 @@ def test_geodesic_constant_speed(fine_grid):
 def test_geodesic_rejects_bad_parameter(grid):
     mu = gaussian_density(grid)
     with pytest.raises(ValueError):
-        mccann_geodesic(mu, mu, 1.5)
+        mccann_geodesic(mu, mu, 1.5, 4096)
 
 
 # ---------------------------------------------------------------- action
 
 def test_action_of_constant_path(grid):
     mu = gaussian_density(grid)
-    path = geodesic_path(mu, mu, num_times=9)
+    path = geodesic_path(mu, mu, num_times=9, num_quantiles=4096)
     assert path_action(path) <= 1e-20
 
 
@@ -281,7 +281,8 @@ def test_detour_path_has_larger_action(fine_grid):
 
 def test_hj_residual_constant_path(grid):
     mu = gaussian_density(grid)
-    assert geodesic_hj_residual(geodesic_path(mu, mu, num_times=9)) <= 1e-12
+    path = geodesic_path(mu, mu, num_times=9, num_quantiles=4096)
+    assert geodesic_hj_residual(path) <= 1e-12
 
 
 def test_hj_residual_translation_geodesic(grid):
