@@ -57,26 +57,16 @@ CSV_CHUNK = 4096   # values per pass of the '%.17g' kernel; bounds its memory
 
 @cache
 def _g17_tables() -> dict:
-    """Tables of :func:`g17_words`, built at its first call: ``H + L`` at
-    q + 300 is 10^q, q in [-300, 300], as a double-double from exact
-    integers; NUL-padded text words of 4-digit groups (in full, without
-    leading zeros, the same keeping a lone 0, without trailing zeros); and
-    at k + 301 for a decimal exponent k in [-301, 300], 10^(digits after
-    the point), the point (with the zeros of 0.000ddd) and the 8-byte
-    exponent, ending in a comma."""
-    powers = [1]   # 10^q, q in [0, 300]
-    for _ in range(300):
-        powers.append(powers[-1] * 10)
-    high, low = [], []
-    for p in powers[:0:-1]:   # 10^-q = n/d + (d - n 10^q) / (d 10^q), d = 2^s
-        h = 1 / p
-        n, d = h.as_integer_ratio()
-        high.append(h)
-        low.append((d - n * p) / (p << d.bit_length() - 1))
-    for p in powers:
-        h = float(p)
-        high.append(h)
-        low.append(float(p - int(h)))
+    """Tables of :func:`g17_words`, built at its first call: ``H + L`` at q
+    is 10^q, q in [0, 300], as a double-double from exact integers;
+    NUL-padded text words of 4-digit groups (in full, without leading zeros
+    but keeping a lone 0, without trailing zeros); and at k + 301 for a
+    decimal exponent k in [-301, 3], 10^(digits after the point), the point
+    (with the zeros of 0.000ddd) and the 8-byte exponent, ending in a
+    comma."""
+    powers = [10**q for q in range(301)]
+    high = [float(p) for p in powers]
+    low = [float(p - int(h)) for p, h in zip(powers, high)]
     text = np.empty((10, 10, 10, 10, 4), np.uint8)   # the 4 digits of 0..9999
     digit = np.arange(48, 58, dtype=np.uint8)
     for j in range(4):
@@ -86,22 +76,20 @@ def _g17_tables() -> dict:
     first, last = (np.frombuffer(b"".join(pad(b"\xff" * m, 4, b"\0") for m in range(5)),
                                  np.uint32) for pad in (bytes.ljust, bytes.rjust))
     group, tens = np.arange(10000), [1, 10, 100, 1000]
-    lead = np.searchsorted(tens, group, "right")   # digits from the first nonzero one
+    lead = np.searchsorted(tens, group, "right").clip(1)   # digits from the first nonzero one
     reverse = group.reshape((10,) * 4).T.ravel()   # each group's digits reversed
     trail = np.searchsorted(tens, reverse, "right")   # digits up to the last nonzero one
-    k = np.arange(-301, 301)
-    fixed, mag = (k >= -4) & (k < 17), np.abs(k)   # %g's k without an exponent
-    exp = np.zeros((k.size, 8), np.uint8)   # NUL, e, the sign, 2 or 3 digits; a comma
-    exp[:, 1] = ord("e")
-    exp[:, 2] = np.where(k < 0, ord("-"), ord("+"))
+    k = np.arange(-301, 4)
+    fixed, mag = k >= -4, np.abs(k)   # %g's k without an exponent
+    exp = np.zeros((k.size, 8), np.uint8)   # NUL, e, -, 2 or 3 digits; a comma
+    exp[:, 1], exp[:, 2] = ord("e"), ord("-")
     exp[mag >= 100, 3:6] = text[mag[mag >= 100], 1:]
     exp[mag < 100, 3:5] = text[mag[mag < 100], 2:]
     exp[fixed, 1:6] = 0
     exp[:, 7] = ord(",")
     return dict(
         H=np.array(high), L=np.array(low),
-        digits=np.concatenate([words, words & last[lead],
-                               words & last[np.maximum(lead, 1)], words & first[trail]]),
+        digits=np.concatenate([words, words & last[lead], words & first[trail]]),
         shift=10 ** np.where(fixed, np.minimum(16 - k, 17), 16),
         dot=np.frombuffer(b".\0\0\0.0\0\0.00\0.000", np.uint32)[
             np.where(fixed & (k < 0), -k - 1, 0)],   # '.' and 0 to 3 zeros
@@ -118,25 +106,25 @@ def _g17_groups(n):
 
 def g17_words(values: np.ndarray) -> np.ndarray:
     """``'%.17g,' % v`` of each value of a 1-d float64 array as a row of
-    NUL-padded native-order uint32 words: the sign, the integer part right
-    aligned (the words some value fills), '.' and the zeros of 0.000ddd,
-    the fraction left aligned, the exponent and the comma.  With k =
-    floor(log10 |v|), Dekker's exact two-product (Numer. Math. 18 (1971)
-    224) gives P = |v| 10^(16-k) within about 1e-14: round(P) holds the
-    17 correctly rounded digits.  Values outside [1e-280, 1e280] or not
-    finite, and those whose P lies within 1e-7 of a half-integer (a
-    decimal tie), go to Python's ``%``."""
+    NUL-padded native-order uint32 words: the sign (if some value is
+    negative), the integer part, '.' and the zeros of 0.000ddd, the fraction
+    left aligned, the exponent and the comma.  With k = floor(log10 |v|),
+    Dekker's exact two-product (Numer. Math. 18 (1971) 224) gives P = |v|
+    10^(16-k) within about 1e-14: round(P) holds the 17 correctly rounded
+    digits.  It formats 0 and 1e-280 <= |v| < 1e4, the range of the values
+    the library writes; the rest, and values whose P lies within 1e-7 of a
+    half-integer (a decimal tie), go to Python's ``%``."""
     tables = _g17_tables()
     a = np.abs(values)
-    zero, ok = a == 0.0, (a >= 1e-280) & (a <= 1e280)
+    zero, ok = a == 0.0, (a >= 1e-280) & (a < 1e4)
     a = np.where(ok, a, 1.0)
     k = np.floor(np.log10(a) - 1e-12).astype(np.int64)   # floor(log10 a), or 1 less
-    h = tables["H"][316 - k]
+    h = tables["H"][16 - k]
     split_a, split_h = 134217729.0 * a, 134217729.0 * h   # 26-bit halves
     a_hi, h_hi = split_a - (split_a - a), split_h - (split_h - h)
     a_lo, h_lo, p = a - a_hi, h - h_hi, a * h
     p_low = ((((a_hi * h_hi - p) + a_hi * h_lo) + a_lo * h_hi) + a_lo * h_lo
-             + a * tables["L"][316 - k])
+             + a * tables["L"][16 - k])
     rounded = np.rint(p_low)
     digits = p.astype(np.int64) + rounded.astype(np.int64)
     fallback = (~(ok | zero) | (np.abs(np.abs(p_low - rounded) - 0.5) < 1e-7)
@@ -148,26 +136,20 @@ def g17_words(values: np.ndarray) -> np.ndarray:
     whole = digits // shift   # the integer part; then the fraction's 17 digits
     frac = (digits - whole * shift) * (10**17 // shift)
     table, negative = tables["digits"], np.signbit(values)
-    words = np.empty((12, values.size), np.uint32)   # word by word, for all rows
-    top, widest = whole // 10**16, whole.max(initial=0)
-    keep = ([negative.any() or widest >= 10**16]
-            + [widest >= 10**bound for bound in (12, 8, 4)] + [True] * 8)
-    for word, group, bound in zip(range(5), (top, *_g17_groups(whole - top * 10**16)),
-                                  (17, 16, 12, 8, 4)):
-        if keep[word]:   # the last group keeps a lone 0
-            words[word] = table[group + (10000 + 10000 * (word == 4))
-                                * (whole < 10**bound)]
-    words[0] |= negative * np.frombuffer(b"-\0\0\0", "u4")[0]
-    words[5] = tables["dot"][k + 301] * (frac > 0)
+    words = np.empty((9, values.size), np.uint32)   # word by word, for all rows
+    words[0] = negative * np.frombuffer(b"-\0\0\0", "u4")[0]
+    words[1] = table[whole + 10000]   # a lone 0 kept
+    words[2] = tables["dot"][k + 301] * (frac > 0)
     high, last = frac // 10, frac % 10
     bare = last == 0   # nothing but zeros after the group written next
-    for word, group in zip((9, 8, 7, 6), _g17_groups(high)[::-1]):
-        words[word] = table[group + 30000 * bare]
+    for word, group in zip((6, 5, 4, 3), _g17_groups(high)[::-1]):
+        words[word] = table[group + 20000 * bare]
         bare &= group == 0
     tail = tables["exp"][k + 301].view(np.uint32)
-    words[10] = table[30000 + 1000 * last] | tail[0::2]
-    words[11] = tail[1::2]
-    words = words[keep]
+    words[7] = table[20000 + 1000 * last] | tail[0::2]
+    words[8] = tail[1::2]
+    if not negative.any():
+        words = words[1:]
     for row in np.flatnonzero(fallback):
         text = (b"%.17g" % values[row]).ljust(4 * len(words) - 1, b"\0") + b","
         words[:, row] = np.frombuffer(text, np.uint32)

@@ -54,7 +54,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .functionals import FreeEnergy, boltzmann_entropy, fd_free_energy, fp_free_energy
 from .grids import (
@@ -405,6 +404,8 @@ def _fd_tail_mass(ambient_dim: int, c: float, radius: float) -> float:
     dt, a smooth integrand on a finite interval; 64-point Gauss-Legendre
     matches adaptive quadrature to ~1e-10 relative error.
     """
+    from numpy.polynomial.legendre import leggauss   # 9 modules only this tail loads
+
     n = ambient_dim
     nodes, weights = leggauss(64)
     t = 0.5 * (nodes + 1.0)
@@ -445,6 +446,11 @@ def stationary_fd(grid: Grid) -> GridDensity:
                 raise ValueError(f"the stationary state of dimension {n} has no "
                                  f"finite grid mass above 1 for C in [1e-08, {hi:g}]")
     c = _brentq(lambda cc: grid_mass(cc) - 1.0, lo, hi, xtol=1e-14, rtol=8.9e-16)
+    values = (c + 0.5 * r**2) ** (-n)
+    zeros = np.count_nonzero(values == 0.0)
+    if zeros:   # from n = 191 at the default radius and cells
+        raise ValueError(f"the stationary state of dimension {n} underflows to 0 "
+                         f"at {zeros} grid nodes")
 
     radius = r[-1] + 0.5 * grid.spacing
     tail = _fd_tail_mass(n, c, radius)
@@ -452,7 +458,7 @@ def stationary_fd(grid: Grid) -> GridDensity:
         warnings.warn(
             f"truncation radius {radius:g} leaves ~{tail:.2e} of the continuum "
             "stationary mass outside the grid", stacklevel=2)
-    return GridDensity(grid, (c + 0.5 * r**2) ** (-n))
+    return GridDensity(grid, values)
 
 
 def stationary_state(model: FreeEnergy, grid: Grid) -> GridDensity | None:

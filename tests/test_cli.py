@@ -236,12 +236,14 @@ print("scipy_modules=" + ",".join(
     sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 print("extensions=" + ",".join(
     sorted(m[len("entroflow."):] for m in sys.modules if m.startswith("entroflow._"))))
+print("polynomial=" + str("numpy.polynomial" in sys.modules))
 """
 
 
 # No command imports a scipy module: a banded solve loads scipy's LAPACK
 # extension file under the private name entroflow._flapack, and only then;
-# the fast-diffusion stationary state loads Brent's entroflow._zeros.
+# the fast-diffusion stationary state loads Brent's entroflow._zeros, and
+# its tail mass numpy.polynomial's Gauss-Legendre nodes.
 @pytest.mark.parametrize("argv, solves_banded", [
     ([], False),
     (["w2"], False),
@@ -259,12 +261,13 @@ def test_scipy_loaded_only_by_banded_solves(argv, solves_banded, tmp_path):
     proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    *_, lapack, loaded, extensions = proc.stdout.splitlines()
+    *_, lapack, loaded, extensions, polynomial = proc.stdout.splitlines()
     assert lapack == f"lapack={solves_banded}"
     assert loaded == "scipy_modules="
     brent = "eep_fd" in argv or "fast_diffusion" in argv   # stationary_fd
     expected = ["_flapack"] * solves_banded + ["_zeros"] * brent
     assert extensions == "extensions=" + ",".join(expected)
+    assert polynomial == f"polynomial={brent}"   # its Gauss-Legendre tail mass
 
 
 # ------------------------------------------------------------ initial densities
@@ -348,6 +351,12 @@ def test_fast_diffusion_from_dimension_133(tmp_path, capsys):
         "config error: the stationary state of dimension 309 has no finite "
         "grid mass above 1 for C in [1e-08, 1]\n")
     assert not (tmp_path / "b").exists()
+    # from n = 191 the state underflows to 0 at the outer nodes
+    assert main([*argv, "--dim", "195", "--out", str(tmp_path / "c")]) == 2
+    assert capsys.readouterr().err == (
+        "config error: the stationary state of dimension 195 underflows to 0 "
+        "at 23 grid nodes\n")
+    assert not (tmp_path / "c").exists()
 
 
 def test_simulate_unknown_init_is_config_error(tmp_path, capsys):
