@@ -19,6 +19,16 @@ raises the objective and when it takes an increment of X below
 INCREMENT_FLOOR (for a start with tied quantiles, below its smallest
 increment).  dX/dq uses forward differences of X with that floor.
 
+The Newton matrix H = A I + D^T C D (D the forward difference, r = 1/tau
++ [V], A = dq r, C = dq / d^2 for the increments d) is solved in its flux
+form, the face forces u = C D delta, with the barrier's own force dq / d
+taken out in closed form: u = dq (1/d + v), where v solves the system of
+size M - 1 with diagonal 2 + r d^2, off-diagonal -1 and right-hand side
+-D s - r d, s = (X - X_prev) / tau + [V] X, and delta = -(s + D^T v) / r.
+Every pivot of its L D L^T exceeds 1 and no term is large, while tied
+quantiles put a barrier force near 1e12 dq into the gradient and couplings
+near 1e24 dq into H, whose pivots then lose positivity.
+
 Energy monotonicity F(mu_{k+1}) <= F(mu_k) and the step bound
 W2(mu_{k+1}, mu_k)^2 <= 2 tau (F(mu_k) - F(mu_{k+1})) are exact
 consequences of comparing against the stay-put start: no trial that
@@ -43,7 +53,7 @@ from .grids import (
     density_from_quantile,
     write_csv,
 )
-from .pde import MAX_STEPS, flux_bands, solve_banded
+from .pde import MAX_STEPS, solve_banded
 
 INCREMENT_FLOOR = 1e-12
 INNER_TOL = 1e-9         # relative objective decrease that counts as progress
@@ -79,8 +89,9 @@ def _free_energy(functional, x, d, logs=None, squares=None):
 
 
 def _workspace(m):
-    """Gradient, band and scratch arrays that each iteration of a step refills."""
-    return np.empty(m), np.zeros((3, m)), np.empty(m), np.empty(m - 1)
+    """Direction, flux-form band and scratch arrays that each iteration of a
+    step refills."""
+    return np.empty(m), np.empty((2, m - 1)), np.empty(m), np.empty(m - 1)
 
 
 def _objective(functional, x, x_prev, tau, d, work):
@@ -93,29 +104,29 @@ def _objective(functional, x, x_prev, tau, d, work):
     return _free_energy(functional, x, d, logs, moved) + prox
 
 
-def _grad_hess(functional, x, x_prev, tau, d, work):
-    """Gradient and tridiagonal Hessian bands of the proximal objective at
-    ``x``, in the arrays of the ``_workspace`` ``work``; ``d`` are its
-    floored increments."""
-    dq = 1.0 / x.size
-    grad, bands, moved, inv = work
-    np.divide(1.0, d, out=inv)
-    barrier = np.multiply(dq, inv, out=moved[:-1])
-    grad.fill(0.0)
-    grad[1:] -= barrier       # d/dX_{j+1} of -dq log d_j
-    grad[:-1] += barrier      # d/dX_j of -dq log d_j
-    cross = np.square(inv, out=inv)
-    cross *= dq               # log-barrier coupling on (j, j+1)
-    flux_bands(0.0, cross, cross, out=bands)
+def _newton_direction(functional, x, x_prev, tau, d, work):
+    """Newton direction of the proximal objective at ``x`` from the flux
+    form of its Hessian (see the module docstring), in the arrays of the
+    ``_workspace`` ``work``; ``d`` are the floored increments of ``x``."""
+    delta, bands, smooth, rhs = work
+    rate = 1.0 / tau
+    np.subtract(x, x_prev, out=smooth)
+    smooth /= tau
     if functional.confined:
-        grad += np.multiply(dq, x, out=moved)
-        bands[1] += dq
-    np.subtract(x, x_prev, out=moved)
-    moved *= dq
-    moved /= tau
-    grad += moved
-    bands[1] += dq / tau
-    return grad, bands
+        smooth += x
+        rate += 1.0
+    rate_d = np.multiply(d, rate, out=bands[0])
+    np.subtract(smooth[:-1], smooth[1:], out=rhs)
+    rhs -= rate_d
+    np.multiply(rate_d, d, out=bands[1])
+    bands[1] += 2.0
+    bands[0, 1:] = -1.0
+    v = solve_banded(bands, rhs)
+    np.negative(smooth, out=delta)
+    delta[1:] -= v
+    delta[:-1] += v
+    delta /= rate
+    return delta
 
 
 def _jko_step_quantiles(functional, x_prev, tau):
@@ -135,8 +146,7 @@ def _jko_step_quantiles(functional, x_prev, tau):
     floor = min(INCREMENT_FLOOR, float(np.min(np.diff(x_prev))))
     iters = 0
     for iters in range(1, MAX_INNER + 1):
-        grad, bands = _grad_hess(functional, x, x_prev, tau, d, work)
-        delta = solve_banded(bands, np.negative(grad, out=grad))
+        delta = _newton_direction(functional, x, x_prev, tau, d, work)
         lam = 1.0
         improved = False
         for _ in range(50):

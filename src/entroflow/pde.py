@@ -38,7 +38,11 @@ Fast diffusion with confinement (radial geometry, n > 2)
     is taken at the new state, and the resulting nonlinear system is solved
     by damped Newton.  Because the potential of mu_inf = (C + r^2/2)^(-n)
     is constant on the nodes, mu_inf is a fixed point of the scheme to
-    solver tolerance.
+    solver tolerance.  Newton solves for increments e = P delta of the
+    potential, P = mu^(-1/n-1)/n: the Jacobian W + K P (W the cell measures,
+    K the Laplacian of the face couplings) becomes W P^-1 + K, symmetric
+    positive definite (the lagged-mobility H^-1 metric of Otto, Comm. PDE
+    26 (2001) 101), which LAPACK dptsv solves.
 
 All boundaries are no-flux; the boundary flux is identically zero by
 construction.
@@ -109,7 +113,7 @@ def _extension(package: str, name: str):
 
 
 def _lapack():
-    """scipy's LAPACK extension (``dgtsv``, ``dpttrf``, ``dpttrs``)."""
+    """scipy's LAPACK extension (``dptsv``, ``dpttrf``, ``dpttrs``)."""
     return _extension("linalg", "_flapack")
 
 
@@ -123,7 +127,7 @@ class SymmetrizedLDL:
     turns A into S = T A T^-1: A's diagonal and off-diagonal
     -sqrt(A_{i,i+1} A_{i+1,i}).  A detailed-balance operator has such a
     form: T is sqrt(w) e^(V/2) for the Fokker-Planck step and sqrt(w) for
-    heat.  S is factored as L D L^T once; :meth:`solve` solves S y = T b,
+    heat.  S is factored as L D L^T once; ``solve_banded`` solves S y = T b,
     whose solution is y = T x for A x = b.  A zero or mixed-sign
     off-diagonal pair and a scale whose largest over smallest value
     overflows a double raise ``ValueError``; an S that is not positive
@@ -143,73 +147,34 @@ class SymmetrizedLDL:
             raise ValueError(f"the symmetrizing scale spans e^{high - low:.6g}, "
                              f"beyond the double range")
         self.scale = np.exp(log_scale - 0.5 * (high + low))
-        lapack = _lapack()
-        *self._factors, info = lapack.dpttrf(ab[1], -np.sqrt(coupling))
+        *self.factors, info = _lapack().dpttrf(ab[1], -np.sqrt(coupling))
         if info != 0:
             raise SolverError(f"dpttrf failed with info={info}")
-        self._dpttrs = lapack.dpttrs
-
-    def solve(self, y: np.ndarray) -> np.ndarray:
-        x, info = self._dpttrs(*self._factors, y, overwrite_b=1)
-        if info != 0:
-            raise SolverError(f"dpttrs failed with info={info}")
-        return x
 
 
 def solve_banded(ab, b):
-    """Solve the tridiagonal system with (1, 1) band array ``ab`` (rows
-    upper, diagonal, lower) by LAPACK ``dgtsv``, consuming ``ab``; ``ab``
-    may also be a :class:`SymmetrizedLDL`, whose factors then solve the
-    symmetric form for ``b`` = T b_A, in place.
+    """Solve a symmetric positive-definite tridiagonal system by LAPACK
+    ``dptsv``, consuming ``ab`` and writing the solution over ``b``; ``ab``
+    may also be a :class:`SymmetrizedLDL`, whose ``dpttrs`` substitutions
+    then solve the symmetric form for ``b`` = T b_A, in place.
 
-    ``dgtsv`` is what scipy's ``solve_banded`` runs for (1, 1) bands, so the
-    result is the same bit for bit, without that wrapper's validation and
-    copies.  Its elimination overwrites the bands of ``ab``, which every
-    caller builds for one solve; ``b`` is left alone.  With factors, the
-    ``dpttrs`` substitutions consume ``b`` instead: the solution y = T x is
-    written over it, so ``pde.solve`` steps its scaled state in place.  A
-    singular matrix raises ``SolverError``.
+    ``ab`` is a (2, n) band array in the upper form of scipy's
+    ``solveh_banded`` (off-diagonal in ``ab[0, 1:]``, diagonal in ``ab[1]``),
+    which runs ``dptsv`` for such bands: the result is the same bit for bit,
+    without that wrapper's validation and copies.  A band that is not
+    positive definite raises ``SolverError`` with the row ``info``.
 
     LAPACK comes from ``_lapack``, which loads scipy's extension file at the
     first banded solve without importing the ``scipy.linalg`` package, so
     no command imports that package and commands that never solve a banded
     system (w2, check, diagnose) load no LAPACK file.
     """
-    if isinstance(ab, SymmetrizedLDL):
-        return ab.solve(b)
-    *_, x, info = _lapack().dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b, 1, 1, 1)
+    if isinstance(ab, SymmetrizedLDL):   # dpttrs fails only on bad arguments
+        return _lapack().dpttrs(*ab.factors, b, overwrite_b=1)[0]
+    *_, x, info = _lapack().dptsv(ab[1], ab[0, 1:], b, 1, 1, 1)
     if info != 0:
-        raise SolverError(f"dgtsv failed with info={info}")
+        raise SolverError(f"dptsv failed with info={info}")
     return x
-
-
-def flux_bands(diag, left, right, row_scale=None, out=None) -> np.ndarray:
-    """``[upper, diag, lower]`` band array of the tridiagonal operator
-
-        u -> diag u + row_scale (J_{i+1/2} - J_{i-1/2}),
-
-    with face flux J_{i+1/2} = left_i u_i - right_i u_{i+1} on the n - 1
-    interior faces and no flux through the ends.  ``diag`` is a scalar or
-    one value per row; ``row_scale`` is None (no scale), a scalar or one
-    factor per row (a step over the cell measure); ``out`` is refilled but
-    for its unused corners.  It never solves: every solve goes through
-    ``solve_banded``, whose calls ``perfbench/traced_entry.py`` counts per caller.
-    """
-    bands = np.zeros((3, np.size(left) + 1)) if out is None else out
-    upper, main, lower = bands
-    main[:] = diag
-    if row_scale is None:
-        main[:-1] += left
-        main[1:] += right
-        np.negative(right, out=upper[1:])
-        np.negative(left, out=lower[:-1])
-        return bands
-    scale = np.broadcast_to(row_scale, main.shape)
-    main[:-1] += scale[:-1] * left
-    main[1:] += scale[1:] * right
-    upper[1:] = -(scale[:-1] * right)
-    lower[:-1] = -(scale[1:] * left)
-    return bands
 
 
 def step_count(horizon: float, dt: float) -> int:
@@ -253,22 +218,32 @@ def _bernoulli(z: np.ndarray) -> np.ndarray:
 
 
 def _linear_step_matrix(model: FreeEnergy, grid: Grid, dt: float) -> np.ndarray:
-    """Banded backward-Euler matrix I + dt M for heat / Fokker-Planck, with
-    (M mu)_i = (J_{i+1/2} - J_{i-1/2}) / w_i."""
+    """``[upper, diag, lower]`` bands of the backward-Euler matrix I + dt M
+    for heat / Fokker-Planck: (M mu)_i = (J_{i+1/2} - J_{i-1/2}) / w_i with
+    the face flux J_{i+1/2} = [B(dV) mu_i - B(-dV) mu_{i+1}] / h on the
+    interior faces and none through the ends."""
     x = grid.nodes
-    n = grid.num_nodes
-    dv = 0.5 * (x[1:] ** 2 - x[:-1] ** 2) if model.confined else np.zeros(n - 1)
-    # B(dV) weighs mu_i and B(-dV) mu_{i+1} in the face flux J_{i+1/2}
-    return flux_bands(np.ones(n), _bernoulli(dv), _bernoulli(-dv),
-                      row_scale=dt / (grid.quad_weights * grid.spacing))
+    dv = 0.5 * (x[1:] ** 2 - x[:-1] ** 2) if model.confined else np.zeros(x.size - 1)
+    left, right = _bernoulli(dv), _bernoulli(-dv)
+    scale = dt / (grid.quad_weights * grid.spacing)
+    upper, diag, lower = bands = np.zeros((3, x.size))
+    diag[:] = 1.0
+    diag[:-1] += scale[:-1] * left
+    diag[1:] += scale[1:] * right
+    upper[1:] = -(scale[:-1] * right)
+    lower[:-1] = -(scale[1:] * left)
+    return bands
 
 
 def _fd_newton_step(grid: Grid, dt: float, mu_old: np.ndarray) -> np.ndarray:
     """One backward-Euler step of the fast-diffusion flow by damped Newton.
 
-    The residual w (mu - mu_old) - div(kappa c_face diff(psi)) is formed
-    in place, with the float operations of the plain expression in the
-    same order, so every iterate is reproducible bit for bit.
+    The residual w (mu - mu_old) - div(kappa c_face diff(psi)) and its
+    root = mu^(-1/n) in psi = r^2/2 - root are formed in place, with the
+    float operations of the plain expressions in the same order, so every
+    iterate is reproducible bit for bit.  Newton solves (W P^-1 + K) e = -res
+    for e = P delta: with 1/P = n mu / root, the diagonal is w / P + c_{i-1}
+    + c_i and the off-diagonal -c_i (c = kappa c_face).
     """
     n = grid.ambient_dim
     w = grid.quad_weights
@@ -277,11 +252,12 @@ def _fd_newton_step(grid: Grid, dt: float, mu_old: np.ndarray) -> np.ndarray:
     mobility = 0.5 * (mu_old[1:] + mu_old[:-1])   # lagged
     cface = grid.face_areas * mobility / grid.spacing
     coupling = kappa * cface
-    flux = np.empty_like(cface)
+    flux, psi = np.empty_like(cface), np.empty_like(mu_old)
+    bands = np.empty((2, mu_old.size))
 
     def residual(mu):
-        psi = mu ** (-1.0 / n)
-        np.subtract(potential, psi, out=psi)
+        root = mu ** (-1.0 / n)
+        np.subtract(potential, root, out=psi)
         np.subtract(psi[1:], psi[:-1], out=flux)
         np.multiply(flux, cface, out=flux)
         np.multiply(flux, kappa, out=flux)
@@ -289,30 +265,32 @@ def _fd_newton_step(grid: Grid, dt: float, mu_old: np.ndarray) -> np.ndarray:
         res *= w
         res[:-1] -= flux
         res[1:] += flux
-        return res
+        return res, root
 
     mu = mu_old.copy()
-    scale = float(np.max(w * np.abs(mu_old)))
-    tol = NEWTON_TOL * max(scale, 1e-30)
-    res = residual(mu)
-    norm = float(np.max(np.abs(res)))
+    tol = NEWTON_TOL * max((w * np.abs(mu_old)).max(), 1e-30)
+    res, root = residual(mu)
+    norm = np.abs(res).max()
     for _ in range(NEWTON_MAX_ITER):
         if norm <= tol:
             return mu
-        dpsi = mu ** (-1.0 / n - 1.0)
-        dpsi /= n
-        delta = solve_banded(flux_bands(w, coupling * dpsi[:-1],
-                                        coupling * dpsi[1:]),
-                             np.negative(res, out=res))
+        inverse_p = mu * n
+        inverse_p /= root
+        np.multiply(w, inverse_p, out=bands[1])
+        bands[1, :-1] += coupling
+        bands[1, 1:] += coupling
+        np.negative(coupling, out=bands[0, 1:])
+        delta = solve_banded(bands, np.negative(res, out=res))
+        delta *= inverse_p
         lam = 1.0
         for _ in range(40):
             trial = delta * lam
             trial += mu
             if trial.min() > 0.0:
-                trial_res = residual(trial)
-                trial_norm = float(np.max(np.abs(trial_res)))
+                trial_res, trial_root = residual(trial)
+                trial_norm = np.abs(trial_res).max()
                 if trial_norm < norm:
-                    mu, res, norm = trial, trial_res, trial_norm
+                    mu, res, root, norm = trial, trial_res, trial_root, trial_norm
                     break
             lam *= 0.5
         else:
@@ -327,8 +305,9 @@ def solve(model: FreeEnergy, mu0: GridDensity, dt: float, horizon: float,
     """Run the flow of ``model``, one of ``FLOWS``, from ``mu0`` on its grid
     in steps ``dt`` up to ``horizon``; snapshots every ``snapshot_every``
     steps plus the final state.  A model that is no flow, the wrong grid
-    (geometry, n <= 2), dt <= 0, ``snapshot_every`` < 1 or a horizon that
-    ``step_count`` rejects raise ``ValueError`` before the first snapshot.
+    (geometry, n <= 2, inner cells with neither measure nor face area),
+    dt <= 0, ``snapshot_every`` < 1 or a horizon that ``step_count`` rejects
+    raise ``ValueError`` before the first snapshot.
     Each snapshot goes to ``emit(t, state)`` as it is made and is not kept,
     so memory stays O(N); without ``emit`` they are collected and returned."""
     grid = mu0.grid
@@ -343,6 +322,11 @@ def solve(model: FreeEnergy, mu0: GridDensity, dt: float, horizon: float,
     if grid.is_radial != newton or newton and grid.ambient_dim <= 2:
         raise ValueError("fast diffusion runs on radial grids with n > 2, "
                          "heat and Fokker-Planck on line grids")
+    if newton and np.any((grid.quad_weights[:-1] == 0.0) & (grid.face_areas == 0.0)):
+        raise ValueError(   # such a cell's Newton row is zero
+            f"at dimension {grid.ambient_dim}, radius {grid.nodes[-1] + grid.spacing / 2:g} "
+            f"and {grid.num_nodes} cells the inner cells have neither measure nor face "
+            f"area in doubles: lower --dim or widen the cells, --radius / --N")
     if abs(mu0.mass - 1.0) > 1e-8:
         raise ValueError("initial density must have unit mass")
     if np.any(mu0.values <= 0.0):
@@ -483,9 +467,7 @@ def dirac_like_density(grid: Grid) -> GridDensity:
     dissipation diagnostics from such data only make sense for t > 0.
     """
     profile = np.exp(-0.5 * (grid.nodes / (3.0 * grid.spacing)) ** 2)
-    profile = np.maximum(profile, 1e-290)
-    mu = normalize(profile, grid)
-    return mu
+    return normalize(np.maximum(profile, 1e-290), grid)
 
 
 @dataclass(eq=False)

@@ -43,6 +43,7 @@ from entroflow.grids import (
     density_from_quantile,
     gradient_fd,
     integrate,
+    normalize,
     second_derivative_fd,
 )
 from entroflow.pde import dissipation_report
@@ -51,6 +52,24 @@ from entroflow.transport import w2_1d
 # below this level the density cannot support a meaningful velocity
 VELOCITY_FLOOR = 1e-12
 SUPPORT_FLOOR = 1e-2   # relative mass below which the HJ residual is not read
+
+
+def barenblatt_width_state(grid, c, b0, t):
+    """The exact fast-diffusion solution of the Barenblatt width family at
+    time ``t``, normalized on the radial ``grid``.
+
+    The scheme discretizes d_t mu = s div(mu grad(r^2/2 - mu^(-1/n))) with
+    s = (n-1)/n.  The ansatz mu = (a + b r^2/2)^(-n) solves it exactly when
+    a' = -s (1-b) a and b' = s (1-b) b: the product a b = c keeps the mass,
+    b(t) = 1 / (1 + (1/b0 - 1) e^(-s t)), and b = 1 is the stationary state
+    (c + r^2/2)^(-n) (Barenblatt 1952; Carrillo & Toscani, Indiana Univ.
+    Math. J. 49 (2000) 113).  On the truncated grid the width mode is exact
+    only up to the mass beyond the radius.
+    """
+    n = grid.ambient_dim
+    s = (n - 1.0) / n
+    b = 1.0 / (1.0 + (1.0 / b0 - 1.0) * math.exp(-s * t))
+    return normalize((c / b + 0.5 * b * grid.nodes**2) ** (-n), grid)
 
 
 def brute_force_w2_atoms(x, y):

@@ -359,6 +359,21 @@ def test_fast_diffusion_from_dimension_133(tmp_path, capsys):
     assert not (tmp_path / "c").exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_fast_diffusion_grid_with_a_zero_newton_row_is_config_error(tmp_path, capsys):
+    # from n = 150 the first cell and its face have no measure in doubles at
+    # the default radius and cells; n = 147 has a subnormal first face
+    argv = ["simulate", "--flow", "fast_diffusion", "--T", "0.01", "--diagnose"]
+    assert main([*argv, "--dim", "147", "--out", str(tmp_path / "a")]) == 0
+    assert "passed=True" in capsys.readouterr().out
+    assert main([*argv, "--dim", "150", "--out", str(tmp_path / "b")]) == 2
+    assert capsys.readouterr().err == (
+        "config error: at dimension 150, radius 10 and 512 cells the inner cells "
+        "have neither measure nor face area in doubles: lower --dim or widen "
+        "the cells, --radius / --N\n")
+    assert not (tmp_path / "b").exists()
+
+
 def test_simulate_unknown_init_is_config_error(tmp_path, capsys):
     code = main(["simulate", "--flow", "heat", "--init", "cauchy:0:1",
                  *SMALL_RUN, "--out", str(tmp_path)])

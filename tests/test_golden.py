@@ -154,19 +154,19 @@ GOLDEN = {
     },
     "fast_diffusion_n4096": {
         "<stdout>":
-            "4b6544b4166091a5a73f65f15f16f73e32490bcee77cfcb4e4f03cdf96acd813",
+            "804aa6302132e1903b240b1793070034a7197ebf0bcf0ecfa3550c10972a7f03",
         "manifest.json":
             "aa39ca88e3a121f76b6f82a3128b01cfea8bee46700a89d0020443b74d529e0e",
         "report.csv":
-            "8ef3ce73d55e5d4efc1e111d7d730ebd93a93fcd9a2efe4efef97b83826c7995",
+            "786d4084af12cd3f76c430fe4359941ab0592439e666903326e43f8bd2f31d81",
         "snapshot_0000.csv":
             "9c18707d04f31583a1f0a2358c12fdbd58193ee1073d2051b2fcee760a301f96",
         "snapshot_0001.csv":
-            "8aebf42026a893cc3c08b78632326439dda5f556f613ecdeadd9efe6d3ffa5eb",
+            "f8beaa9d0cfb73ac205a33870ff152f3defa1002d5f9a94b74da092a9e8f0d52",
         "snapshot_0002.csv":
-            "add51b4cb8744dc380bdff7381d76ac14d3cacf1b5c3b04135a2ca85d380ac73",
+            "9e5aa2c34bd884fb831b36f003d5b681c5bfef87b56c88b7f096454a63ee73c3",
         "summary.json":
-            "0deb0015ad32f8eabae7bec7d988c3dc29d5116235102ba5e1acfe1feb93c84e",
+            "659a68cdbd769100b2d824360ba9b21c6c4d943e11d1398320d6ce6edc479820",
     },
     "fokker_planck": {
         "<stdout>":
@@ -208,39 +208,39 @@ GOLDEN = {
     },
     "jko": {
         "<stdout>":
-            "2f2fc80091bbca1e0a393f684569e5475731de719c1cb736088f3bed210bf452",
+            "6bb17ec9bd79786dac6f933cebd499cfd9a6b482bcc52437d19e4c019a370084",
         "final_density.csv":
-            "77b6e6bcdcc045653a763212ccb458b9d93429f1caeff6261d4aa5759045c27f",
+            "0d1e919b426247016921d693c11696c13d3fe65c3070a665eedfe59a5484834f",
         "jko_steps.csv":
-            "cdb638fc1c6037d65a2daef58ab37c5d83697b8e7e434b0fcdf14b6551640a77",
+            "e2bcf9b316faac95ce19b009323bc557ae2adbff7bd407fb7e67286af541fdbf",
         "manifest.json":
             "b3279cdf97dda88e2573a2bdbbc3fa785af5b24166a3f93b2c57595b16341724",
         "summary.json":
-            "80bd6fd5668be8dd4cc65c1c49b71f40f27b49c3f8daa44f1d62029f109e9a99",
+            "1db6baf36237519fef2aab7c9bb7736436caf02766c6f90228e15b41b703cdb3",
     },
     "jko_entropy": {
         "<stdout>":
-            "84b23e364cf19b6fed588ffc541e3d49283e970d34d9da76fb6b46232d240421",
+            "fc6a9a8ae23e993337053753f381e1919a34a86b7af7468e9e63285248d4ec9d",
         "final_density.csv":
-            "46b1f729799a810037c81b9605bd72c795923d4a6b7441b01b460e6bb29e702e",
+            "5bc1a1987334e3083ff140937dd782aebf8aae044b5b163f2d1a738f869d2ae8",
         "jko_steps.csv":
-            "c91c85e12f4b820ea85c94a6b6e81283a3936bec47866b14d874bc56ffe1b933",
+            "1ebde6398d990fa5a268302151942b3444c60b5d4ab0229cabad7a97b1ca2367",
         "manifest.json":
             "2b82d4982731508b7670b1e3557a6ffda42d436c49ff8b549e7f59eb377a506b",
         "summary.json":
-            "ca04a74cdcf70b123a2d96a0c74e52209a33cf79906db80cd6e5ca987e572122",
+            "4efa43bfe7d8d68e40e73b4f6057979ceef6bd3abd631107d0a8f3d41474ed67",
     },
     "jko_entropy_m65536": {
         "<stdout>":
             "d074eab18e845e4aaadd9f7cc7e30b808ba84500c410e64cbb22ad3a5ec17f24",
         "final_density.csv":
-            "6af36161d903d976e0564601861addd6cd5651992df2e9e76051c2ba892ecefa",
+            "f98abd219c63e283b005b213d859d0d36e86eedde62574ffdc25f1fc7b9e3319",
         "jko_steps.csv":
-            "060bfc71c4d42f6bc6c7f620506d39f7dcfa09ca3daf8c90e5d3f0b0a1afc873",
+            "413baa4f997b5f309d86150eb1ae98f4ff6235388f18cfb52653cfef055decff",
         "manifest.json":
             "0e07ecf6ac5e0d5c31082b99a785f1384aed6cfe9890a5d9499c7e5f3ba86620",
         "summary.json":
-            "7ee3c35df96fc10cb2d10ed233a8b5041a4aca302a25219f4897beb721c9d3fd",
+            "4896b4b6475c413e4d0570676316603326f313c03856c64448e5e64004682410",
     },
     "w2": {
         "<stdout>":

@@ -394,7 +394,8 @@ def test_density_csv_bytes_at_chunk_edges(tmp_path, n):
 
 
 def test_density_csv_whose_values_all_fall_back(tmp_path):
-    # outside [1e-280, 1e280], subnormal, infinite or an exact decimal tie
+    # outside the kernel's range [1e-280, 1e4): huge, tiny, subnormal,
+    # infinite, and exact decimal ties near 1e15
     rng = np.random.default_rng(3)
     values = np.concatenate([1e281 * (1.0 + rng.random(50)), 1e-300 * rng.random(50),
                              5e-324 * rng.integers(1, 10**6, 50), [np.inf],
@@ -403,6 +404,44 @@ def test_density_csv_whose_values_all_fall_back(tmp_path):
     density = GridDensity(grid, values)
     write_density_csv(density, tmp_path / "density.csv")
     assert_same_text(tmp_path / "density.csv", reference_density_csv(density))
+
+
+def near_decimal_ties(k, reach):
+    """Doubles v in [10^k, 10^(k+1)) whose P = v 10^(16-k), the number the
+    '%.17g' kernel rounds, lies within reach 2^-s of a half-integer but not
+    on it, for each binade v = M 2^e with s = -e - (16 - k) > 1: M is solved
+    from M 5^(16-k) = 2^(s-1) + t (mod 2^s) for 0 < |t| <= reach."""
+    q, found = 16 - k, []
+    for e in range(math.floor(math.log2(10.0**k)) - 53,
+                   math.floor(math.log2(10.0**(k + 1))) - 51):
+        s = -e - q
+        if s <= 1:
+            continue
+        inverse = pow(5**q, -1, 2**s)
+        for t in range(-reach, reach + 1):
+            mantissa = (2 ** (s - 1) + t) * inverse % 2**s
+            v = math.ldexp(mantissa, e)
+            if t and 2**52 <= mantissa < 2**53 and 10.0**k <= v < 10.0 ** (k + 1):
+                found.append(v)
+    return found
+
+
+def test_g17_words_rounds_in_range_decimal_ties_like_python():
+    """Exact ties in range (odd M 2^(k-17) in [10^k, 10^(k+1)) has 18
+    digits, the last a 5, for -7 <= k <= 3) and near ties (P within 1e-12 of
+    a half-integer where 10^(16-k) is not a double).  The exact ones round
+    right without the kernel's tie fallback, but 14 of the 552 near ties,
+    at 1e-12 <= v < 1e-7, come out one unit off in the 17th digit."""
+    rng = np.random.default_rng(26)
+    exact = [(2.0 * rng.integers(10.0**k * 2.0 ** (16 - k), 10.0 ** (k + 1)
+                                 * 2.0 ** (16 - k), 200) + 1.0) * 2.0 ** (k - 17)
+             for k in range(-7, 4)]
+    near = np.array([v for k in range(-30, -6) for v in near_decimal_ties(k, 200)])
+    assert near.size == 552
+    values = np.concatenate([*exact, near, -near])
+    assert np.all((np.abs(values) >= 1e-280) & (np.abs(values) < 1e4))
+    got = g17_words(values).tobytes().translate(None, b"\0").split(b",")[:-1]
+    assert got == [b"%.17g" % v for v in values.tolist()]
 
 
 def test_float_csv_is_write_csv_with_signs_and_specials(tmp_path):

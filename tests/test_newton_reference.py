@@ -2,15 +2,15 @@
 
 The reference functions below are the straightforward versions of
 ``pde._fd_newton_step`` and ``jko._jko_step_quantiles`` (with their helpers,
-the broadcasting band assembly and scipy's ``solve_banded``).  The library
-versions avoid temporaries and repeated work but must do the same float
-operations in the same order: every iterate and every iteration count is
-compared bit for bit.
+plain-expression band assembly and scipy's public LAPACK ``dptsv``).  The
+library versions avoid temporaries and repeated work but must do the same
+float operations in the same order: every iterate and every iteration count
+is compared bit for bit.
 """
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_banded as scipy_solve_banded
+from scipy.linalg.lapack import dptsv
 
 from entroflow import jko, pde
 from entroflow.functionals import boltzmann_entropy, fp_free_energy
@@ -34,20 +34,14 @@ class _Counter:
         return self.fn(*args)
 
 
-_ref_solves = _Counter(lambda ab, b: scipy_solve_banded((1, 1), ab, b,
-                                                        check_finite=False))
+def _ref_dptsv(diag, off, b):
+    *_, x, info = dptsv(diag, off, b)
+    if info != 0:
+        raise pde.SolverError(f"dptsv failed with info={info}")
+    return x
 
 
-def _ref_flux_bands(diag, left, right, row_scale=1.0):
-    scale = np.broadcast_to(row_scale, np.shape(diag))
-    bands = np.zeros((3, np.size(diag)))
-    upper, main, lower = bands
-    main[:] = diag
-    main[:-1] += scale[:-1] * left
-    main[1:] += scale[1:] * right
-    upper[1:] = -(scale[:-1] * right)
-    lower[:-1] = -(scale[1:] * left)
-    return bands
+_ref_solves = _Counter(_ref_dptsv)
 
 
 def _ref_fd_newton_step(grid, dt, mu_old):
@@ -63,31 +57,34 @@ def _ref_fd_newton_step(grid, dt, mu_old):
     coupling = kappa * cface
 
     def residual(mu):
-        psi = -(mu ** (-1.0 / n)) + 0.5 * r**2
+        root = mu ** (-1.0 / n)
+        psi = -root + 0.5 * r**2
         flux = cface * np.diff(psi)
         res = w * (mu - mu_old)
         res[:-1] -= kappa * flux
         res[1:] += kappa * flux
-        return res
+        return res, root
 
     mu = mu_old.copy()
     scale = float(np.max(w * np.abs(mu_old)))
     tol = pde.NEWTON_TOL * max(scale, 1e-30)
-    res = residual(mu)
+    res, root = residual(mu)
     for _ in range(pde.NEWTON_MAX_ITER):
         norm = float(np.max(np.abs(res)))
         if norm <= tol:
             return mu
-        dpsi = mu ** (-1.0 / n - 1.0) / n
-        delta = _ref_solves(_ref_flux_bands(w, coupling * dpsi[:-1],
-                                            coupling * dpsi[1:]), -res)
+        inverse_p = n * mu / root   # 1 / P, P = mu^(-1/n-1) / n
+        diag = w * inverse_p
+        diag[:-1] += coupling
+        diag[1:] += coupling
+        delta = _ref_solves(diag, -coupling, -res) * inverse_p
         lam = 1.0
         for _ in range(40):
             trial = mu + lam * delta
             if np.all(trial > 0.0):
-                trial_res = residual(trial)
+                trial_res, trial_root = residual(trial)
                 if np.max(np.abs(trial_res)) < norm:
-                    mu, res = trial, trial_res
+                    mu, res, root = trial, trial_res, trial_root
                     break
             lam *= 0.5
         else:
@@ -113,22 +110,19 @@ def _ref_objective(functional, x, x_prev, tau):
     return _ref_quantile_free_energy(functional, x) + prox
 
 
-def _ref_grad_hess(functional, x, x_prev, tau):
-    m = x.size
-    dq = 1.0 / m
+def _ref_newton_direction(functional, x, x_prev, tau):
     d = np.maximum(np.diff(x), jko.INCREMENT_FLOOR)
-    inv = 1.0 / d
-    grad = np.zeros(m)
-    grad[1:] -= dq * inv
-    grad[:-1] += dq * inv
-    cross = dq * inv**2
-    bands = _ref_flux_bands(np.zeros(m), cross, cross)
+    rate = 1.0 / tau
+    smooth = (x - x_prev) / tau
     if functional.confined:
-        grad += dq * x
-        bands[1] += dq
-    grad += dq * (x - x_prev) / tau
-    bands[1] += dq / tau
-    return grad, bands
+        smooth = smooth + x
+        rate += 1.0
+    v = _ref_solves(rate * d * d + 2.0, -np.ones(x.size - 2),
+                    smooth[:-1] - smooth[1:] - d * rate)
+    delta = -smooth   # -(smooth + D^T v), (D^T v)_i = v_{i-1} - v_i
+    delta[1:] -= v
+    delta[:-1] += v
+    return delta / rate
 
 
 def _ref_jko_step_quantiles(functional, x_prev, tau):
@@ -137,8 +131,7 @@ def _ref_jko_step_quantiles(functional, x_prev, tau):
     floor = min(jko.INCREMENT_FLOOR, float(np.min(np.diff(x_prev))))
     iters = 0
     for iters in range(1, jko.MAX_INNER + 1):
-        grad, bands = _ref_grad_hess(functional, x, x_prev, tau)
-        delta = _ref_solves(bands, -grad)
+        delta = _ref_newton_direction(functional, x, x_prev, tau)
         lam = 1.0
         improved = False
         for _ in range(50):

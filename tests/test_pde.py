@@ -39,7 +39,6 @@ from entroflow.pde import (
     _fd_tail_mass,
     _linear_step_matrix,
     dirac_like_density,
-    flux_bands,
     solve,
     solve_banded,
     stationary_fd,
@@ -47,7 +46,7 @@ from entroflow.pde import (
     step_count,
     write_report_csv,
 )
-from oracles import de_bruijn_pde_check, trajectory_report
+from oracles import barenblatt_width_state, de_bruijn_pde_check, trajectory_report
 
 
 def exact_heat_gaussian(grid, t, sigma0=1.0):
@@ -351,6 +350,59 @@ def test_fd_relaxation_rate_and_conservation(fd_setup):
     assert report.fitted_value_rate >= 2.0 * (2.0 / 3.0) * 0.95
 
 
+def _barenblatt_l1(dim, radius, cells, dt, horizon, b0=0.6):
+    """L1 distance at ``horizon`` between the scheme run from the width
+    family's state at b0 and the exact solution, both normalized on the
+    grid; C is that of ``stationary_fd`` on the same grid."""
+    grid = staggered_radial_grid(radius, cells, dim)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # the dim-3 truncation tail
+        c = stationary_fd(grid).values[0] ** (-1.0 / dim) - 0.5 * grid.nodes[0] ** 2
+    mu0 = barenblatt_width_state(grid, c, b0, 0.0)
+    final = solve(fd_free_energy(), mu0, dt, horizon, snapshot_every=10**6).states[-1]
+    exact = barenblatt_width_state(grid, c, b0, horizon)
+    return integrate(np.abs(final.values - exact.values), grid)
+
+
+@pytest.mark.parametrize("runs, expected", [
+    ([(cells, 2.5e-4) for cells in (128, 256, 512)], [5.59e-3, 1.40e-3, 3.56e-4]),
+    ([(2048, dt) for dt in (0.02, 0.01, 0.005, 0.0025)],
+     [3.61e-3, 1.82e-3, 9.21e-4, 4.71e-4]),
+], ids=["space", "time"])
+def test_fast_diffusion_converges_to_the_barenblatt_width_solution(runs, expected):
+    """At dim 10 and radius 10 the truncation is negligible: the L1 error at
+    T = 0.5 (b0 = 0.6) falls as O(h^2) in space and O(dt) in time."""
+    errors = [_barenblatt_l1(10, 10.0, cells, dt, 0.5) for cells, dt in runs]
+    assert errors == pytest.approx(expected, rel=0.2)
+
+
+def test_fast_diffusion_in_dimension_3_is_bound_by_its_truncation():
+    """At dim 3 and radius 10 the grid misses 3e-2 of the continuum mass,
+    and the L1 error against the width family is 5.0e-2 at T = 0.5 and
+    6.76e-2 at T = 1 whatever the grid and step."""
+    errors = [_barenblatt_l1(3, 10.0, cells, dt, 0.5)
+              for cells, dt in ((256, 1e-3), (512, 1e-3), (512, 5e-4))]
+    assert errors == pytest.approx([5.0e-2] * 3, rel=0.2)
+    assert max(errors) - min(errors) <= 0.01 * min(errors)   # flat in h and dt
+    assert _barenblatt_l1(3, 10.0, 512, 1e-3, 1.0) == pytest.approx(6.76e-2, rel=0.2)
+
+
+@pytest.mark.parametrize("dim, radius, cells, rejected", [
+    (147, 10.0, 512, False), (149, 10.0, 512, False),   # subnormal first face
+    (150, 10.0, 512, True), (190, 10.0, 512, True), (140, 0.514, 5844, True)])
+def test_radial_grid_with_a_zero_newton_row_is_rejected(dim, radius, cells, rejected):
+    """From dim 140 the innermost cell measure underflows to 0, and where
+    the first face area does too, Newton's row 0 would be zero."""
+    grid = staggered_radial_grid(radius, cells, dim)
+    mu0 = stationary_state(fd_free_energy(), grid)
+    if rejected:
+        with pytest.raises(ValueError, match=f"at dimension {dim}, radius {radius:g} "
+                                             f"and {cells} cells the inner cells"):
+            solve(fd_free_energy(), mu0, 1e-4, 1e-4)
+    else:
+        assert solve(fd_free_energy(), mu0, 1e-3, 2e-3).states[-1].values.min() > 0.0
+
+
 # ---------------------------------------------------------------- scipy oracles
 # The stationary constant comes from scipy's compiled Brent routine, loaded
 # by file path, and its tail mass from a numpy Gauss-Legendre rule in place of
@@ -508,9 +560,11 @@ def _longdouble_steps(bands, mu, steps):
 def test_symmetric_step_error_is_within_twice_the_lu_solve(kind, n, steps):
     """Against an extended-precision solve of the same bands, the worst
     relative error of the stepped symmetric form over every step and node
-    is at most twice that of dgtsv's LU solves (measured: 2.4e-15 against
-    1.6e-15 for heat and 6.0e-15 against 6.3e-15 for Fokker-Planck at
-    N=129; 6.2e-14 against 4.9e-14 and 1.9e-14 against 1.2e-14 at N=1025)."""
+    is at most twice that of scipy's LU solves (dgtsv; measured: 2.4e-15
+    against 1.6e-15 for heat and 6.0e-15 against 6.3e-15 for Fokker-Planck
+    at N=129; 6.2e-14 against 4.9e-14 and 1.9e-14 against 1.2e-14 at
+    N=1025)."""
+    from scipy.linalg import solve_banded as scipy_solve_banded
     grid = make_uniform_grid(-8.0, 8.0, n)
     mu0 = gaussian_density(grid, mean=1.5, sigma=0.7)
     bands = _linear_step_matrix(FLOWS[kind], grid, 1e-3)
@@ -518,7 +572,7 @@ def test_symmetric_step_error_is_within_twice_the_lu_solve(kind, n, steps):
     stepped = [s.values for s in solve(FLOWS[kind], mu0, 1e-3, steps * 1e-3).states]
     lu, mu = [], mu0.values
     for _ in range(steps):
-        mu = solve_banded(bands.copy(), mu)
+        mu = scipy_solve_banded((1, 1), bands, mu, check_finite=False)
         lu.append(mu)
 
     def worst(states):
@@ -601,31 +655,51 @@ def test_coarse_wide_domain_prints_only_the_config_error(tmp_path):
     assert not out.exists()
 
 
+def _spd_bands(n, seed):
+    """B^T B for a random upper bidiagonal B, a symmetric positive-definite
+    band array in the upper form of scipy's ``solveh_banded``, and a
+    right-hand side."""
+    rng = np.random.default_rng(seed)
+    main, upper = rng.uniform(0.5, 1.5, n), rng.uniform(-1.5, 1.5, n - 1)
+    ab = np.zeros((2, n))
+    ab[0, 1:] = main[:-1] * upper
+    ab[1] = main**2
+    ab[1, 1:] += upper**2
+    return ab, rng.standard_normal(n)
+
+
 @pytest.mark.parametrize("n", [3, 4, 17, 1025, 65537])
-def test_solve_banded_is_scipy_solve_banded_bitwise(n):
-    from scipy.linalg import solve_banded as scipy_solve_banded
-    rng = np.random.default_rng(n)
-    ab = rng.uniform(-1.0, 1.0, (3, n))
-    ab[1] *= 0.5
-    b = rng.standard_normal(n)
-    assert np.any(np.abs(ab[2, :-1]) > np.abs(ab[1, :-1]))   # dgtsv pivots
-    expected = scipy_solve_banded((1, 1), ab, b)
+def test_solve_banded_is_scipy_dptsv_bitwise(n):
+    from scipy.linalg import solveh_banded
+    from scipy.linalg.lapack import dptsv
+    ab, b = _spd_bands(n, n)
+    off, diag = ab[0, 1:], ab[1]
+    # not diagonally dominant
+    assert np.any(np.abs(np.r_[off, 0.0]) + np.abs(np.r_[0.0, off]) > diag)
+    *_, expected, info = dptsv(diag, off, b)
+    assert info == 0
+    assert np.array_equal(solveh_banded(ab, b), expected)
     rhs = b.copy()
-    assert np.array_equal(solve_banded(ab, rhs), expected)
-    assert np.array_equal(rhs, b)
+    x = solve_banded(ab.copy(), rhs)
+    assert np.array_equal(x, expected)
+    assert np.shares_memory(x, rhs)   # written over b
 
 
-def test_solve_banded_singular_band_is_solver_error():
-    singular = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
-    with pytest.raises(SolverError, match="dgtsv failed with info=2"):
-        solve_banded(singular, np.ones(3))
+# A symmetric band that is not positive definite: its second pivot is
+# 1 - 2^2 / 1 = -3, and LAPACK reports the row
+INDEFINITE = np.array([[0.0, 2.0, 0.5], [1.0, 1.0, 1.0]])
+
+
+def test_solve_banded_indefinite_band_is_solver_error():
+    with pytest.raises(SolverError, match="dptsv failed with info=2"):
+        solve_banded(INDEFINITE.copy(), np.ones(3))
 
 
 @pytest.mark.parametrize("broken", ["layout", "file"])
 @pytest.mark.parametrize("package, name", [("linalg", "_flapack"),
                                            ("optimize", "_zeros")])
 def test_extension_falls_back_to_scipy(package, name, broken, monkeypatch, tmp_path):
-    from scipy.linalg import solve_banded as scipy_solve_banded
+    from scipy.linalg import solveh_banded
     from scipy.optimize import brentq
     corrupt = tmp_path / (name + EXTENSION_SUFFIXES[0])
     corrupt.write_bytes(b"not a shared library")
@@ -643,20 +717,16 @@ def test_extension_falls_back_to_scipy(package, name, broken, monkeypatch, tmp_p
     try:
         assert pde._extension(package, name) is importlib.import_module(
             f"scipy.{package}.{name}")
-        rng = np.random.default_rng(5)
-        ab = rng.uniform(-1.0, 1.0, (3, 257))
-        ab[1] *= 0.5
-        b = rng.standard_normal(257)
-        expected = scipy_solve_banded((1, 1), ab, b)
-        assert np.array_equal(solve_banded(ab.copy(), b), expected)
+        ab, b = _spd_bands(257, 5)
+        expected = solveh_banded(ab, b)
+        assert np.array_equal(solve_banded(ab.copy(), b.copy()), expected)
         factors = SymmetrizedLDL(SYMMETRIZABLE)
         x = solve_banded(factors, factors.scale.copy()) / factors.scale
         assert np.allclose(x, np.array([19.0, 28.0, 26.0]) / 48.0, rtol=1e-15)
-        singular = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
         with pytest.raises(SolverError, match="dpttrf"):
             SymmetrizedLDL(-SYMMETRIZABLE)
-        with pytest.raises(SolverError, match="dgtsv failed with info=2"):
-            solve_banded(singular, np.ones(3))
+        with pytest.raises(SolverError, match="dptsv failed with info=2"):
+            solve_banded(INDEFINITE.copy(), np.ones(3))
         assert _brentq(math.cos, 1.0, 2.0, xtol=1e-14, rtol=8.9e-16) == brentq(
             math.cos, 1.0, 2.0, xtol=1e-14, rtol=8.9e-16)
         with pytest.raises(SolverError, match="not bracketed"):
@@ -692,23 +762,24 @@ import sys
 import numpy as np
 from entroflow.pde import SymmetrizedLDL, solve_banded
 rng = np.random.default_rng(3)
-ab = rng.uniform(-1.0, 1.0, (3, 1025))
-ab[1] *= 0.5
+ab = np.zeros((2, 1025))   # symmetric positive definite, off-diagonal in ab[0, 1:]
+ab[0, 1:] = rng.uniform(-1.0, 1.0, 1024)
+ab[1] = 2.5
 b = rng.standard_normal(1025)
-x = solve_banded(ab.copy(), b)
-sym = -np.abs(ab)   # a symmetrizable, diagonally dominant band
-sym[1] = 2.5
+x = solve_banded(ab.copy(), b.copy())
+sym = -np.abs(np.vstack([ab[0], ab[0], np.roll(ab[0], -1)]))
+sym[1] = 2.5   # a symmetrizable, diagonally dominant band
 factors = SymmetrizedLDL(sym)
 y = solve_banded(factors, b * factors.scale) / factors.scale
 assert "entroflow._flapack" in sys.modules
 assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
 import scipy.linalg
 assert scipy.linalg._flapack is not sys.modules["entroflow._flapack"]
-*_, z, info = scipy.linalg._flapack.dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)
+*_, z, info = scipy.linalg._flapack.dptsv(ab[1], ab[0, 1:], b)
 assert info == 0
-*_, w, info = scipy.linalg.lapack.dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)
+*_, w, info = scipy.linalg.lapack.dptsv(ab[1], ab[0, 1:], b)
 assert info == 0
-v = scipy.linalg.solve_banded((1, 1), ab, b)
+v = scipy.linalg.solveh_banded(ab, b)
 for other in (z, w, v):
     assert np.array_equal(x, other)
 u = scipy.linalg.solve_banded((1, 1), sym, b)
@@ -758,23 +829,27 @@ def _dense(bands):
             + np.diag(bands[2, :-1], -1))
 
 
-def test_flux_bands_is_the_divergence_of_face_fluxes():
-    rng = np.random.default_rng(11)
-    n = 9
-    diag, u, scale = rng.uniform(0.5, 2.0, (3, n))
-    left, right = rng.uniform(0.1, 1.0, (2, n - 1))
-    flux = np.zeros(n + 1)          # J at the n + 1 faces, zero at both ends
-    flux[1:-1] = left * u[:-1] - right * u[1:]
-    expected = diag * u + scale * (flux[1:] - flux[:-1])
-    bands = flux_bands(diag, left, right, row_scale=scale)
+@pytest.mark.parametrize("kind", ["heat", "fokker_planck"])
+def test_linear_step_matrix_is_the_divergence_of_face_fluxes(kind):
+    grid = make_uniform_grid(-3.0, 3.0, 9)
+    x, w, h, dt = grid.nodes, grid.quad_weights, grid.spacing, 0.05
+    u = np.random.default_rng(11).uniform(0.5, 2.0, x.size)
+    dv = 0.5 * np.diff(x**2) if kind == "fokker_planck" else np.zeros(x.size - 1)
+    flux = np.zeros(x.size + 1)     # J at the n + 1 faces, zero at both ends
+    flux[1:-1] = (_bernoulli(dv) * u[:-1] - _bernoulli(-dv) * u[1:]) / h
+    expected = u + dt * (flux[1:] - flux[:-1]) / w
+    bands = _linear_step_matrix(FLOWS[kind], grid, dt)
     assert np.allclose(_dense(bands) @ u, expected, rtol=1e-14, atol=0.0)
-    assert np.allclose(solve_banded(bands, expected), u, rtol=1e-12)
+    factors = SymmetrizedLDL(bands)   # both off-diagonals are negative
+    y = solve_banded(factors, expected * factors.scale) / factors.scale
+    assert np.allclose(y, u, rtol=1e-12)
 
 
-def test_flux_bands_symmetric_for_equal_face_weights():
-    cross = np.random.default_rng(12).uniform(0.1, 3.0, 15)
-    dense = _dense(flux_bands(np.full(16, 0.5), cross, cross))
-    assert np.array_equal(dense, dense.T)
+def test_heat_step_matrix_is_self_adjoint_in_the_cell_measure():
+    grid = make_uniform_grid(-8.0, 8.0, 16)
+    weighted = grid.quad_weights[:, None] * _dense(
+        _linear_step_matrix(FLOWS["heat"], grid, 0.3))
+    assert np.allclose(weighted, weighted.T, rtol=1e-15, atol=0.0)
 
 
 @pytest.mark.parametrize("kind", ["heat", "fokker_planck"])
