@@ -217,22 +217,34 @@ def _bernoulli(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def flux_bands(diag, left, right, row_scale) -> np.ndarray:
+    """``[upper, diag, lower]`` band array of the tridiagonal operator
+
+        u -> diag u + row_scale (J_{i+1/2} - J_{i-1/2}),
+
+    with face flux J_{i+1/2} = left_i u_i - right_i u_{i+1} on the n - 1
+    interior faces and no flux through the ends.  ``diag`` is a scalar or
+    one value per row, ``row_scale`` one factor per row (a step over the
+    cell measure).  It never solves: every solve goes through
+    ``solve_banded``, whose calls ``perfbench/traced_entry.py`` counts per caller.
+    """
+    upper, main, lower = bands = np.zeros((3, np.size(left) + 1))
+    main[:] = diag
+    main[:-1] += row_scale[:-1] * left
+    main[1:] += row_scale[1:] * right
+    upper[1:] = -(row_scale[:-1] * right)
+    lower[:-1] = -(row_scale[1:] * left)
+    return bands
+
+
 def _linear_step_matrix(model: FreeEnergy, grid: Grid, dt: float) -> np.ndarray:
-    """``[upper, diag, lower]`` bands of the backward-Euler matrix I + dt M
-    for heat / Fokker-Planck: (M mu)_i = (J_{i+1/2} - J_{i-1/2}) / w_i with
-    the face flux J_{i+1/2} = [B(dV) mu_i - B(-dV) mu_{i+1}] / h on the
-    interior faces and none through the ends."""
+    """Banded backward-Euler matrix I + dt M for heat / Fokker-Planck, with
+    (M mu)_i = (J_{i+1/2} - J_{i-1/2}) / w_i."""
     x = grid.nodes
     dv = 0.5 * (x[1:] ** 2 - x[:-1] ** 2) if model.confined else np.zeros(x.size - 1)
-    left, right = _bernoulli(dv), _bernoulli(-dv)
-    scale = dt / (grid.quad_weights * grid.spacing)
-    upper, diag, lower = bands = np.zeros((3, x.size))
-    diag[:] = 1.0
-    diag[:-1] += scale[:-1] * left
-    diag[1:] += scale[1:] * right
-    upper[1:] = -(scale[:-1] * right)
-    lower[:-1] = -(scale[1:] * left)
-    return bands
+    # B(dV) weighs mu_i and B(-dV) mu_{i+1} in the face flux J_{i+1/2}
+    return flux_bands(1.0, _bernoulli(dv), _bernoulli(-dv),
+                      dt / (grid.quad_weights * grid.spacing))
 
 
 def _fd_newton_step(grid: Grid, dt: float, mu_old: np.ndarray) -> np.ndarray:

@@ -146,6 +146,34 @@ def _hand_assembled_newton_system(functional, x, x_prev, tau):
 
 
 @pytest.mark.parametrize("kind", ["entropy", "fp"])
+def test_hessian_equals_hand_assembled_bands_bitwise(kind, monkeypatch):
+    """The flux-form Hessian bands and right-hand side that the Newton
+    direction hands its solver (see the ``jko`` docstring), bit for bit."""
+    functional = fp_free_energy() if kind == "fp" else boltzmann_entropy()
+    rng = np.random.default_rng(4)
+    m, tau = 512, 0.05
+    x_prev = np.sort(rng.standard_normal(m))
+    x = x_prev + 0.01 * rng.standard_normal(m)
+    d = np.maximum(np.diff(x), INCREMENT_FLOOR)
+    rate = 1.0 / tau + (1.0 if kind == "fp" else 0.0)
+    smooth = (x - x_prev) / tau
+    if kind == "fp":
+        smooth = smooth + x
+    seen = []
+
+    def capture(bands, rhs):
+        seen.append((bands.copy(), rhs.copy()))
+        return rhs
+
+    monkeypatch.setattr(jko, "solve_banded", capture)
+    _newton_direction(functional, x, x_prev, tau, _increments(x), _workspace(m))
+    (bands, rhs), = seen
+    assert np.array_equal(bands[1], (d * rate) * d + 2.0)
+    assert np.array_equal(bands[0, 1:], np.full(m - 2, -1.0))
+    assert np.array_equal(rhs, (smooth[:-1] - smooth[1:]) - d * rate)
+
+
+@pytest.mark.parametrize("kind", ["entropy", "fp"])
 @pytest.mark.parametrize("tau", [0.05, 1.0])
 @pytest.mark.parametrize("tied", [False, True])
 def test_newton_direction_solves_the_hand_assembled_hessian(kind, tau, tied):

@@ -39,6 +39,7 @@ from entroflow.pde import (
     _fd_tail_mass,
     _linear_step_matrix,
     dirac_like_density,
+    flux_bands,
     solve,
     solve_banded,
     stationary_fd,
@@ -669,7 +670,9 @@ def _spd_bands(n, seed):
 
 
 @pytest.mark.parametrize("n", [3, 4, 17, 1025, 65537])
-def test_solve_banded_is_scipy_dptsv_bitwise(n):
+def test_solve_banded_is_scipy_solve_banded_bitwise(n):
+    """Bitwise scipy's banded solve for symmetric bands, ``solveh_banded``,
+    which runs ``dptsv`` on a (2, n) band."""
     from scipy.linalg import solveh_banded
     from scipy.linalg.lapack import dptsv
     ab, b = _spd_bands(n, n)
@@ -693,6 +696,12 @@ INDEFINITE = np.array([[0.0, 2.0, 0.5], [1.0, 1.0, 1.0]])
 def test_solve_banded_indefinite_band_is_solver_error():
     with pytest.raises(SolverError, match="dptsv failed with info=2"):
         solve_banded(INDEFINITE.copy(), np.ones(3))
+
+
+def test_solve_banded_singular_band_is_solver_error():
+    singular = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 1.0]])   # a zero row 1
+    with pytest.raises(SolverError, match="dptsv failed with info=1"):
+        solve_banded(singular, np.ones(3))
 
 
 @pytest.mark.parametrize("broken", ["layout", "file"])
@@ -829,20 +838,25 @@ def _dense(bands):
             + np.diag(bands[2, :-1], -1))
 
 
-@pytest.mark.parametrize("kind", ["heat", "fokker_planck"])
-def test_linear_step_matrix_is_the_divergence_of_face_fluxes(kind):
-    grid = make_uniform_grid(-3.0, 3.0, 9)
-    x, w, h, dt = grid.nodes, grid.quad_weights, grid.spacing, 0.05
-    u = np.random.default_rng(11).uniform(0.5, 2.0, x.size)
-    dv = 0.5 * np.diff(x**2) if kind == "fokker_planck" else np.zeros(x.size - 1)
-    flux = np.zeros(x.size + 1)     # J at the n + 1 faces, zero at both ends
-    flux[1:-1] = (_bernoulli(dv) * u[:-1] - _bernoulli(-dv) * u[1:]) / h
-    expected = u + dt * (flux[1:] - flux[:-1]) / w
-    bands = _linear_step_matrix(FLOWS[kind], grid, dt)
+def test_flux_bands_is_the_divergence_of_face_fluxes():
+    rng = np.random.default_rng(11)
+    n = 9
+    diag, u, scale = rng.uniform(0.5, 2.0, (3, n))
+    left, right = rng.uniform(0.1, 1.0, (2, n - 1))
+    flux = np.zeros(n + 1)          # J at the n + 1 faces, zero at both ends
+    flux[1:-1] = left * u[:-1] - right * u[1:]
+    expected = diag * u + scale * (flux[1:] - flux[:-1])
+    bands = flux_bands(diag, left, right, scale)
     assert np.allclose(_dense(bands) @ u, expected, rtol=1e-14, atol=0.0)
     factors = SymmetrizedLDL(bands)   # both off-diagonals are negative
     y = solve_banded(factors, expected * factors.scale) / factors.scale
     assert np.allclose(y, u, rtol=1e-12)
+
+
+def test_flux_bands_symmetric_for_equal_face_weights():
+    cross = np.random.default_rng(12).uniform(0.1, 3.0, 15)
+    dense = _dense(flux_bands(np.full(16, 0.5), cross, cross, np.ones(16)))
+    assert np.array_equal(dense, dense.T)
 
 
 def test_heat_step_matrix_is_self_adjoint_in_the_cell_measure():
