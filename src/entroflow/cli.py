@@ -32,6 +32,7 @@ from .grids import (
     normalize,
     read_density_csv,
     staggered_radial_grid,
+    text_column,
     write_csv,
     write_density_csv,
 )
@@ -125,7 +126,11 @@ def _emit(key, value):
 def _line_grid(domain, num):
     """The line grid of ``--domain`` and ``--N``, and its manifest fields."""
     a, b = domain
-    return make_uniform_grid(a, b, num), {"domain": [a, b], "num_nodes": num}
+    try:
+        grid = make_uniform_grid(a, b, num)
+    except ValueError as err:   # a < b is checked first
+        raise ConfigError("N" if a < b and num < 8 else "domain", str(err)) from None
+    return grid, {"domain": [a, b], "num_nodes": num}
 
 
 # density spec shape -> its form; a bracketed field may be left out
@@ -189,7 +194,12 @@ def _cmd_simulate(args):
             raise ConfigError("domain", f"{flow} runs on radial grids; "
                                         f"--radius sets their truncation")
         radius = _positive(args.radius, "radius")
-        grid = staggered_radial_grid(radius, num, dim)
+        try:
+            grid = staggered_radial_grid(radius, num, dim)
+        except ValueError as err:   # too few cells, or weights beyond a double
+            if num >= 8:
+                raise
+            raise ConfigError("N", str(err)) from None
         resolved.update(radius=radius, num_nodes=num)
         if not init.startswith("stationary"):
             raise ConfigError("init", f"fast diffusion supports stationary "
@@ -251,7 +261,6 @@ def _cmd_diagnose(args):
 
     rng = np.random.default_rng(seed)
     rows = []
-    all_pass = True
     for spec in finite_flow.builtin_potential_bank():
         x0 = rng.uniform(-1.5, 1.5, size=spec.dim)
         traj = finite_flow.integrate_flow(spec, x0, dt, horizon)
@@ -266,14 +275,13 @@ def _cmd_diagnose(args):
             ("entropy_decay_ratio", ent, ent <= 1.0 + finite_flow.DECAY_TOL),
             ("eep_margin", rhs - lhs, lhs <= rhs + 1e-9),
         ]
-        for name, value, passed in checks:
-            rows.append((spec.name, name, value, passed))
-            all_pass &= bool(passed)
+        rows += [(spec.name, *check) for check in checks]
 
+    potentials, names, values, passed = zip(*rows)
+    all_pass = all(passed)
     write_csv(out / "finite_checks.csv", "potential,check,value,pass",
-              "%s,%s,%.17g,%s",
-              ((potential, check, value, "true" if passed else "false")
-               for potential, check, value, passed in rows))
+              text_column(potentials), text_column(names), values,
+              text_column("true" if p else "false" for p in passed))
     _emit("all_pass", all_pass)
     return 0 if all_pass else 1
 
@@ -343,9 +351,9 @@ def _cmd_check(args):
     rows = banks.run_inequality_bank(inequality, seed, count)
 
     write_csv(out / "report.csv", "case_id,lhs,rhs,margin,pass",
-              "%s,%.17g,%.17g,%.17g,%s",
-              ((row.case_id, row.lhs, row.rhs, row.margin,
-                "true" if row.passed else "false") for row in rows))
+              text_column(row.case_id for row in rows),
+              [(row.lhs, row.rhs, row.margin) for row in rows],
+              text_column("true" if row.passed else "false" for row in rows))
 
     worst = min(rows, key=lambda r: r.margin)
     failures = [r for r in rows if not r.passed]

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grids import write_float_csv
+from .grids import write_csv
 from .pde import step_count
 
 DIVERGENCE_LIMIT = 1e12
@@ -154,7 +154,7 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Dump ``t,x_1..x_n,E,gradnorm2`` rows."""
     dim = traj.states.shape[1]
     cols = ",".join(f"x_{i + 1}" for i in range(dim))
-    write_float_csv(path, f"t,{cols},E,gradnorm2", np.column_stack(
+    write_csv(path, f"t,{cols},E,gradnorm2", np.column_stack(
         (traj.times, traj.states, traj.energies, traj.grad_norms_sq)))
 
 

@@ -1,4 +1,4 @@
-"""Uniform grids, discrete densities and the quadrature/differentiation kernels.
+"""Uniform grids, densities, quadrature/differentiation kernels and the CSV writer.
 
 Conventions used throughout the package:
 
@@ -40,16 +40,6 @@ RADIAL = "radial"
 def fmt_float(x: float) -> str:
     """Format with 17 significant digits (round-trips float64 in CSV)."""
     return format(float(x), ".17g")
-
-
-def write_csv(path, header: str, row_format: str, rows) -> None:
-    """Write ``header`` and one ``row_format % row`` line per row tuple, for
-    tables that hold strings, bools or integers (all-float ones go through
-    :func:`write_float_csv`).  Float fields use ``%.17g``, the same digits
-    as :func:`fmt_float`; other fields use ``%s``.
-    """
-    lines = [header, *(row_format % row for row in rows)]
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 CSV_CHUNK = 4096   # values per pass of the '%.17g' kernel; bounds its memory
@@ -156,21 +146,43 @@ def g17_words(values: np.ndarray) -> np.ndarray:
     return words.T
 
 
-def write_float_csv(path, header: str, table, lead=None) -> None:
-    """Write ``header`` and each row of the 2-d float ``table`` as its
-    ``'%.17g'`` values joined by commas, after ``lead`` (a first column of
-    NUL-padded text words), :data:`CSV_CHUNK` values per :func:`g17_words`."""
-    table = np.asarray(table, dtype=float)
-    step = max(1, CSV_CHUNK // table.shape[1])   # rows per pass
+def _text_words(text: bytes) -> np.ndarray:
+    """The comma-ended fields of ``text`` as rows of uint32 words, NUL padded
+    and ended by a comma.  Each row is a window of the text at its field's
+    start cut by a byte mask at the comma, so no field becomes a Python object."""
+    ends = np.flatnonzero(np.frombuffer(text, np.uint8) == ord(","))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    lengths = ends - starts
+    width = int(lengths.max()) // 4 * 4 + 4   # the text, NULs and a comma
+    column = sliding_window_view(np.frombuffer(text + bytes(width), np.uint8),
+                                 width)[starts]   # room for the last window
+    keep = np.tri(width + 1, width, -1, np.uint8) * np.uint8(255)   # row m: m bytes
+    words = column.view(np.uint32)
+    words &= keep.view(np.uint32)[lengths]
+    column[:, -1] = ord(",")
+    return words
+
+
+def text_column(strings) -> np.ndarray:
+    """A text column of :func:`write_csv`: each string as a row of words."""
+    return _text_words("".join(f"{s}," for s in strings).encode())
+
+
+def write_csv(path, header: str, *columns) -> None:
+    """Write ``header`` and a line per row of the ``columns``: text (the word
+    rows of :func:`text_column` or :attr:`Grid.csv_nodes`) or floats (1-d, or
+    2-d for adjacent columns) as ``'%.17g'``, :data:`CSV_CHUNK` values a pass."""
+    columns = [c if getattr(c, "dtype", None) == np.uint32 else np.asarray(c, float)
+               for c in columns]
+    step = max(1, CSV_CHUNK // sum(c[0].size for c in columns if c.dtype == float))
     newline = np.bitwise_xor.reduce(np.frombuffer(b"\0\0\0,\0\0\0\n", "u4"))
     with open(path, "wb") as out:
         out.write(f"{header}\n".encode())
-        for start in range(0, len(table), step):
-            rows = table[start:start + step]
-            words = g17_words(rows.ravel()).reshape(len(rows), -1)
+        for start in range(0, len(columns[0]), step):
+            words = np.hstack([
+                rows if rows.dtype == np.uint32 else g17_words(rows.ravel()).reshape(len(rows), -1)
+                for rows in (c[start:start + step] for c in columns)])
             words[:, -1] ^= newline   # the comma ending each row becomes '\n'
-            if lead is not None:
-                words = np.hstack((lead[start:start + step], words))
             out.write(words.tobytes().translate(None, b"\0"))
 
 
@@ -249,23 +261,11 @@ class Grid:
 
     @cached_property
     def csv_nodes(self) -> np.ndarray:
-        """Each node's ``%.17g`` text, NUL padded and ended by a comma, as uint32
-        words: the first column of a density CSV, built at the first write.
-        Each row is a window of the kernel's NUL-free text at the node's
-        start, cut at its comma by a byte mask, so no node becomes a Python
-        object."""
-        text = np.concatenate([np.frombuffer(
-            g17_words(self.nodes[start:start + CSV_CHUNK]).tobytes().translate(None, b"\0"),
-            np.uint8) for start in range(0, self.num_nodes, CSV_CHUNK)] + [np.zeros(32, np.uint8)])
-        ends = np.flatnonzero(text == ord(","))   # 32 NULs: room for the last window
-        starts = np.concatenate(([0], ends[:-1] + 1))
-        lengths = ends - starts
-        width = int(lengths.max()) // 4 * 4 + 4   # the text, NULs and a comma
-        column = sliding_window_view(text, width)[starts]
-        keep = np.tri(width + 1, width, -1, np.uint8) * np.uint8(255)   # row m: m bytes
-        words = column.view(np.uint32)
-        words &= keep.view(np.uint32)[lengths]
-        column[:, -1] = ord(",")
+        """Each node's ``%.17g`` text, a text column of :func:`write_csv` cut
+        from the kernel's NUL-free text: built at the first density write."""
+        words = _text_words(b"".join(g17_words(self.nodes[start:start + CSV_CHUNK]).tobytes()
+                                     for start in range(0, self.num_nodes, CSV_CHUNK)
+                                     ).translate(None, b"\0"))
         words.setflags(write=False)
         return words
 
@@ -447,8 +447,8 @@ class DensityTrajectory:
 
 def write_density_csv(density: GridDensity, path) -> None:
     """CSV dump with header ``x,value`` (line) or ``r,value`` (radial)."""
-    write_float_csv(path, ("r" if density.grid.is_radial else "x") + ",value",
-                    density.values[:, None], density.grid.csv_nodes)
+    write_csv(path, ("r" if density.grid.is_radial else "x") + ",value",
+              density.grid.csv_nodes, density.values)
 
 
 def read_density_csv(path) -> tuple[np.ndarray, np.ndarray]:

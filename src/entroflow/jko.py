@@ -203,7 +203,6 @@ def jko_trajectory(functional: FreeEnergy, mu0: GridDensity, tau: float,
 
 
 def write_step_log_csv(traj: DensityTrajectory, path) -> None:
-    """Per-step log ``k,F,W2_step,inner_iters``."""
-    write_csv(path, "k,F,W2_step,inner_iters", "%s,%.17g,%.17g,%s",
-              ((row["k"], row["F"], row["W2_step"], row["inner_iters"])
-               for row in traj.metadata.get("steps", [])))
+    """Per-step log ``k,F,W2_step,inner_iters``, the counts written as doubles."""
+    write_csv(path, "k,F,W2_step,inner_iters", [
+        (row["k"], row["F"], row["W2_step"], row["inner_iters"]) for row in traj.metadata["steps"]])

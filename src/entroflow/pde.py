@@ -68,7 +68,7 @@ from .grids import (
     integrate,
     normalize,
     sphere_area,
-    write_float_csv,
+    write_csv,
 )
 
 # flow name -> the free energy whose Wasserstein gradient flow it is
@@ -544,5 +544,5 @@ def dissipation_report(functional: FreeEnergy, grid: Grid, times, values,
 
 
 def write_report_csv(report: DissipationReport, path) -> None:
-    write_float_csv(path, "t,value,production,bound", np.column_stack(
+    write_csv(path, "t,value,production,bound", np.column_stack(
         (report.times, report.values, report.productions, report.bounds)))

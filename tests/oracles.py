@@ -41,6 +41,7 @@ from entroflow.grids import (
     cdf_and_quantile,
     cumulative_cdf,
     density_from_quantile,
+    gaussian_density,
     gradient_fd,
     integrate,
     normalize,
@@ -70,6 +71,18 @@ def barenblatt_width_state(grid, c, b0, t):
     s = (n - 1.0) / n
     b = 1.0 / (1.0 + (1.0 / b0 - 1.0) * math.exp(-s * t))
     return normalize((c / b + 0.5 * b * grid.nodes**2) ** (-n), grid)
+
+
+def ou_gaussian_state(grid, m0, sigma0, t):
+    """The exact Fokker-Planck solution at time ``t`` from the Gaussian of
+    mean ``m0`` and deviation ``sigma0``, normalized on the line ``grid``.
+
+    d_t mu = d_x(d_x mu + x mu) is the law of the Ornstein-Uhlenbeck process
+    dX = -X dt + sqrt(2) dW, which keeps a Gaussian start Gaussian with mean
+    m0 e^(-t) and variance 1 + (sigma0^2 - 1) e^(-2t).
+    """
+    variance = 1.0 + (sigma0**2 - 1.0) * math.exp(-2.0 * t)
+    return gaussian_density(grid, m0 * math.exp(-t), math.sqrt(variance))
 
 
 def brute_force_w2_atoms(x, y):

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import entroflow
-from entroflow import finite_flow, pde
-from entroflow.cli import main
+from entroflow import banks, finite_flow, jko, pde
+from entroflow.cli import JKO_FUNCTIONALS, main
 from entroflow.grids import (
     GridDensity,
     gaussian_density,
@@ -127,6 +127,30 @@ def test_diagnose_trajectory_csvs_match_row_oracle(tmp_path):
         rows = [",".join("%.17g" % v for v in row) for row in table.tolist()]
         text = (tmp_path / f"trajectory_{spec.name}.csv").read_text()
         assert text == "\n".join([header, *rows]) + "\n"
+
+
+def test_check_report_csv_matches_row_oracle(tmp_path):
+    assert main(["check", "--inequality", "lsi", "--seed", "3", "--count", "20",
+                 "--out", str(tmp_path)]) == 0
+    rows = ["%s,%.17g,%.17g,%.17g,%s" % (row.case_id, row.lhs, row.rhs, row.margin,
+                                          "true" if row.passed else "false")
+            for row in banks.run_inequality_bank("lsi", 3, 20)]
+    text = (tmp_path / "report.csv").read_text()
+    assert text == "\n".join(["case_id,lhs,rhs,margin,pass", *rows]) + "\n"
+
+
+def test_jko_step_log_csv_matches_row_oracle(tmp_path):
+    assert main(["jko", "--steps", "3", "--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    grid = make_uniform_grid(*manifest["domain"], manifest["num_nodes"])
+    traj = jko.jko_trajectory(JKO_FUNCTIONALS[manifest["functional"]],
+                              gaussian_density(grid, 1.0, 1.0), manifest["tau"],
+                              manifest["steps"], manifest["quantiles"])
+    assert manifest["init"] == "gaussian:1:1"
+    rows = ["%s,%.17g,%.17g,%s" % (row["k"], row["F"], row["W2_step"], row["inner_iters"])
+            for row in traj.metadata["steps"]]
+    text = (tmp_path / "jko_steps.csv").read_text()
+    assert text == "\n".join(["k,F,W2_step,inner_iters", *rows]) + "\n"
 
 
 def test_jko_command_with_pde_comparison(tmp_path, capsys):
@@ -582,6 +606,14 @@ def test_config_values_are_converted_as_their_flags(tmp_path):
     (["check"], "inequality: choose one of"),
     (["simulate", "--init", "uniform", "--domain", "-60", "60"],
      "domain [-60, 60] is too wide"),   # no symmetric step in doubles
+    (["w2", "--N", "5"], "N: need at least 8 nodes, got 5"),
+    (["jko", "--N", "7"], "N: need at least 8 nodes, got 7"),
+    (["simulate", "--flow", "heat", "--N", "7"], "N: need at least 8 nodes, got 7"),
+    (["simulate", "--flow", "fast_diffusion", "--N", "7"],
+     "N: need at least 8 cells, got 7"),
+    (["simulate", "--flow", "heat", "--domain", "2", "2"], "domain: need a < b"),
+    (["simulate", "--flow", "heat", "--domain", "2", "1", "--N", "5"],
+     "domain: need a < b"),   # the domain is checked first
 ], ids=["jko-quantiles", "w2-quantiles", "jko-steps", "simulate-positivity",
         "jko-positivity", "simulate-mass", "jko-compare-pde-steps", "check-seed",
         "diagnose-seed", "jko-tau-inf", "jko-compare-pde-tau-inf",
@@ -592,7 +624,9 @@ def test_config_values_are_converted_as_their_flags(tmp_path):
         "w2-nu-stationary", "simulate-gaussian-not-a-number",
         "w2-nu-gaussian-sigma", "jko-csv-missing", "jko-compare-pde-subnormal-tau",
         "simulate-fast-diffusion-gaussian", "check-no-inequality",
-        "simulate-fokker-planck-domain-too-wide"])
+        "simulate-fokker-planck-domain-too-wide", "w2-N", "jko-N", "simulate-heat-N",
+        "simulate-fast-diffusion-N", "simulate-heat-empty-domain",
+        "simulate-heat-reversed-domain-and-N"])
 def test_rejected_input_writes_nothing(argv, fragment, tmp_path, capsys):
     # a density of mass 1.01 on the 129 nodes of SMALL_RUN
     heavy = tmp_path / "heavy.csv"

@@ -20,6 +20,9 @@ only the calls in ``src/``, ``scripts/`` and ``perfbench/traced_entry.py``:
 a default that only tests take is a second source of its value.  Calls are
 matched by the callee's name, and a ``*args`` or ``**kwargs`` argument counts
 as both passing and omitting the parameters it may cover.
+
+No ``src/entroflow`` module but ``grids`` spells a ``.17g`` format, so the
+rule for how a double becomes text lives in one module.
 """
 
 import ast
@@ -180,3 +183,17 @@ def untaken_defaults() -> list[str]:
 
 def test_every_src_default_is_taken_outside_tests():
     assert untaken_defaults() == []
+
+
+def float_formats_outside_grids() -> list[str]:
+    """``module:line`` of each line of a ``src/entroflow`` module other than
+    ``grids`` that holds a ``.17g`` format."""
+    return [f"{path.stem}:{number}"
+            for path in sorted((ROOT / "src" / "entroflow").glob("*.py"))
+            if path.stem != "grids"
+            for number, line in enumerate(path.read_text().splitlines(), start=1)
+            if ".17g" in line]
+
+
+def test_float_formatting_lives_in_grids():
+    assert float_formats_outside_grids() == []

@@ -25,9 +25,9 @@ from entroflow.grids import (
     second_derivative_fd,
     sphere_area,
     staggered_radial_grid,
+    text_column,
     write_csv,
     write_density_csv,
-    write_float_csv,
 )
 
 
@@ -445,12 +445,34 @@ def test_g17_words_rounds_in_range_decimal_ties_like_python():
 
 
 def test_float_csv_is_write_csv_with_signs_and_specials(tmp_path):
+    """Three float columns, of every kind and both signs, against Python's
+    ``%`` row by row."""
     values = g17_families(np.random.default_rng(5), 2000)
     values = np.concatenate([values, -values, [np.nan, -np.inf, -0.0]])
     table = values[:values.size // 3 * 3].reshape(-1, 3)
-    write_float_csv(tmp_path / "kernel.csv", "a,b,c", table)
-    write_csv(tmp_path / "rows.csv", "a,b,c", "%.17g,%.17g,%.17g", map(tuple, table))
-    assert_same_text(tmp_path / "kernel.csv", (tmp_path / "rows.csv").read_text())
+    write_csv(tmp_path / "kernel.csv", "a,b,c", table[:, 0], table[:, 1:])
+    rows = ["%.17g,%.17g,%.17g" % tuple(row) for row in table.tolist()]
+    assert_same_text(tmp_path / "kernel.csv", "\n".join(["a,b,c", *rows]) + "\n")
+
+
+def test_write_csv_mixes_text_and_float_columns(tmp_path):
+    """Text ids, floats in and out of the kernel's range (negative, zero,
+    subnormal, nan, inf and integer-valued doubles from 1e4 up, which go to
+    Python's ``%``) and true/false verdicts, against Python's ``%`` rows."""
+    rng = np.random.default_rng(27)
+    lhs = np.concatenate([[-2.5, 0.0, -0.0, 5e-324, 1e-310, np.nan, np.inf, -np.inf,
+                           1e4, 123456.0, 2.0**53, 1e17, -1e22, 7.0],
+                          rng.standard_normal(CSV_CHUNK)])
+    rhs = np.concatenate([rng.integers(1, 10**9, 30).astype(float),
+                          10.0 ** rng.uniform(-300.0, 300.0, lhs.size - 30)])
+    ids = [f"case-{k:05d}" + "x" * (k % 11) for k in range(lhs.size)]
+    passed = rhs > lhs
+    write_csv(tmp_path / "mixed.csv", "case_id,lhs,rhs,pass", text_column(ids),
+              lhs, rhs.tolist(), text_column("true" if p else "false" for p in passed))
+    rows = ["%s,%.17g,%.17g,%s" % (case, a, b, "true" if p else "false")
+            for case, a, b, p in zip(ids, lhs.tolist(), rhs.tolist(), passed)]
+    assert_same_text(tmp_path / "mixed.csv",
+                     "\n".join(["case_id,lhs,rhs,pass", *rows]) + "\n")
 
 
 def reference_g17_tables():
