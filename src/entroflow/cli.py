@@ -128,8 +128,9 @@ def _line_grid(domain, num):
     a, b = domain
     try:
         grid = make_uniform_grid(a, b, num)
-    except ValueError as err:   # a < b is checked first
-        raise ConfigError("N" if a < b and num < 8 else "domain", str(err)) from None
+    except ValueError as err:   # finite a < b is checked first
+        raise ConfigError("N" if -np.inf < a < b < np.inf and num < 8 else "domain",
+                          str(err)) from None
     return grid, {"domain": [a, b], "num_nodes": num}
 
 
@@ -193,7 +194,9 @@ def _cmd_simulate(args):
         if tuple(args.domain) != DEFAULT_LINE_DOMAIN:
             raise ConfigError("domain", f"{flow} runs on radial grids; "
                                         f"--radius sets their truncation")
-        radius = _positive(args.radius, "radius")
+        radius = args.radius
+        if not 0.0 < radius < np.inf:
+            raise ConfigError("radius", f"must be positive and finite, got {radius}")
         try:
             grid = staggered_radial_grid(radius, num, dim)
         except ValueError as err:   # too few cells, or weights beyond a double

@@ -272,6 +272,8 @@ class Grid:
 
 def make_uniform_grid(a: float, b: float, num_nodes: int) -> Grid:
     """Uniform line grid of ``num_nodes`` nodes on [a, b]."""
+    if not (np.isfinite(a) and np.isfinite(b)):
+        raise ValueError(f"need finite ends, got a={a}, b={b}")
     if a >= b:
         raise ValueError(f"need a < b, got a={a}, b={b}")
     if num_nodes < 8:
@@ -286,8 +288,8 @@ def staggered_radial_grid(radius: float, num_cells: int, ambient_dim: int) -> Gr
 
     The first node sits at h/2, so 1/r factors never divide by zero.
     """
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
+    if not 0.0 < radius < np.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
     if num_cells < 8:
         raise ValueError(f"need at least 8 cells, got {num_cells}")
     h = radius / num_cells

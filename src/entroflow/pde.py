@@ -247,7 +247,8 @@ def _linear_step_matrix(model: FreeEnergy, grid: Grid, dt: float) -> np.ndarray:
                       dt / (grid.quad_weights * grid.spacing))
 
 
-def _fd_newton_step(grid: Grid, dt: float, mu_old: np.ndarray) -> np.ndarray:
+def _fd_newton_step(grid: Grid, dt: float, mu_old: np.ndarray,
+                    root_old: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One backward-Euler step of the fast-diffusion flow by damped Newton.
 
     The residual w (mu - mu_old) - div(kappa c_face diff(psi)) and its
@@ -256,6 +257,10 @@ def _fd_newton_step(grid: Grid, dt: float, mu_old: np.ndarray) -> np.ndarray:
     iterate is reproducible bit for bit.  Newton solves (W P^-1 + K) e = -res
     for e = P delta: with 1/P = n mu / root, the diagonal is w / P + c_{i-1}
     + c_i and the off-diagonal -c_i (c = kappa c_face).
+
+    ``root_old`` is mu_old^(-1/n), as the previous step's accepted residual
+    formed it (``solve`` forms it once, for mu_0).  The step returns the new
+    state with its root, so its only powers are its line-search trials'.
     """
     n = grid.ambient_dim
     w = grid.quad_weights
@@ -267,8 +272,7 @@ def _fd_newton_step(grid: Grid, dt: float, mu_old: np.ndarray) -> np.ndarray:
     flux, psi = np.empty_like(cface), np.empty_like(mu_old)
     bands = np.empty((2, mu_old.size))
 
-    def residual(mu):
-        root = mu ** (-1.0 / n)
+    def residual(mu, root):
         np.subtract(potential, root, out=psi)
         np.subtract(psi[1:], psi[:-1], out=flux)
         np.multiply(flux, cface, out=flux)
@@ -277,15 +281,15 @@ def _fd_newton_step(grid: Grid, dt: float, mu_old: np.ndarray) -> np.ndarray:
         res *= w
         res[:-1] -= flux
         res[1:] += flux
-        return res, root
+        return res
 
-    mu = mu_old.copy()
-    tol = NEWTON_TOL * max((w * np.abs(mu_old)).max(), 1e-30)
-    res, root = residual(mu)
+    mu, root = mu_old, root_old
+    tol = NEWTON_TOL * max((w * mu_old).max(), 1e-30)   # mu_old > 0
+    res = residual(mu, root)
     norm = np.abs(res).max()
     for _ in range(NEWTON_MAX_ITER):
         if norm <= tol:
-            return mu
+            return mu, root
         inverse_p = mu * n
         inverse_p /= root
         np.multiply(w, inverse_p, out=bands[1])
@@ -294,21 +298,22 @@ def _fd_newton_step(grid: Grid, dt: float, mu_old: np.ndarray) -> np.ndarray:
         np.negative(coupling, out=bands[0, 1:])
         delta = solve_banded(bands, np.negative(res, out=res))
         delta *= inverse_p
-        lam = 1.0
+        lam, trial = 1.0, delta + mu   # delta * 1.0 == delta
         for _ in range(40):
-            trial = delta * lam
-            trial += mu
             if trial.min() > 0.0:
-                trial_res, trial_root = residual(trial)
+                trial_root = trial ** (-1.0 / n)
+                trial_res = residual(trial, trial_root)
                 trial_norm = np.abs(trial_res).max()
                 if trial_norm < norm:
                     mu, res, root, norm = trial, trial_res, trial_root, trial_norm
                     break
             lam *= 0.5
+            trial = delta * lam
+            trial += mu
         else:
             raise SolverError("fast-diffusion Newton line search stalled")
     if norm <= 10.0 * tol:
-        return mu
+        return mu, root
     raise SolverError("fast-diffusion Newton did not converge")
 
 
@@ -358,10 +363,12 @@ def solve(model: FreeEnergy, mu0: GridDensity, dt: float, horizon: float,
     emit(0.0, GridDensity(grid, mu))
     if factors is not None:
         mu *= factors.scale   # the linear flows step y = T mu
+    else:
+        root = mu ** (-1.0 / grid.ambient_dim)   # each Newton step carries it on
 
     for k in range(1, steps + 1):
         if newton:
-            mu = _fd_newton_step(grid, dt, mu)
+            mu, root = _fd_newton_step(grid, dt, mu, root)
         else:
             mu = solve_banded(factors, mu)
         if k % snapshot_every == 0 or k == steps:

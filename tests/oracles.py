@@ -47,6 +47,7 @@ from entroflow.grids import (
     normalize,
     second_derivative_fd,
 )
+from entroflow.jko import INCREMENT_FLOOR
 from entroflow.pde import dissipation_report
 from entroflow.transport import w2_1d
 
@@ -83,6 +84,18 @@ def ou_gaussian_state(grid, m0, sigma0, t):
     """
     variance = 1.0 + (sigma0**2 - 1.0) * math.exp(-2.0 * t)
     return gaussian_density(grid, m0 * math.exp(-t), math.sqrt(variance))
+
+
+def quantile_free_energy(functional, x):
+    """F(mu) of a JKO-supported model at quantiles ``x`` on a uniform
+    midpoint q-grid: -dq sum log(dX/dq), plus dq sum x^2/2 with V, with the
+    forward-difference dX/dq floored at ``jko.INCREMENT_FLOOR``."""
+    dq = 1.0 / x.size
+    d = np.maximum(np.diff(x), INCREMENT_FLOOR)
+    value = -dq * float(np.sum(np.log(d / dq)))
+    if functional.confined:
+        value += dq * float(np.sum(0.5 * x**2))
+    return value
 
 
 def brute_force_w2_atoms(x, y):

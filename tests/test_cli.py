@@ -614,6 +614,17 @@ def test_config_values_are_converted_as_their_flags(tmp_path):
     (["simulate", "--flow", "heat", "--domain", "2", "2"], "domain: need a < b"),
     (["simulate", "--flow", "heat", "--domain", "2", "1", "--N", "5"],
      "domain: need a < b"),   # the domain is checked first
+    (["simulate", "--flow", "heat", "--domain", "0", "inf"],
+     "domain: need finite ends, got a=0.0, b=inf"),
+    (["jko", "--domain", "0", "inf"], "domain: need finite ends"),
+    (["w2", "--domain", "-1", "inf", "--N", "5"],
+     "domain: need finite ends"),   # before the node count
+    (["simulate", "--flow", "heat", "--domain", "nan", "1"],
+     "domain: need finite ends"),
+    (["simulate", "--flow", "fast_diffusion", "--radius", "inf"],
+     "radius: must be positive and finite, got inf"),
+    (["simulate", "--flow", "fast_diffusion", "--radius", "nan"],
+     "radius: must be positive and finite, got nan"),
 ], ids=["jko-quantiles", "w2-quantiles", "jko-steps", "simulate-positivity",
         "jko-positivity", "simulate-mass", "jko-compare-pde-steps", "check-seed",
         "diagnose-seed", "jko-tau-inf", "jko-compare-pde-tau-inf",
@@ -626,7 +637,10 @@ def test_config_values_are_converted_as_their_flags(tmp_path):
         "simulate-fast-diffusion-gaussian", "check-no-inequality",
         "simulate-fokker-planck-domain-too-wide", "w2-N", "jko-N", "simulate-heat-N",
         "simulate-fast-diffusion-N", "simulate-heat-empty-domain",
-        "simulate-heat-reversed-domain-and-N"])
+        "simulate-heat-reversed-domain-and-N", "simulate-heat-infinite-domain",
+        "jko-infinite-domain", "w2-infinite-domain-and-N", "simulate-heat-nan-domain",
+        "simulate-fast-diffusion-infinite-radius", "simulate-fast-diffusion-nan-radius"])
+@pytest.mark.filterwarnings("error")
 def test_rejected_input_writes_nothing(argv, fragment, tmp_path, capsys):
     # a density of mass 1.01 on the 129 nodes of SMALL_RUN
     heavy = tmp_path / "heavy.csv"

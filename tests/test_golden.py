@@ -208,39 +208,39 @@ GOLDEN = {
     },
     "jko": {
         "<stdout>":
-            "6bb17ec9bd79786dac6f933cebd499cfd9a6b482bcc52437d19e4c019a370084",
+            "d1b1bf90a3d8e74c9a3dca3f8c2ad16c8207a21caf6b815fcb91cfa841347d14",
         "final_density.csv":
-            "0d1e919b426247016921d693c11696c13d3fe65c3070a665eedfe59a5484834f",
+            "6d37b1ca30b387d2a9e6e8ce84c8e9e664fc2b7a738cc21403c4e6dd107983a4",
         "jko_steps.csv":
-            "e2bcf9b316faac95ce19b009323bc557ae2adbff7bd407fb7e67286af541fdbf",
+            "5590eb0068798e972cc07dc6d30385bb8fc9d1a448501319515d086c04f19329",
         "manifest.json":
             "b3279cdf97dda88e2573a2bdbbc3fa785af5b24166a3f93b2c57595b16341724",
         "summary.json":
-            "1db6baf36237519fef2aab7c9bb7736436caf02766c6f90228e15b41b703cdb3",
+            "8e39e6cb89c7ff39ed13c0d918ad8e51675e6b20ba64d560da88410f9e3946b5",
     },
     "jko_entropy": {
         "<stdout>":
-            "fc6a9a8ae23e993337053753f381e1919a34a86b7af7468e9e63285248d4ec9d",
+            "10768d1f297433208cd9977b8db0c6563fb62b1df4b84420adb1c6c16f727888",
         "final_density.csv":
-            "5bc1a1987334e3083ff140937dd782aebf8aae044b5b163f2d1a738f869d2ae8",
+            "e191fc483a81af40063b253a5887a5a52e8c7c2b5ef87b9c7b5f2bf0a0239507",
         "jko_steps.csv":
-            "1ebde6398d990fa5a268302151942b3444c60b5d4ab0229cabad7a97b1ca2367",
+            "3b646502f17c5500b2f084826a170cc28ecbdfdf4b3f506ed278e7d34fcaf878",
         "manifest.json":
             "2b82d4982731508b7670b1e3557a6ffda42d436c49ff8b549e7f59eb377a506b",
         "summary.json":
-            "4efa43bfe7d8d68e40e73b4f6057979ceef6bd3abd631107d0a8f3d41474ed67",
+            "a25bdee9a15e6409f0dbedc2742e09617e0432b0abb30ef59371da1eb89ac747",
     },
     "jko_entropy_m65536": {
         "<stdout>":
             "d074eab18e845e4aaadd9f7cc7e30b808ba84500c410e64cbb22ad3a5ec17f24",
         "final_density.csv":
-            "f98abd219c63e283b005b213d859d0d36e86eedde62574ffdc25f1fc7b9e3319",
+            "e5339c6e623216524167cb3a71a3d2a9d1c6713d181f7f30fbc031b0b3db32fd",
         "jko_steps.csv":
-            "413baa4f997b5f309d86150eb1ae98f4ff6235388f18cfb52653cfef055decff",
+            "5b33dee95ce68aa9a828a6ca33eff2837d35fd363d56cb431c740a5391a637d8",
         "manifest.json":
             "0e07ecf6ac5e0d5c31082b99a785f1384aed6cfe9890a5d9499c7e5f3ba86620",
         "summary.json":
-            "4896b4b6475c413e4d0570676316603326f313c03856c64448e5e64004682410",
+            "3f8c9ac675c4c2b584b6e1cd0906c003e4bc59053091189604fe216f58c3b88d",
     },
     "w2": {
         "<stdout>":

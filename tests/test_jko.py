@@ -22,10 +22,10 @@ from entroflow.jko import (
     _objective,
     _workspace,
     jko_trajectory,
-    quantile_free_energy,
     write_step_log_csv,
 )
 from entroflow.pde import MAX_STEPS, solve
+from oracles import quantile_free_energy
 
 
 def _objective_at(functional, x, x_prev, tau):

@@ -4,8 +4,9 @@ The reference functions below are the straightforward versions of
 ``pde._fd_newton_step`` and ``jko._jko_step_quantiles`` (with their helpers,
 plain-expression band assembly and scipy's public LAPACK ``dptsv``).  The
 library versions avoid temporaries and repeated work but must do the same
-float operations in the same order: every iterate and every iteration count
-is compared bit for bit.
+float operations in the same order: every iterate, every iteration count,
+the fast-diffusion root mu^(-1/n) that a step carries to the next and the
+JKO step-log row are compared bit for bit.
 """
 
 import numpy as np
@@ -126,12 +127,38 @@ def _ref_newton_direction(functional, x, x_prev, tau):
 
 
 def _ref_jko_step_quantiles(functional, x_prev, tau):
+    m = x_prev.size
+    dq = 1.0 / m
+    rate = 1.0 / tau + (1.0 if functional.confined else 0.0)
     x = x_prev.copy()
-    obj = _ref_objective(functional, x, x_prev, tau)
+    stay = obj = _ref_objective(functional, x, x_prev, tau)
     floor = min(jko.INCREMENT_FLOOR, float(np.min(np.diff(x_prev))))
-    iters = 0
+    bound = np.inf
     for iters in range(1, jko.MAX_INNER + 1):
         delta = _ref_newton_direction(functional, x, x_prev, tau)
+        size = float(np.max(np.abs(delta)))
+        tol = 1e-11 * max(1.0, float(np.max(np.abs(x))))
+        d = np.diff(x)
+        if np.all(d > jko.INCREMENT_FLOOR):
+            # Newton decrement of m times the objective, a self-concordant
+            # function: its Hessian is rate I + D^T diag(1 / d^2) D
+            decrement = np.sqrt(rate * float(np.sum(delta**2))
+                                + float(np.sum((np.diff(delta) / d) ** 2)))
+            if decrement > 2.0 * bound:   # twice the certified bound: roundoff
+                break
+            if decrement < 0.25:
+                if size <= tol:
+                    break
+                trial = x + delta
+                if np.all(np.diff(trial) > jko.INCREMENT_FLOOR):
+                    x, obj = trial, None
+                    bound = (decrement / (1.0 - decrement)) ** 2
+                    if bound / np.sqrt(rate) <= tol:   # bounds the next direction
+                        break
+                    continue
+        bound = np.inf
+        if obj is None:
+            obj = _ref_objective(functional, x, x_prev, tau)
         lam = 1.0
         improved = False
         for _ in range(50):
@@ -143,14 +170,16 @@ def _ref_jko_step_quantiles(functional, x_prev, tau):
                     x, obj = trial, trial_obj
                     break
             lam *= 0.5
-        step = float(np.max(np.abs(lam * delta)))
-        if not improved and step <= 1e-11 * max(1.0, float(np.max(np.abs(x)))):
+        if not improved and lam * size <= tol:
             break
-    stay = _ref_objective(functional, x_prev, x_prev, tau)
-    if obj > stay + 1e-12 * max(1.0, abs(stay)):
-        raise RuntimeError("proximal objective increased over the stay-put "
-                           "candidate; inner solver bug")
-    return x, iters
+    else:
+        raise pde.SolverError(f"JKO Newton did not converge in {jko.MAX_INNER} iterations")
+    energy = _ref_quantile_free_energy(functional, x)
+    moved_sq = float(np.sum((x - x_prev) ** 2))
+    if energy + 0.5 * dq * moved_sq / tau > stay:
+        x, energy, moved_sq = x_prev.copy(), stay, 0.0
+    return x, {"F": energy, "W2_step": float(np.sqrt(dq * moved_sq)),
+               "inner_iters": iters}
 
 
 @pytest.fixture
@@ -178,15 +207,17 @@ def test_fd_newton_step_is_reference_bitwise(dim, cells, dt, bump, solves):
     mu0 = normalize((1.0 + 0.5 * r**2) ** (-dim)
                     * (1.0 + bump * np.exp(-0.5 * (r - 2.0) ** 2)), grid).values
     mu = mu_ref = mu0
+    root = mu0 ** (-1.0 / dim)
     for _ in range(20):
         try:
             mu_ref = _ref_fd_newton_step(grid, dt, mu_ref)
         except pde.SolverError as err:
             with pytest.raises(pde.SolverError, match=str(err)):
-                pde._fd_newton_step(grid, dt, mu)
+                pde._fd_newton_step(grid, dt, mu, root)
             break
-        mu = pde._fd_newton_step(grid, dt, mu)
+        mu, root = pde._fd_newton_step(grid, dt, mu, root)
         assert np.array_equal(mu, mu_ref)
+        assert np.array_equal(root, mu ** (-1.0 / dim))
         assert solves.calls == _ref_solves.calls
     assert solves.calls == _ref_solves.calls >= 1
 
@@ -208,10 +239,10 @@ def test_jko_step_is_reference_bitwise(kind, m, tau, solves):
     functional = fp_free_energy() if kind == "fp_free_energy" else boltzmann_entropy()
     x = x_ref = _jko_start(m)
     for _ in range(3):
-        x, iters = jko._jko_step_quantiles(functional, x, tau)
-        x_ref, iters_ref = _ref_jko_step_quantiles(functional, x_ref, tau)
+        x, row = jko._jko_step_quantiles(functional, x, tau)
+        x_ref, row_ref = _ref_jko_step_quantiles(functional, x_ref, tau)
         assert np.array_equal(x, x_ref)
-        assert iters == iters_ref
+        assert row == row_ref
         assert solves.calls == _ref_solves.calls
 
 
@@ -220,9 +251,9 @@ def test_jko_step_from_tied_start_is_reference_bitwise(solves):
     tau = 1.0
     start = _jko_start(1024, tied=True)
     assert np.min(np.diff(start)) == 0.0
-    x, iters = jko._jko_step_quantiles(functional, start, tau)
-    x_ref, iters_ref = _ref_jko_step_quantiles(functional, start, tau)
+    x, row = jko._jko_step_quantiles(functional, start, tau)
+    x_ref, row_ref = _ref_jko_step_quantiles(functional, start, tau)
     assert np.array_equal(x, x_ref)
-    assert iters == iters_ref
+    assert row == row_ref
     assert solves.calls == _ref_solves.calls
     assert not np.array_equal(x, start)
