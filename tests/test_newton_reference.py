@@ -22,6 +22,7 @@ from entroflow.grids import (
     sphere_area,
     staggered_radial_grid,
 )
+from oracles import quantile_free_energy
 
 
 class _Counter:
@@ -95,20 +96,10 @@ def _ref_fd_newton_step(grid, dt, mu_old):
     raise pde.SolverError("fast-diffusion Newton did not converge")
 
 
-def _ref_quantile_free_energy(functional, x):
-    m = x.size
-    dq = 1.0 / m
-    d = np.maximum(np.diff(x), jko.INCREMENT_FLOOR)
-    value = -dq * float(np.sum(np.log(d / dq)))
-    if functional.confined:
-        value += dq * float(np.sum(0.5 * x**2))
-    return value
-
-
 def _ref_objective(functional, x, x_prev, tau):
     dq = 1.0 / x.size
     prox = 0.5 * dq * float(np.sum((x - x_prev) ** 2)) / tau
-    return _ref_quantile_free_energy(functional, x) + prox
+    return quantile_free_energy(functional, x) + prox
 
 
 def _ref_newton_direction(functional, x, x_prev, tau):
@@ -174,7 +165,7 @@ def _ref_jko_step_quantiles(functional, x_prev, tau):
             break
     else:
         raise pde.SolverError(f"JKO Newton did not converge in {jko.MAX_INNER} iterations")
-    energy = _ref_quantile_free_energy(functional, x)
+    energy = quantile_free_energy(functional, x)
     moved_sq = float(np.sum((x - x_prev) ** 2))
     if energy + 0.5 * dq * moved_sq / tau > stay:
         x, energy, moved_sq = x_prev.copy(), stay, 0.0
