@@ -4,10 +4,10 @@ Commands: simulate, diagnose, jko, check, w2.  Each parameter is declared
 once, with its default, in ``build_parser``; ``main`` installs the values of
 --config (JSON) as the command's defaults, so a flag beats the file and the
 file beats the default.  The ENTROFLOW_OUT environment variable overrides
-the output directory.  Every run writes a manifest.json echoing the
-resolved configuration.  Exit codes: 0 all checks passed, 1 some inequality
-or diagnostic violated (the report CSV names the worst case), 2 config
-error.
+the output directory.  Every run writes a manifest.json echoing its
+flags as resolved, which reruns it as a config, and ends on summary.json
+with its verdict.  Exit codes: 0 all checks passed, 1 some inequality or
+diagnostic violated (the report CSV names the worst case), 2 config error.
 """
 
 from __future__ import annotations
@@ -109,29 +109,36 @@ def _write_json(path, data):
     path.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n")
 
 
-def _start_run(args, command, resolved):
-    """Make the output directory and write the manifest of ``resolved``."""
+def _start_run(args):
+    """Make the output directory and write the manifest: the command and its
+    flags as the command resolved them, but --config and --out."""
     out = Path(os.environ.get("ENTROFLOW_OUT") or args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "manifest.json", {"command": command, **resolved})
+    _write_json(out / "manifest.json", {
+        key: value for key, value in vars(args).items()
+        if key not in ("config", "out", "func", "command_parser")})
     return out
 
 
-def _emit(key, value):
-    if isinstance(value, float):
-        value = fmt_float(value)
-    print(f"{key}={value}")
+def _finish(out, summary, echo, passed=True):
+    """End a run: write ``summary`` to summary.json, print those of its keys
+    in ``echo`` as key=value lines and return the exit code of ``passed``."""
+    _write_json(out / "summary.json", summary)
+    for key in echo:
+        if key in summary:
+            value = summary[key]
+            print(f"{key}={fmt_float(value) if isinstance(value, float) else value}")
+    return 0 if passed else 1
 
 
 def _line_grid(domain, num):
-    """The line grid of ``--domain`` and ``--N``, and its manifest fields."""
+    """The line grid of ``--domain`` and ``--N``."""
     a, b = domain
     try:
-        grid = make_uniform_grid(a, b, num)
+        return make_uniform_grid(a, b, num)
     except ValueError as err:   # finite a < b is checked first
         raise ConfigError("N" if -np.inf < a < b < np.inf and num < 8 else "domain",
                           str(err)) from None
-    return grid, {"domain": [a, b], "num_nodes": num}
 
 
 # density spec shape -> its form; a bracketed field may be left out
@@ -176,34 +183,29 @@ def _cmd_simulate(args):
     flow = args.flow
     model = pde.FLOWS[flow]
     radial = model.power_law   # a power law runs on radial grids
-    # --dim, --N and --init default by the flow
-    dim = (3 if radial else 1) if args.dim is None else args.dim
-    num = ((512 if radial else 1025) if args.num_nodes is None
-           else args.num_nodes)
-    init = (("stationary-perturbed:0.05" if radial else "gaussian:2:1")
-            if args.init is None else args.init)
+    # --dim, --N and --init default by the flow; the manifest records them
+    # resolved and leaves out the geometry flag the flow ignores
+    dim = args.dim = (3 if radial else 1) if args.dim is None else args.dim
+    num = args.num_nodes = ((512 if radial else 1025) if args.num_nodes is None
+                            else args.num_nodes)
+    init = args.init = (("stationary-perturbed:0.05" if radial else "gaussian:2:1")
+                        if args.init is None else args.init)
     dt = _positive(args.dt, "dt")
     horizon = _time_grid(args.T, dt)
     snapshot_every = _positive(args.snapshot_every, "snapshot_every")
-
-    resolved = {"flow": flow, "dim": dim, "dt": dt, "T": horizon,
-                "snapshot_every": snapshot_every, "diagnose": args.diagnose,
-                "init": init}
 
     if radial:
         if tuple(args.domain) != DEFAULT_LINE_DOMAIN:
             raise ConfigError("domain", f"{flow} runs on radial grids; "
                                         f"--radius sets their truncation")
+        del args.domain
         radius = args.radius
         if not 0.0 < radius < np.inf:
             raise ConfigError("radius", f"must be positive and finite, got {radius}")
         try:
             grid = staggered_radial_grid(radius, num, dim)
         except ValueError as err:   # too few cells, or weights beyond a double
-            if num >= 8:
-                raise
-            raise ConfigError("N", str(err)) from None
-        resolved.update(radius=radius, num_nodes=num)
+            raise ConfigError("N" if num < 8 else "dim", str(err)) from None
         if not init.startswith("stationary"):
             raise ConfigError("init", f"fast diffusion supports stationary "
                                       f"inits, got {init!r}")
@@ -214,9 +216,12 @@ def _cmd_simulate(args):
         if args.radius != DEFAULT_RADIUS:
             raise ConfigError("radius", f"{flow} runs on the line; --domain "
                                         f"sets its truncation")
-        grid, fields = _line_grid(args.domain, num)
-        resolved.update(fields)
-    stationary = pde.stationary_state(model, grid)   # checks n > 2
+        del args.radius
+        grid = _line_grid(args.domain, num)
+    try:
+        stationary = pde.stationary_state(model, grid)
+    except ValueError as err:   # n <= 2 or beyond doubles; a Gaussian off the domain
+        raise ConfigError("dim" if radial else "domain", str(err)) from None
     mu0 = _parse_density("init", init, grid, stationary)
 
     # snapshots are written as solve makes them, the first after its checks
@@ -224,17 +229,16 @@ def _cmd_simulate(args):
 
     def emit(t, state):
         nonlocal out
-        out = out or _start_run(args, "simulate", resolved)
+        out = out or _start_run(args)
         write_density_csv(state, out / f"snapshot_{len(times):04d}.csv")
         times.append(t)
-        if resolved["diagnose"]:
+        if args.diagnose:
             values.append(model.value(state))
             productions.append(model.production(state))
 
     pde.solve(model, mu0, dt, horizon, snapshot_every, emit)
     summary = {"flow": flow, "snapshots": len(times), "final_time": times[-1]}
-    code = 0
-    if resolved["diagnose"]:
+    if args.diagnose:
         report = pde.dissipation_report(model, grid, times, values, productions,
                                         stationary)
         pde.write_report_csv(report, out / "report.csv")
@@ -244,12 +248,8 @@ def _cmd_simulate(args):
             production_bounded=report.production_bounded,
             value_monotone=report.value_monotone,
             passed=report.passed)
-        _emit("fitted_production_rate", report.fitted_production_rate)
-        _emit("fitted_value_rate", report.fitted_value_rate)
-        _emit("passed", report.passed)
-        code = 0 if report.passed else 1
-    _write_json(out / "summary.json", summary)
-    return code
+    return _finish(out, summary, ("fitted_production_rate", "fitted_value_rate",
+                                  "passed"), summary.get("passed", True))
 
 
 # ------------------------------------------------------------------ diagnose
@@ -259,10 +259,9 @@ def _cmd_diagnose(args):
     horizon = _time_grid(args.T, dt)
     if round(horizon / dt) < 2:   # de Bruijn's centered difference needs 3 points
         raise ConfigError("T", f"need at least 2 steps of dt {dt}, got {horizon}")
-    seed = args.seed
-    out = _start_run(args, "diagnose", {"dt": dt, "T": horizon, "seed": seed})
+    out = _start_run(args)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(args.seed)
     rows = []
     for spec in finite_flow.builtin_potential_bank():
         x0 = rng.uniform(-1.5, 1.5, size=spec.dim)
@@ -285,8 +284,7 @@ def _cmd_diagnose(args):
     write_csv(out / "finite_checks.csv", "potential,check,value,pass",
               text_column(potentials), text_column(names), values,
               text_column("true" if p else "false" for p in passed))
-    _emit("all_pass", all_pass)
-    return 0 if all_pass else 1
+    return _finish(out, {"all_pass": all_pass}, ("all_pass",), all_pass)
 
 
 # ------------------------------------------------------------------ jko
@@ -294,31 +292,28 @@ def _cmd_diagnose(args):
 # jko --functional name -> the free energy of each flow that JKO steps;
 # the unconfined one goes by its name, the entropy
 JKO_FUNCTIONALS = {flow if model.confined else "entropy": model
-                   for flow, model in pde.FLOWS.items() if jko.supports(model)}
+                   for flow, model in pde.FLOWS.items() if not model.power_law}
 
 
 def _cmd_jko(args):
-    functional_name = args.functional
-    tau = args.tau   # sizes the --compare-pde step before jko_trajectory runs
+    tau = args.tau   # jko_trajectory's checks, before --compare-pde runs
     if not 0.0 < tau < np.inf:
         raise ConfigError("tau", f"must be positive and finite, got {tau}")
-    steps = _positive(args.steps, "steps")
-    quantiles = args.quantiles
-    grid, fields = _line_grid(args.domain, args.num_nodes)
-    init = args.init
-    compare = args.compare_pde
+    steps = args.steps
+    if not 1 <= steps <= pde.MAX_STEPS:
+        raise ConfigError("steps", f"need at least 1 and at most {pde.MAX_STEPS} steps")
+    if args.quantiles < 64:
+        raise ConfigError("quantiles", "need at least 64 quantile nodes")
+    grid = _line_grid(args.domain, args.num_nodes)
+    mu0 = _parse_density("init", args.init, grid)
+    model = JKO_FUNCTIONALS[args.functional]
 
-    mu0 = _parse_density("init", init, grid)
-    model = JKO_FUNCTIONALS[functional_name]
-
-    if compare:   # first, so that solve rejects its inputs before any JKO step
+    if args.compare_pde:   # first, so that solve rejects its input before JKO steps
         per_step = max(10, round(tau / 1e-3))
         ref = pde.solve(model, mu0, tau / per_step, tau * steps, per_step)
-    traj = jko.jko_trajectory(model, mu0, tau, steps, quantiles)
+    traj = jko.jko_trajectory(model, mu0, tau, steps, args.quantiles)
 
-    out = _start_run(args, "jko", {
-        "functional": functional_name, "tau": tau, "steps": steps,
-        "quantiles": quantiles, **fields, "init": init, "compare_pde": compare})
+    out = _start_run(args)
     jko.write_step_log_csv(traj, out / "jko_steps.csv")
     write_density_csv(traj.states[-1], out / "final_density.csv")
 
@@ -327,31 +322,24 @@ def _cmd_jko(args):
     monotone = all(b <= a + 1e-9 for a, b in zip(energies, energies[1:]))
     summary = {"steps": steps, "tau": tau, "energy_monotone": monotone,
                "final_F": energies[-1]}
-    if compare:
-        gap = max(integrate(np.abs(s.values - r.values), grid)
-                  for s, r in zip(traj.states, ref.states))
-        summary["max_l1_gap_to_pde"] = gap
-        _emit("max_l1_gap_to_pde", gap)
-    _write_json(out / "summary.json", summary)
-    _emit("energy_monotone", monotone)
-    return 0 if monotone else 1
+    if args.compare_pde:
+        summary["max_l1_gap_to_pde"] = max(
+            integrate(np.abs(s.values - r.values), grid)
+            for s, r in zip(traj.states, ref.states))
+    return _finish(out, summary, ("max_l1_gap_to_pde", "energy_monotone"),
+                   monotone)
 
 
 # ------------------------------------------------------------------ check
 
 def _cmd_check(args):
-    inequality = args.inequality
-    if inequality is None:
-        raise ConfigError("inequality",
-                          f"choose one of {', '.join(banks.BANK_NAMES)}")
-    seed = args.seed
-    count = args.count
-    if count is not None:
-        count = _positive(count, "count")
+    if args.inequality is None:
+        raise ConfigError("inequality", f"choose one of {', '.join(banks.BANK_NAMES)}")
+    if args.count is not None:
+        _positive(args.count, "count")
 
-    out = _start_run(args, "check", {"inequality": inequality, "seed": seed,
-                                     "count": count})
-    rows = banks.run_inequality_bank(inequality, seed, count)
+    out = _start_run(args)
+    rows = banks.run_inequality_bank(args.inequality, args.seed, args.count)
 
     write_csv(out / "report.csv", "case_id,lhs,rhs,margin,pass",
               text_column(row.case_id for row in rows),
@@ -359,30 +347,25 @@ def _cmd_check(args):
               text_column("true" if row.passed else "false" for row in rows))
 
     worst = min(rows, key=lambda r: r.margin)
-    failures = [r for r in rows if not r.passed]
-    summary = {"inequality": inequality, "cases": len(rows),
-               "failures": len(failures), "worst_case": worst.case_id,
+    failures = sum(not r.passed for r in rows)
+    summary = {"inequality": args.inequality, "cases": len(rows),
+               "failures": failures, "worst_case": worst.case_id,
                "worst_margin": worst.margin}
-    _write_json(out / "summary.json", summary)
-    _emit("cases", len(rows))
-    _emit("failures", len(failures))
-    _emit("worst_case", worst.case_id)
-    return 0 if not failures else 1
+    return _finish(out, summary, ("cases", "failures", "worst_case"),
+                   not failures)
 
 
 # ------------------------------------------------------------------ w2
 
 def _cmd_w2(args):
-    grid, fields = _line_grid(args.domain, args.num_nodes)
-    quantiles = args.quantiles
+    if args.quantiles < 8:   # the floor of the quantile transform
+        raise ConfigError("quantiles", "need at least 8 quantile nodes")
+    grid = _line_grid(args.domain, args.num_nodes)
     mu = _parse_density("mu", args.mu, grid)
     nu = _parse_density("nu", args.nu, grid)
-    value = transport.w2_1d(mu, nu, quantiles)
-    _start_run(args, "w2", {"mu": args.mu, "nu": args.nu, **fields,
-                            "quantiles": quantiles})
-    _emit("w2", value)
-    _emit("w2_squared", value**2)
-    return 0
+    value = transport.w2_1d(mu, nu, args.quantiles)
+    return _finish(_start_run(args), {"w2": value, "w2_squared": value**2},
+                   ("w2", "w2_squared"))
 
 
 # ------------------------------------------------------------------ parser

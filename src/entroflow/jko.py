@@ -89,11 +89,6 @@ INNER_TOL = 1e-9         # relative objective decrease that counts as progress
 MAX_INNER = 60
 
 
-def supports(functional: FreeEnergy) -> bool:
-    """JKO steps F = int mu log mu, with or without V = |x|^2/2, on the line."""
-    return not functional.power_law
-
-
 def _increments(x: np.ndarray) -> np.ndarray:
     """Forward differences of the quantiles, floored at INCREMENT_FLOOR."""
     d = np.diff(x)
@@ -228,12 +223,13 @@ def jko_trajectory(functional: FreeEnergy, mu0: GridDensity, tau: float,
     """Run ``steps`` JKO steps of size ``tau`` from ``mu0`` in
     ``num_quantiles`` quantile coordinates.  Snapshot k is the converted
     density at time k tau; the per-step free energy, W2 step length and
-    inner iterations land in ``metadata["steps"]``.  A model that
-    ``supports`` rejects, a ``tau`` that is not positive and finite, steps
-    outside 1..MAX_STEPS, under 64 quantiles or a density that is not
-    strictly positive raise ``ValueError`` before the first step.
+    inner iterations land in ``metadata["steps"]``.  A power law (JKO steps
+    F = int mu log mu, with or without V = |x|^2/2), a ``tau`` that is not
+    positive and finite, steps outside 1..MAX_STEPS, under 64 quantiles or a
+    density that is not strictly positive raise ``ValueError`` before the
+    first step.
     """
-    if not supports(functional):
+    if functional.power_law:
         raise ValueError("JKO stepping supports the Boltzmann entropy and the "
                          "Fokker-Planck free energy on the line")
     if not 0.0 < tau < np.inf:

@@ -10,7 +10,7 @@ import pytest
 
 import entroflow
 from entroflow import banks, finite_flow, jko, pde
-from entroflow.cli import JKO_FUNCTIONALS, main
+from entroflow.cli import JKO_FUNCTIONALS, build_parser, main
 from entroflow.grids import (
     GridDensity,
     gaussian_density,
@@ -372,14 +372,14 @@ def test_fast_diffusion_from_dimension_133(tmp_path, capsys):
     assert "passed=True" in capsys.readouterr().out
     assert main([*argv, "--dim", "309", "--out", str(tmp_path / "b")]) == 2
     assert capsys.readouterr().err == (
-        "config error: the stationary state of dimension 309 has no finite "
-        "grid mass above 1 for C in [1e-08, 1]\n")
+        "config error: dim: the stationary state of dimension 309 has no "
+        "finite grid mass above 1 for C in [1e-08, 1]\n")
     assert not (tmp_path / "b").exists()
     # from n = 191 the state underflows to 0 at the outer nodes
     assert main([*argv, "--dim", "195", "--out", str(tmp_path / "c")]) == 2
     assert capsys.readouterr().err == (
-        "config error: the stationary state of dimension 195 underflows to 0 "
-        "at 23 grid nodes\n")
+        "config error: dim: the stationary state of dimension 195 underflows "
+        "to 0 at 23 grid nodes\n")
     assert not (tmp_path / "c").exists()
 
 
@@ -560,10 +560,12 @@ def test_config_values_are_converted_as_their_flags(tmp_path):
 
 
 @pytest.mark.parametrize("argv, fragment", [
-    (["jko", "--quantiles", "32"], "need at least 64 quantile nodes"),
-    (["w2", "--quantiles", "4"], "need at least 8 quantile nodes"),
+    (["jko", "--quantiles", "32"], "quantiles: need at least 64 quantile nodes"),
+    (["jko", "--quantiles", "32", "--compare-pde"],
+     "quantiles: need at least 64 quantile nodes"),
+    (["w2", "--quantiles", "4"], "quantiles: need at least 8 quantile nodes"),
     (["jko", "--steps", "1000000000"],                    # > pde.MAX_STEPS
-     "need at least 1 and at most 100000000 steps"),
+     "steps: need at least 1 and at most 100000000 steps"),
     (["simulate", "--flow", "heat", "--init", "gaussian:7.5:0.05"],
      "initial density must be strictly positive"),     # underflows to 0
     (["jko", "--init", "gaussian:7.5:0.05", "--steps", "2"],
@@ -577,8 +579,20 @@ def test_config_values_are_converted_as_their_flags(tmp_path):
     (["jko", "--tau", "inf", "--steps", "2"], "tau: must be positive and finite"),
     (["jko", "--tau", "inf", "--steps", "2", "--compare-pde"],
      "tau: must be positive and finite"),     # before tau sizes the PDE step
+    (["simulate", "--flow", "fast_diffusion", "--dim", "2"],
+     "dim: fast diffusion requires n > 2"),
+    (["simulate", "--flow", "fast_diffusion", "--dim", "0"],
+     "dim: ambient dimension must be >= 1"),
+    (["simulate", "--flow", "fast_diffusion", "--dim", "195"],
+     "dim: the stationary state of dimension 195 underflows to 0"),
+    (["simulate", "--flow", "fast_diffusion", "--dim", "309"],
+     "dim: the stationary state of dimension 309 has no finite grid mass"),
+    (["simulate", "--flow", "fast_diffusion", "--dim", "320"],
+     "dim: grid weights overflow in dimension 320"),
     (["simulate", "--flow", "fast_diffusion", "--dim", "344"],
-     "the unit sphere area of R^344 overflows"),
+     "dim: the unit sphere area of R^344 overflows"),
+    (["simulate", "--flow", "fokker_planck", "--domain", "100", "200"],
+     "domain: cannot normalize an all-zero sample array"),   # e^{-x^2/2} is 0 there
     (["simulate", "--init", "csv"], "init: 'csv' does not match csv:path"),
     (["w2", "--mu", "csv"], "mu: 'csv' does not match csv:path"),
     (["w2", "--nu", "csv:"], "nu: 'csv:' does not match csv:path"),
@@ -625,10 +639,13 @@ def test_config_values_are_converted_as_their_flags(tmp_path):
      "radius: must be positive and finite, got inf"),
     (["simulate", "--flow", "fast_diffusion", "--radius", "nan"],
      "radius: must be positive and finite, got nan"),
-], ids=["jko-quantiles", "w2-quantiles", "jko-steps", "simulate-positivity",
-        "jko-positivity", "simulate-mass", "jko-compare-pde-steps", "check-seed",
-        "diagnose-seed", "jko-tau-inf", "jko-compare-pde-tau-inf",
-        "simulate-dim-344", "simulate-csv-no-path", "w2-mu-csv-no-path",
+], ids=["jko-quantiles", "jko-compare-pde-quantiles", "w2-quantiles", "jko-steps",
+        "simulate-positivity", "jko-positivity", "simulate-mass",
+        "jko-compare-pde-steps", "check-seed", "diagnose-seed", "jko-tau-inf",
+        "jko-compare-pde-tau-inf", "simulate-dim-2", "simulate-dim-0",
+        "simulate-dim-195", "simulate-dim-309", "simulate-dim-320",
+        "simulate-dim-344", "simulate-fokker-planck-domain-off-the-minimizer",
+        "simulate-csv-no-path", "w2-mu-csv-no-path",
         "w2-nu-csv-empty-path", "jko-dirac-field", "jko-uniform-field",
         "jko-gaussian-third-field", "simulate-stationary-field",
         "simulate-stationary-perturbed-second-field", "w2-mu-unknown",
@@ -641,7 +658,7 @@ def test_config_values_are_converted_as_their_flags(tmp_path):
         "jko-infinite-domain", "w2-infinite-domain-and-N", "simulate-heat-nan-domain",
         "simulate-fast-diffusion-infinite-radius", "simulate-fast-diffusion-nan-radius"])
 @pytest.mark.filterwarnings("error")
-def test_rejected_input_writes_nothing(argv, fragment, tmp_path, capsys):
+def test_rejected_input_writes_nothing(argv, fragment, tmp_path, capsys, monkeypatch):
     # a density of mass 1.01 on the 129 nodes of SMALL_RUN
     heavy = tmp_path / "heavy.csv"
     grid = make_uniform_grid(-8.0, 8.0, 129)
@@ -650,6 +667,8 @@ def test_rejected_input_writes_nothing(argv, fragment, tmp_path, capsys):
     out = tmp_path / "out"
     argv = [arg.format(heavy=heavy, missing=tmp_path / "missing.csv")
             for arg in argv]
+    if fragment.startswith(("quantiles:", "steps:")):   # before any PDE step
+        monkeypatch.setattr(pde, "solve", None)   # a call raises TypeError
     assert main([*argv, "--out", str(out)]) == 2
     assert f"config error: {fragment}" in capsys.readouterr().err
     assert not out.exists()
@@ -692,6 +711,26 @@ def test_manifest_reruns_as_config(argv, tmp_path):
     manifest = first / "manifest.json"
     assert main([argv[0], "--config", str(manifest), "--out", str(second)]) == 0
     assert (second / "manifest.json").read_bytes() == manifest.read_bytes()
+
+
+@pytest.mark.parametrize("argv, ignored", [
+    (["simulate", "--flow", "heat", *SMALL_RUN], "radius"),
+    (["simulate", "--flow", "fast_diffusion", "--N", "32", "--T", "0.01"], "domain"),
+    (["diagnose", "--T", "0.1"], None),
+    (["jko", "--steps", "2", "--quantiles", "128", "--N", "129"], None),
+    (["check", "--inequality", "lsi", "--count", "3"], None),
+    (["w2", "--quantiles", "256"], None),
+])
+def test_every_command_records_its_flags_and_a_summary(argv, ignored, tmp_path):
+    """The manifest holds the command and each of its flags but --config,
+    --out and, for simulate, the geometry flag the flow ignores."""
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    parser = build_parser().parse_args(argv[:1]).command_parser
+    flags = {action.dest for action in parser._actions}
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest.pop("command") == argv[0]
+    assert set(manifest) == flags - {"help", "config", "out", ignored}
+    assert json.loads((tmp_path / "summary.json").read_text())
 
 
 def test_simulate_memory_does_not_grow_with_the_snapshot_count(tmp_path):

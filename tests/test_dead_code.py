@@ -23,6 +23,10 @@ as both passing and omitting the parameters it may cover.
 
 No ``src/entroflow`` module but ``grids`` spells a ``.17g`` format, so the
 rule for how a double becomes text lives in one module.
+
+``manifest.json`` and ``summary.json`` each occur in exactly one string
+constant of ``src/entroflow`` code, docstrings aside, so a run's record is
+written in one place.
 """
 
 import ast
@@ -197,3 +201,31 @@ def float_formats_outside_grids() -> list[str]:
 
 def test_float_formatting_lives_in_grids():
     assert float_formats_outside_grids() == []
+
+
+RUN_RECORD = ("manifest.json", "summary.json")
+
+
+def run_record_spellings() -> dict[str, list[str]]:
+    """``module:line`` of each string constant in ``src/entroflow`` code that
+    holds a file name of ``RUN_RECORD``, by name; docstrings are not code."""
+    found = {name: [] for name in RUN_RECORD}
+    scopes = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    for path in sorted((ROOT / "src" / "entroflow").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                      if isinstance(node, scopes) and node.body
+                      and isinstance(node.body[0], ast.Expr)
+                      and isinstance(node.body[0].value, ast.Constant)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and id(node) not in docstrings):
+                for name in RUN_RECORD:
+                    if name in node.value:
+                        found[name].append(f"{path.stem}:{node.lineno}")
+    return found
+
+
+def test_run_record_is_written_in_one_place():
+    spellings = run_record_spellings()
+    assert all(len(lines) == 1 for lines in spellings.values()), spellings

@@ -161,6 +161,15 @@ def test_entropy_decay_quartic(quartic_traj):
     assert entropy_decay_check(quartic_potential(), quartic_traj) <= 1.0 + DECAY_TOL
 
 
+def test_entropy_decay_below_a_wrong_minimizer_is_inf(quad_traj):
+    """An energy excess over the stated minimizer that turns negative along
+    the flow fails the entropy decay outright."""
+    spec = quadratic_potential()
+    misplaced = PotentialSpec(spec.name, spec.energy, spec.grad, rho=spec.rho,
+                              minimizer=np.array([0.5, 0.0]))
+    assert entropy_decay_check(misplaced, quad_traj) == math.inf
+
+
 def test_inflated_rho_is_detected_on_quartic(quartic_traj):
     """Doubling rho beyond the true bound must fail: the checker is sensitive."""
     spec = quartic_potential()

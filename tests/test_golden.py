@@ -105,6 +105,8 @@ GOLDEN = {
             "cdeb93d231d04809eb54ab48f2964a10cde167d6476ddb9d7838e58dfbf56eb2",
         "manifest.json":
             "b6f255c2b8ab18c83854309e25d6b7dc4d4e5f8e33b9b6b4f7c7bf8c8d6dc97d",
+        "summary.json":
+            "c63a64b82c5dcb57f225db4982a47837419aee7df21c108fc46727e38a455892",
         "trajectory_anisotropic_quadratic.csv":
             "bfac5d5984ce927272839faf33d3c6d8218abca0090955882496381a4245d249",
         "trajectory_quadratic.csv":
@@ -247,6 +249,8 @@ GOLDEN = {
             "359397c2b5bcaef728b4a58396e1fd05e47f034d700bea09e9f37a5bbaf38d23",
         "manifest.json":
             "e24dc6034982cdbd3c1512772270a666c7542fbf9b3018291005d1cae6658ec1",
+        "summary.json":
+            "e30ddc83450662e11a24e004135f52741ae6f40b29c7c0e8340de2185159405d",
     },
 }
 

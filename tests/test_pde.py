@@ -356,6 +356,17 @@ def test_fd_relaxation_rate_and_conservation(fd_setup):
     assert report.fitted_value_rate >= 2.0 * (2.0 / 3.0) * 0.95
 
 
+def test_fd_newton_out_of_iterations_is_solver_error(fd_setup, monkeypatch):
+    """A step whose residual is still above the tolerance after
+    NEWTON_MAX_ITER iterations fails instead of returning its last iterate."""
+    grid, stat = fd_setup
+    bump = 1.0 + 0.05 * np.exp(-0.5 * (grid.nodes - 2.0) ** 2)
+    mu0 = normalize(stat.values * bump, grid)
+    monkeypatch.setattr(pde, "NEWTON_MAX_ITER", 0)
+    with pytest.raises(SolverError, match="fast-diffusion Newton did not converge"):
+        solve(fd_free_energy(), mu0, 2e-3, 2e-3)
+
+
 def _barenblatt_l1(dim, radius, cells, dt, horizon, b0=0.6):
     """L1 distance at ``horizon`` between the scheme run from the width
     family's state at b0 and the exact solution, both normalized on the
