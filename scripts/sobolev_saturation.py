@@ -26,7 +26,7 @@ def main():
     args = ap.parse_args()
 
     grid = staggered_radial_grid(args.radius, args.cells, 3)
-    print(f"optimal constant (oracle): {sobolev_optimal_constant(3):.8f}")
+    print(f"optimal constant (closed form): {sobolev_optimal_constant(3):.8f}")
     lhs, rhs = sobolev_check(aubin_talenti_extremal(grid), grid)
     print(f"extremal lhs / rhs: {lhs / rhs:.6f}")
     print(f"\n{'case':>16} {'lhs / rhs':>18}")

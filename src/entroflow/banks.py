@@ -170,7 +170,7 @@ def run_inequality_bank(name: str, seed: int, count: int | None) -> list[CheckRo
             rows.append(_row(case_id, lhs, rhs))
     elif name == "sobolev":
         grid = staggered_radial_grid(200.0, 20000, 3)
-        c_opt_gap = 0.01
+        c_opt_gap = 0.005
         for case_id, f in sobolev_bank(grid, count, seed):
             lhs, rhs = sobolev_check(f, grid)
             ratio = lhs / rhs

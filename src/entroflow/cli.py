@@ -149,7 +149,9 @@ SPEC_FORMS = {"gaussian": "gaussian[:mean[:sigma]]", "uniform": "uniform",
 
 def _parse_density(field, spec, grid, stationary=None):
     """The density of ``spec`` on ``grid``, a config error of flag ``field``
-    if the spec is bad; the stationary specs need ``stationary``."""
+    if the spec is bad or its density is not of unit mass; an ``init``, the
+    start of a flow or of JKO steps, must also be strictly positive.  The
+    stationary specs need ``stationary``."""
     shape, _, path = spec.partition(":")   # a csv path may hold colons
     fields = [path] if shape == "csv" else spec.split(":")[1:]
     if shape not in SPEC_FORMS or stationary is None and "stationary" in shape:
@@ -158,23 +160,29 @@ def _parse_density(field, spec, grid, stationary=None):
         raise ConfigError(field, f"{spec!r} does not match {SPEC_FORMS[shape]}")
     try:
         if shape == "csv":
-            nodes, values = read_density_csv(path)
-            if np.array_equal(nodes, grid.nodes):
-                return GridDensity(grid, values)
+            nodes, values = read_density_csv(path)   # density is False off the grid
+            density = np.array_equal(nodes, grid.nodes) and GridDensity(grid, values)
         elif shape == "gaussian":
-            return gaussian_density(grid, *map(float, fields))
+            density = gaussian_density(grid, *map(float, fields))
         elif shape == "stationary-perturbed":
             eps = float(fields[0]) if fields else 0.05
             bump = 1.0 + eps * np.exp(-0.5 * (grid.nodes - 2.0) ** 2)
-            return normalize(stationary.values * bump, grid)
+            density = normalize(stationary.values * bump, grid)
+        elif shape == "uniform":
+            density = normalize(np.ones_like(grid.nodes), grid)
+        else:
+            density = pde.dirac_like_density(grid) if shape == "dirac" else stationary
     except (OSError, ValueError) as err:
         raise ConfigError(field, str(err)) from None
-    if shape == "csv":
+    if not density:
         raise ConfigError("N", f"{path} is not on the {grid.num_nodes}"
                                f" nodes of --N and --domain")
-    if shape == "uniform":
-        return normalize(np.ones_like(grid.nodes), grid)
-    return pde.dirac_like_density(grid) if shape == "dirac" else stationary
+    noun = "initial density" if field == "init" else "density"
+    if abs(density.mass - 1.0) > 1e-8:
+        raise ConfigError(field, f"{noun} must have unit mass, got {density.mass!r}")
+    if field == "init" and np.any(density.values <= 0.0):
+        raise ConfigError(field, "initial density must be strictly positive")
+    return density
 
 
 # ------------------------------------------------------------------ simulate

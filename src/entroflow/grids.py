@@ -376,8 +376,12 @@ def gaussian_density(grid: Grid, mean: float = 0.0, sigma: float = 1.0) -> GridD
     return normalize(profile, grid)
 
 
+@cache
 def midpoint_q_nodes(num_quantiles: int) -> np.ndarray:
-    return (np.arange(num_quantiles) + 0.5) / num_quantiles
+    """The q-grid (k + 1/2) / M, k < M, built once per M and read-only."""
+    q = (np.arange(num_quantiles) + 0.5) / num_quantiles
+    q.setflags(write=False)
+    return q
 
 
 def cumulative_cdf(density: GridDensity) -> np.ndarray:

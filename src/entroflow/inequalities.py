@@ -8,14 +8,13 @@ admissible input, with equality attained on the known extremal families
 Gaussians for the Fokker-Planck energy-production inequality, the
 Aubin-Talenti profile for the optimal Sobolev inequality).
 
-The optimal Sobolev constant is never transcribed from memory: it is
-produced at run time by a brute-force oracle (the Sobolev ratio of the
-Aubin-Talenti extremal at high radial resolution) and cached per
-dimension.
+The optimal Sobolev constant is the closed form of Aubin (J. Differential
+Geom. 11 (1976) 573) and Talenti (Ann. Mat. Pura Appl. 110 (1976) 353).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -29,7 +28,6 @@ from .grids import (
     gradient_fd,
     integrate,
     second_derivative_fd,
-    staggered_radial_grid,
 )
 from .pde import stationary_state
 
@@ -70,37 +68,23 @@ def lsi_check(f_values, grid: Grid) -> tuple[float, float]:
 
 # ------------------------------------------------------------------ Sobolev
 
-_SOBOLEV_CONSTANT_CACHE: dict[int, float] = {}
-
-
 def aubin_talenti_extremal(grid: Grid) -> np.ndarray:
     """Extremal profile (1 + r^2)^(-(n-2)/2) of the optimal Sobolev inequality."""
     n = grid.ambient_dim
     return (1.0 + grid.nodes**2) ** (-(n - 2) / 2.0)
 
 
-def _sobolev_ratio(f: np.ndarray, grid: Grid) -> tuple[float, float, float]:
-    n = grid.ambient_dim
-    p = 2.0 * n / (n - 2.0)
-    lhs = integrate(np.abs(f) ** p, grid) ** (1.0 / p)
-    rhs = np.sqrt(integrate(gradient_fd(f, grid) ** 2, grid))
-    return lhs, rhs, lhs / rhs
-
-
 def sobolev_optimal_constant(n: int) -> float:
-    """Best constant in ||f||_{2n/(n-2)} <= C ||grad f||_2, by oracle.
+    """Best constant in ||f||_{2n/(n-2)} <= C ||grad f||_2 on R^n, n > 2:
 
-    Evaluated once per dimension as the Sobolev ratio of the Aubin-Talenti
-    extremal on a large high-resolution radial grid, then cached.
+        C = (pi n (n-2))^(-1/2) (Gamma(n) / Gamma(n/2))^(1/n),
+
+    through log-Gamma, since Gamma(n) overflows from n = 172.
     """
     if n <= 2:
         raise ValueError("Sobolev embedding needs n > 2")
-    if n not in _SOBOLEV_CONSTANT_CACHE:
-        oracle_grid = staggered_radial_grid(2000.0, 200_000, n)
-        _, _, ratio = _sobolev_ratio(aubin_talenti_extremal(oracle_grid),
-                                     oracle_grid)
-        _SOBOLEV_CONSTANT_CACHE[n] = ratio
-    return _SOBOLEV_CONSTANT_CACHE[n]
+    return (math.sqrt(1.0 / (math.pi * n * (n - 2)))
+            * math.exp((math.lgamma(n) - math.lgamma(n / 2)) / n))
 
 
 def sobolev_check(f_values, grid: Grid) -> tuple[float, float]:
@@ -119,10 +103,11 @@ def sobolev_check(f_values, grid: Grid) -> tuple[float, float]:
     if abs(f[-1]) > 1e-2 * fmax:
         raise ValueError("f has non-negligible boundary values; enlarge the "
                          "truncation radius")
-    lhs, _, ratio = _sobolev_ratio(f, grid)
-    # rhs = C_opt ||grad f||_2 in the float order that the bank's report.csv
-    # pins; the plain product differs in the last bit on a third of its cases
-    return lhs, lhs / (ratio / sobolev_optimal_constant(grid.ambient_dim))
+    n = grid.ambient_dim
+    p = 2.0 * n / (n - 2.0)
+    lhs = integrate(np.abs(f) ** p, grid) ** (1.0 / p)
+    rhs = sobolev_optimal_constant(n) * np.sqrt(integrate(gradient_fd(f, grid) ** 2, grid))
+    return lhs, rhs
 
 
 # ------------------------------------------------------ energy-production (FP)

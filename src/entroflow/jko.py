@@ -226,8 +226,8 @@ def jko_trajectory(functional: FreeEnergy, mu0: GridDensity, tau: float,
     inner iterations land in ``metadata["steps"]``.  A power law (JKO steps
     F = int mu log mu, with or without V = |x|^2/2), a ``tau`` that is not
     positive and finite, steps outside 1..MAX_STEPS, under 64 quantiles or a
-    density that is not strictly positive raise ``ValueError`` before the
-    first step.
+    density that is not of unit mass or not strictly positive raise
+    ``ValueError`` before the first step.
     """
     if functional.power_law:
         raise ValueError("JKO stepping supports the Boltzmann entropy and the "
@@ -238,6 +238,8 @@ def jko_trajectory(functional: FreeEnergy, mu0: GridDensity, tau: float,
         raise ValueError(f"need at least 1 and at most {MAX_STEPS} steps")
     if num_quantiles < 64:
         raise ValueError("need at least 64 quantile nodes")
+    if abs(mu0.mass - 1.0) > 1e-8:
+        raise ValueError("initial density must have unit mass")
     if np.any(mu0.values <= 0.0):
         raise ValueError("initial density must be strictly positive")
     x = cdf_and_quantile(mu0, num_quantiles)

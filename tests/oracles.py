@@ -46,7 +46,9 @@ from entroflow.grids import (
     integrate,
     normalize,
     second_derivative_fd,
+    staggered_radial_grid,
 )
+from entroflow.inequalities import aubin_talenti_extremal
 from entroflow.jko import INCREMENT_FLOOR
 from entroflow.pde import dissipation_report
 from entroflow.transport import w2_1d
@@ -96,6 +98,17 @@ def quantile_free_energy(functional, x):
     if functional.confined:
         value += dq * float(np.sum(0.5 * x**2))
     return value
+
+
+def sobolev_ratio_fine_grid(n):
+    """||f||_{2n/(n-2)} / ||grad f||_2 of the Aubin-Talenti extremal f on
+    ``staggered_radial_grid(2000, 200_000, n)``: the optimal Sobolev
+    constant of R^n up to the grid's truncation and quadrature bias."""
+    grid = staggered_radial_grid(2000.0, 200_000, n)
+    f = aubin_talenti_extremal(grid)
+    p = 2.0 * n / (n - 2.0)
+    lhs = integrate(np.abs(f) ** p, grid) ** (1.0 / p)
+    return lhs / np.sqrt(integrate(gradient_fd(f, grid) ** 2, grid))
 
 
 def brute_force_w2_atoms(x, y):

@@ -167,7 +167,7 @@ def test_criterion_5_optimal_sobolev_saturation():
     ok = (len(randoms) == 50 and all(r.passed for r in rows)
           and len(extremal) == 1 and extremal[0].passed)
     report(5, ok, "optimal Sobolev (n=3, R=200, N=20000): extremal saturates "
-                  "to 1%, 50 random radial functions below the constant")
+                  "to 0.5%, 50 random radial functions below the constant")
 
 
 def test_criterion_6_fast_diffusion(fd_bundle):

@@ -567,11 +567,17 @@ def test_config_values_are_converted_as_their_flags(tmp_path):
     (["jko", "--steps", "1000000000"],                    # > pde.MAX_STEPS
      "steps: need at least 1 and at most 100000000 steps"),
     (["simulate", "--flow", "heat", "--init", "gaussian:7.5:0.05"],
-     "initial density must be strictly positive"),     # underflows to 0
+     "init: initial density must be strictly positive"),     # underflows to 0
     (["jko", "--init", "gaussian:7.5:0.05", "--steps", "2"],
-     "initial density must be strictly positive"),     # without --compare-pde
+     "init: initial density must be strictly positive"),     # without --compare-pde
     (["simulate", "--flow", "heat", *SMALL_RUN, "--init", "csv:{heavy}"],
-     "initial density must have unit mass"),
+     "init: initial density must have unit mass, got 1.01"),
+    (["jko", "--N", "129", "--init", "csv:{heavy}", "--steps", "2"],
+     "init: initial density must have unit mass"),     # without --compare-pde
+    (["jko", "--N", "129", "--init", "csv:{heavy}", "--steps", "2", "--compare-pde"],
+     "init: initial density must have unit mass"),
+    (["w2", "--N", "129", "--mu", "csv:{heavy}"], "mu: density must have unit mass"),
+    (["w2", "--N", "129", "--nu", "csv:{heavy}"], "nu: density must have unit mass"),
     (["jko", "--tau", "1000", "--steps", "101", "--compare-pde"],
      "horizon 101000.0 takes more than 100000000 steps"),   # the PDE's
     (["check", "--inequality", "lsi", "--seed", "-1"], "seed: must be non-negative"),
@@ -640,7 +646,8 @@ def test_config_values_are_converted_as_their_flags(tmp_path):
     (["simulate", "--flow", "fast_diffusion", "--radius", "nan"],
      "radius: must be positive and finite, got nan"),
 ], ids=["jko-quantiles", "jko-compare-pde-quantiles", "w2-quantiles", "jko-steps",
-        "simulate-positivity", "jko-positivity", "simulate-mass",
+        "simulate-positivity", "jko-positivity", "simulate-mass", "jko-mass",
+        "jko-compare-pde-mass", "w2-mu-mass", "w2-nu-mass",
         "jko-compare-pde-steps", "check-seed", "diagnose-seed", "jko-tau-inf",
         "jko-compare-pde-tau-inf", "simulate-dim-2", "simulate-dim-0",
         "simulate-dim-195", "simulate-dim-309", "simulate-dim-320",
@@ -667,7 +674,7 @@ def test_rejected_input_writes_nothing(argv, fragment, tmp_path, capsys, monkeyp
     out = tmp_path / "out"
     argv = [arg.format(heavy=heavy, missing=tmp_path / "missing.csv")
             for arg in argv]
-    if fragment.startswith(("quantiles:", "steps:")):   # before any PDE step
+    if fragment.startswith(("quantiles:", "steps:", "init:")):   # before any PDE step
         monkeypatch.setattr(pde, "solve", None)   # a call raises TypeError
     assert main([*argv, "--out", str(out)]) == 2
     assert f"config error: {fragment}" in capsys.readouterr().err

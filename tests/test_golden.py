@@ -84,9 +84,9 @@ GOLDEN = {
         "manifest.json":
             "cc5f76af46b9596bd839d5ca44b75035a0e5947d67102f82c73f799c8cf181c1",
         "report.csv":
-            "902f1bf0a3f47554693e328d6350fa543e0b87240f8768f12e0c24bf2ce440f8",
+            "f6a18f39e04b9316694ab5d69713c14baa56fd186dffcede58c0022819665ee8",
         "summary.json":
-            "685ddc208408114b910a3e09fbd08bb73293e968b6698977e63635a0d6f53c62",
+            "a0da0833a282c03810063a31857b378dab9fa1eb37d27e977f86ed6dd918f72c",
     },
     "check_zugmeyer": {
         "<stdout>":

@@ -225,6 +225,12 @@ def test_quantile_of_uniform_is_identity():
     assert np.max(np.abs(x - midpoint_q_nodes(64))) <= 1e-12
 
 
+def test_midpoint_q_nodes_are_shared_and_read_only():
+    q = midpoint_q_nodes(64)
+    assert q is midpoint_q_nodes(64) and not q.flags.writeable
+    assert np.array_equal(q, (np.arange(64) + 0.5) / 64)
+
+
 def test_gaussian_median_is_zero():
     d = gaussian_density(line_grid())
     x = cdf_and_quantile(d, 128)

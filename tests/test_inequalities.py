@@ -12,6 +12,7 @@ from entroflow.banks import (
     sobolev_bank,
     zugmeyer_bank,
 )
+from entroflow import inequalities
 from entroflow.functionals import fd_free_energy
 from entroflow.grids import (
     gaussian_density,
@@ -35,6 +36,7 @@ from entroflow.inequalities import (
     zugmeyer_check,
 )
 from entroflow.pde import stationary_fd, stationary_state
+from oracles import sobolev_ratio_fine_grid
 
 
 @pytest.fixture(scope="module")
@@ -120,10 +122,37 @@ def test_sobolev_rejects_boundary_mass(sobolev_grid):
         sobolev_check(np.ones_like(sobolev_grid.nodes), sobolev_grid)
 
 
-def test_sobolev_constant_cached_and_positive():
-    c1 = sobolev_optimal_constant(3)
-    c2 = sobolev_optimal_constant(3)
-    assert c1 == c2 > 0.0
+@pytest.mark.parametrize("n", [3, 4, 5, 10])
+def test_sobolev_constant_matches_the_fine_grid_ratio(n):
+    # measured gaps: 4.2e-4, 9.6e-6, 2.7e-5 and 2.4e-4
+    assert sobolev_optimal_constant(n) == pytest.approx(sobolev_ratio_fine_grid(n),
+                                                        rel=1e-3)
+
+
+def test_sobolev_constant_in_elementary_terms():
+    # Gamma(3) / Gamma(3/2) = 4 / sqrt(pi) and Gamma(4) / Gamma(2) = 6
+    assert sobolev_optimal_constant(3) == pytest.approx(
+        (4.0 / math.sqrt(math.pi)) ** (1.0 / 3.0) / math.sqrt(3.0 * math.pi), rel=1e-14)
+    assert sobolev_optimal_constant(4) == pytest.approx(
+        6.0 ** 0.25 / math.sqrt(8.0 * math.pi), rel=1e-14)
+
+
+def test_sobolev_constant_beyond_gamma_overflow():
+    # Gamma(n) overflows a double from n = 172; the constant tends to 0 like n^(-1/2)
+    constants = [sobolev_optimal_constant(n) for n in (171, 172, 400)]
+    assert all(0.0 < c < 0.04 for c in constants)
+    assert constants == sorted(constants, reverse=True)
+
+
+@pytest.mark.parametrize("factor", [0.99, 1.01])
+def test_bank_extremal_fails_a_constant_off_by_one_percent(factor, monkeypatch):
+    """The bank's extremal passes within 0.005 of the closed form only."""
+    assert run_inequality_bank("sobolev", seed=7, count=0)[0].passed
+    exact = sobolev_optimal_constant
+    monkeypatch.setattr(inequalities, "sobolev_optimal_constant",
+                        lambda n: factor * exact(n))
+    [row] = run_inequality_bank("sobolev", seed=7, count=0)
+    assert row.case_id == "sobolev-extremal" and not row.passed
 
 
 def test_sobolev_sensitivity(sobolev_grid):

@@ -9,6 +9,7 @@ from entroflow.functionals import (
     fp_free_energy,
 )
 from entroflow.grids import (
+    GridDensity,
     gaussian_density,
     integrate,
     make_uniform_grid,
@@ -80,6 +81,7 @@ def test_config_validation(grid, monkeypatch):
         (fp, mu, 0.1, 0, 1024, "at least 1 and at most"),
         (fp, mu, 0.1, MAX_STEPS + 1, 1024, "at least 1 and at most"),
         (fp, mu, 0.1, 10, 32, "at least 64 quantile nodes"),
+        (fp, GridDensity(grid, 1.5 * mu.values), 0.1, 10, 1024, "unit mass"),
     ])
 
 
