@@ -9,7 +9,7 @@ theory says both rates are 2 (the Hessian lower bound is rho = 1).
 import argparse
 from pathlib import Path
 
-from entroflow.functionals import fp_free_energy
+from entroflow.functionals import FLOWS
 from entroflow.grids import gaussian_density, make_uniform_grid
 from entroflow.pde import dissipation_report, solve, write_report_csv
 
@@ -24,7 +24,7 @@ def main():
     args = ap.parse_args()
 
     grid = make_uniform_grid(-8.0, 8.0, args.nodes)
-    model = fp_free_energy()
+    model = FLOWS["fokker_planck"]
     times, values, productions = [], [], []
 
     def record(t, state):   # each snapshot's diagnostics; the state is dropped

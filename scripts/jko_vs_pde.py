@@ -10,7 +10,7 @@ import argparse
 
 import numpy as np
 
-from entroflow.functionals import fp_free_energy
+from entroflow.functionals import FLOWS
 from entroflow.grids import gaussian_density, integrate, make_uniform_grid
 from entroflow.jko import jko_trajectory
 from entroflow.pde import solve
@@ -26,7 +26,7 @@ def main():
 
     grid = make_uniform_grid(-8.0, 8.0, args.nodes)
     mu0 = gaussian_density(grid, mean=1.0)
-    functional = fp_free_energy()
+    functional = FLOWS["fokker_planck"]
     ref = solve(functional, mu0, 1e-3, args.horizon)
     ref_at = {round(float(t), 9): s for t, s in zip(ref.times, ref.states)}
 

@@ -37,7 +37,7 @@ from .grids import (
     normalize,
     staggered_radial_grid,
 )
-from .functionals import fd_free_energy
+from .functionals import FLOWS
 from .inequalities import (
     ZugmeyerProblem,
     aubin_talenti_extremal,
@@ -181,12 +181,13 @@ def run_inequality_bank(name: str, seed: int, count: int | None) -> list[CheckRo
             rows.append(CheckRow(case_id, lhs, rhs, rhs - lhs, bool(passed)))
     elif name == "eep_fp":
         grid = make_uniform_grid(*DEFAULT_LINE_DOMAIN, 2049)
+        stationary = stationary_state(FLOWS["fokker_planck"], grid)
         for case_id, mu in eep_fp_bank(grid, count, seed):
-            lhs, rhs = eep_check_fp(mu)
+            lhs, rhs = eep_check_fp(mu, stationary=stationary)
             rows.append(_row(case_id, lhs, rhs))
     elif name == "eep_fd":
         grid = staggered_radial_grid(DEFAULT_RADIUS, 512, 3)
-        stationary = stationary_state(fd_free_energy(), grid)
+        stationary = stationary_state(FLOWS["fast_diffusion"], grid)
         for case_id, mu in eep_fd_bank(grid, count, seed, stationary):
             lhs, rhs = eep_check_fd(mu, stationary=stationary)
             rows.append(_row(case_id, lhs, rhs))

@@ -5,13 +5,13 @@ Every flow in the library is the Wasserstein gradient flow of
     F(mu) = int U(mu) + s int V mu,
 
 an internal energy plus, when confined, the potential energy of V = |x|^2/2
-(McCann, Adv. Math. 128 (1997); Otto, Comm. PDE 26 (2001)).  The factories
-of the model ``FreeEnergy`` pick U and V:
+(McCann, Adv. Math. 128 (1997); Otto, Comm. PDE 26 (2001)).  ``FLOWS``
+names the three models ``FreeEnergy`` is written for, by the flow of each:
 
-* ``boltzmann_entropy()``    U = mu log mu, no V; rho = 0
-* ``fp_free_energy()``       U = mu log mu, V, s = 1: minimized by the
-  standard Gaussian; displacement convexity constant rho = 1
-* ``fd_free_energy()``       U = -mu^(1-1/n), V, s = (n-1)/n: minimized by
+* ``heat``              U = mu log mu, no V; rho = 0
+* ``fokker_planck``     U = mu log mu, V, s = 1: minimized by the standard
+  Gaussian; displacement convexity constant rho = 1
+* ``fast_diffusion``    U = -mu^(1-1/n), V, s = (n-1)/n: minimized by
   mu_inf = (C + |x|^2/2)^(-n); rho = (n-1)/n
 
 The model holds no grid data: n is the dimension of the radial grid of the
@@ -94,13 +94,7 @@ class FreeEnergy:
         return integrate(self.otto_gradient(mu) ** 2 * mu.values, mu.grid)
 
 
-def boltzmann_entropy() -> FreeEnergy:
-    return FreeEnergy()
-
-
-def fp_free_energy() -> FreeEnergy:
-    return FreeEnergy(confined=True)
-
-
-def fd_free_energy() -> FreeEnergy:
-    return FreeEnergy(power_law=True, confined=True)
+# flow name -> the free energy whose Wasserstein gradient flow it is
+FLOWS = {"heat": FreeEnergy(),
+         "fokker_planck": FreeEnergy(confined=True),
+         "fast_diffusion": FreeEnergy(power_law=True, confined=True)}

@@ -223,11 +223,11 @@ def jko_trajectory(functional: FreeEnergy, mu0: GridDensity, tau: float,
     """Run ``steps`` JKO steps of size ``tau`` from ``mu0`` in
     ``num_quantiles`` quantile coordinates.  Snapshot k is the converted
     density at time k tau; the per-step free energy, W2 step length and
-    inner iterations land in ``metadata["steps"]``.  A power law (JKO steps
-    F = int mu log mu, with or without V = |x|^2/2), a ``tau`` that is not
-    positive and finite, steps outside 1..MAX_STEPS, under 64 quantiles or a
-    density that is not of unit mass or not strictly positive raise
-    ``ValueError`` before the first step.
+    inner iterations land in ``metadata["steps"]``.  JKO steps
+    F = int mu log mu, with or without V = |x|^2/2; a power law, a ``tau``
+    that is not positive and finite, steps outside 1..MAX_STEPS, under 64
+    quantiles or a density that is not of unit mass or not strictly positive
+    raise ``ValueError`` before the first step.
     """
     if functional.power_law:
         raise ValueError("JKO stepping supports the Boltzmann entropy and the "

@@ -1,7 +1,8 @@
 """Mass-conservative, positivity-preserving solvers for the three flows.
 
-Each flow is the Wasserstein gradient flow of its free energy in ``FLOWS``;
-``solve`` takes that model and runs on the grid of the initial density.
+Each flow is the Wasserstein gradient flow of its free energy in
+``functionals.FLOWS``; ``solve`` takes that model and runs on the grid of
+the initial density.
 
 Heat and Fokker-Planck (line geometry)
     Implicit-in-time finite volume with exponential-fitting face weights
@@ -59,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functionals import FreeEnergy, boltzmann_entropy, fd_free_energy, fp_free_energy
+from .functionals import FLOWS, FreeEnergy
 from .grids import (
     DensityTrajectory,
     Grid,
@@ -70,12 +71,6 @@ from .grids import (
     sphere_area,
     write_csv,
 )
-
-# flow name -> the free energy whose Wasserstein gradient flow it is
-FLOWS = {"heat": boltzmann_entropy(),
-         "fokker_planck": fp_free_energy(),
-         "fast_diffusion": fd_free_energy()}
-
 
 class SolverError(RuntimeError):
     pass
@@ -203,6 +198,8 @@ MAX_STEPS = 10**8        # step-count ceiling of a run, far above any real one
 NEWTON_TOL = 1e-12       # fast-diffusion residual tolerance, relative to max(w mu)
 NEWTON_MAX_ITER = 40
 BOUND_TOL = 0.05         # dissipation-bound slack for the O(dt) bias of implicit steps
+BRENT_XTOL = 1e-14       # Brent's bracket tolerances for the stationary constant;
+BRENT_RTOL = 8.9e-16     # rtol just above 4 eps, the least scipy's brentq takes
 
 
 def _bernoulli(z: np.ndarray) -> np.ndarray:
@@ -312,7 +309,7 @@ def _fd_newton_step(grid: Grid, dt: float, mu_old: np.ndarray,
             trial += mu
         else:
             raise SolverError("fast-diffusion Newton line search stalled")
-    if norm <= 10.0 * tol:
+    if norm <= tol:
         return mu, root
     raise SolverError("fast-diffusion Newton did not converge")
 
@@ -382,15 +379,15 @@ def solve(model: FreeEnergy, mu0: GridDensity, dt: float, horizon: float,
     return DensityTrajectory(np.asarray(times), states) if states else None
 
 
-def _brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
+def _brentq(f, xa: float, xb: float) -> float:
     """Root of f in [xa, xb] by Brent's method (Brent 1973, ch. 4): the
     compiled routine behind ``scipy.optimize.brentq``, so the root is the
     same bit for bit.  Converged when the bracket half-width drops below
-    (xtol + rtol |x|) / 2 within scipy's default 100 iterations.
+    (BRENT_XTOL + BRENT_RTOL |x|) / 2 within scipy's default 100 iterations.
     """
     try:
         x, _, _, flag = _extension("optimize", "_zeros")._brentq(
-            f, xa, xb, xtol, rtol, 100, (), True, False)
+            f, xa, xb, BRENT_XTOL, BRENT_RTOL, 100, (), True, False)
     except ValueError as err:   # f's own errors pass through unchanged
         if str(err) != "f(a) and f(b) must have different signs":
             raise
@@ -448,7 +445,7 @@ def stationary_fd(grid: Grid) -> GridDensity:
             if lo >= hi:
                 raise ValueError(f"the stationary state of dimension {n} has no "
                                  f"finite grid mass above 1 for C in [1e-08, {hi:g}]")
-    c = _brentq(lambda cc: grid_mass(cc) - 1.0, lo, hi, xtol=1e-14, rtol=8.9e-16)
+    c = _brentq(lambda cc: grid_mass(cc) - 1.0, lo, hi)
     values = (c + 0.5 * r**2) ** (-n)
     zeros = np.count_nonzero(values == 0.0)
     if zeros:   # from n = 191 at the default radius and cells

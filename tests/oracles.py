@@ -34,7 +34,7 @@ import warnings
 import numpy as np
 
 from entroflow.finite_flow import Trajectory, de_bruijn_residual
-from entroflow.functionals import boltzmann_entropy
+from entroflow.functionals import FLOWS
 from entroflow.grids import (
     Grid,
     GridDensity,
@@ -155,7 +155,7 @@ def de_bruijn_pde_check(traj):
     dts = np.diff(traj.times)
     if not np.allclose(dts, dts[0], rtol=1e-8):
         raise ValueError("snapshots must be at uniform cadence")
-    ent = boltzmann_entropy()
+    ent = FLOWS["heat"]
     return de_bruijn_residual(Trajectory(
         traj.times, [s.values for s in traj.states],
         np.array([ent.value(s) for s in traj.states]),

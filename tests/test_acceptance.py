@@ -15,11 +15,7 @@ from entroflow.finite_flow import (
     production_decay_check,
     quadratic_potential,
 )
-from entroflow.functionals import (
-    boltzmann_entropy,
-    fd_free_energy,
-    fp_free_energy,
-)
+from entroflow.functionals import FLOWS
 from entroflow.grids import (
     DensityTrajectory,
     gaussian_density,
@@ -59,7 +55,7 @@ def report(num, ok, text):
 @pytest.fixture(scope="module")
 def heat_run():
     grid = make_uniform_grid(-8.0, 8.0, 1025)
-    traj = solve(boltzmann_entropy(), gaussian_density(grid), 1e-4, 0.5,
+    traj = solve(FLOWS["heat"], gaussian_density(grid), 1e-4, 0.5,
                  snapshot_every=100)
     PDE_RUNS["heat"] = traj
     return traj
@@ -68,7 +64,7 @@ def heat_run():
 @pytest.fixture(scope="module")
 def fp_run():
     grid = make_uniform_grid(-8.0, 8.0, 1025)
-    traj = solve(fp_free_energy(), gaussian_density(grid, mean=2.0), 1e-3, 2.0,
+    traj = solve(FLOWS["fokker_planck"], gaussian_density(grid, mean=2.0), 1e-3, 2.0,
                  snapshot_every=50)
     PDE_RUNS["fokker_planck"] = traj
     return traj
@@ -79,9 +75,9 @@ def fd_bundle():
     grid = staggered_radial_grid(10.0, 512, 3)
     with pytest.warns(UserWarning):
         stationary = stationary_fd(grid)
-    fixed = solve(fd_free_energy(), stationary, 1e-3, 5e-3)
+    fixed = solve(FLOWS["fast_diffusion"], stationary, 1e-3, 5e-3)
     bump = 1.0 + 0.05 * np.exp(-0.5 * (grid.nodes - 2.0) ** 2)
-    perturbed = solve(fd_free_energy(), normalize(stationary.values * bump, grid),
+    perturbed = solve(FLOWS["fast_diffusion"], normalize(stationary.values * bump, grid),
                       2e-3, 3.0, snapshot_every=50)
     PDE_RUNS["fast_diffusion_fixed_point"] = fixed
     PDE_RUNS["fast_diffusion_perturbed"] = perturbed
@@ -93,10 +89,10 @@ def jko_bundle():
     grid = make_uniform_grid(-8.0, 8.0, 1025)
     mu0 = gaussian_density(grid, mean=1.0)
     horizon = 0.96
-    ref = solve(fp_free_energy(), mu0, 1e-3, horizon, snapshot_every=20)
+    ref = solve(FLOWS["fokker_planck"], mu0, 1e-3, horizon, snapshot_every=20)
     PDE_RUNS["jko_reference_fp"] = ref
     ref_at = {round(float(t), 6): s for t, s in zip(ref.times, ref.states)}
-    functional = fp_free_energy()
+    functional = FLOWS["fokker_planck"]
     runs = {}
     for tau in (0.08, 0.04, 0.02):
         runs[tau] = jko_trajectory(functional, mu0, tau,
@@ -121,7 +117,7 @@ def test_criterion_1_finite_dimensional_equality_case():
 
 def test_criterion_2_de_bruijn_along_heat_flow(heat_run):
     residual = de_bruijn_pde_check(heat_run)
-    ent = boltzmann_entropy()
+    ent = FLOWS["heat"]
     window = [(t, s) for t, s in zip(heat_run.times, heat_run.states)
               if 0.05 <= t <= 0.5]
     fisher_ok = all(abs(ent.production(s) - 1.0 / (1.0 + 2.0 * t)) <= 1e-3
@@ -138,7 +134,7 @@ def test_criterion_2_de_bruijn_along_heat_flow(heat_run):
 
 def test_criterion_3_fokker_planck_decay_rates(fp_run):
     grid = fp_run.states[0].grid
-    rep = trajectory_report(fp_run, fp_free_energy(), gaussian_density(grid))
+    rep = trajectory_report(fp_run, FLOWS["fokker_planck"], gaussian_density(grid))
     ok = (rep.fitted_production_rate is not None
           and abs(rep.fitted_production_rate - 2.0) <= 0.1
           and rep.fitted_value_rate is not None
@@ -175,7 +171,7 @@ def test_criterion_6_fast_diffusion(fd_bundle):
     residual = max(integrate(np.abs(s.values - stationary.values), grid)
                    for s in fixed.states)
     fixed_ok = residual <= 1e-6
-    rep = trajectory_report(perturbed, fd_free_energy(), stationary)
+    rep = trajectory_report(perturbed, FLOWS["fast_diffusion"], stationary)
     rate_ok = (rep.fitted_value_rate is not None
                and rep.fitted_value_rate >= 2.0 * (2.0 / 3.0) * 0.95)
     rows = run_inequality_bank("eep_fd", seed=7, count=200)   # on fd_bundle's grid
@@ -271,7 +267,7 @@ def test_criterion_10_conservation_positivity_monotonicity(
             positivity_ok &= bool(np.all(state.values > 0.0))
 
     monotone_ok = True
-    for value in (boltzmann_entropy().value,
+    for value in (FLOWS["heat"].value,
                   lambda s: integrate(s.values**2, s.grid),
                   lambda s: integrate(s.values**3, s.grid)):
         vals = np.array([value(s) for s in heat_run.states])

@@ -27,6 +27,10 @@ rule for how a double becomes text lives in one module.
 ``manifest.json`` and ``summary.json`` each occur in exactly one string
 constant of ``src/entroflow`` code, docstrings aside, so a run's record is
 written in one place.
+
+``inequalities`` imports no ``entroflow`` module but ``grids`` and
+``functionals``: an inequality is a property of a free energy and its
+minimizer, which its caller passes in, not of any solver.
 """
 
 import ast
@@ -229,3 +233,21 @@ def run_record_spellings() -> dict[str, list[str]]:
 def test_run_record_is_written_in_one_place():
     spellings = run_record_spellings()
     assert all(len(lines) == 1 for lines in spellings.values()), spellings
+
+
+def entroflow_imports(module: str) -> set[str]:
+    """The ``entroflow`` modules that ``src/entroflow/<module>.py`` imports,
+    relatively or by absolute name."""
+    tree = ast.parse((ROOT / "src" / "entroflow" / f"{module}.py").read_text())
+    dotted = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            dotted += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["entroflow" * bool(node.level), node.module]))
+            dotted += [f"{base}.{alias.name}" for alias in node.names]
+    return {name.split(".")[1] for name in dotted if name.startswith("entroflow.")}
+
+
+def test_inequalities_import_no_solver():
+    assert entroflow_imports("inequalities") <= {"grids", "functionals"}

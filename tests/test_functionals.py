@@ -4,11 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from entroflow.functionals import (
-    boltzmann_entropy,
-    fd_free_energy,
-    fp_free_energy,
-)
+from entroflow.functionals import FLOWS, FreeEnergy
 from entroflow.grids import (
     Grid,
     gaussian_density,
@@ -45,20 +41,20 @@ def radial_setup():
 def test_entropy_of_uniform_on_unit_interval():
     g = make_uniform_grid(0.0, 1.0, 129)
     d = normalize(np.ones(129), g)
-    assert boltzmann_entropy().value(d) == pytest.approx(0.0, abs=1e-13)
+    assert FLOWS["heat"].value(d) == pytest.approx(0.0, abs=1e-13)
 
 
 def test_entropy_of_uniform_on_double_interval():
     g = make_uniform_grid(0.0, 2.0, 129)
     d = normalize(np.ones(129), g)
     # closed form: int (1/2) log(1/2) over [0, 2]
-    assert boltzmann_entropy().value(d) == pytest.approx(-math.log(2.0), abs=1e-12)
+    assert FLOWS["heat"].value(d) == pytest.approx(-math.log(2.0), abs=1e-12)
 
 
 def test_fp_value_at_gaussian(grid, gauss):
     # Ent(gamma) = -log(2 pi)/2 - 1/2, second moment adds 1/2
     expected = -0.5 * math.log(2.0 * math.pi)
-    assert fp_free_energy().value(gauss) == pytest.approx(expected, abs=1e-8)
+    assert FLOWS["fokker_planck"].value(gauss) == pytest.approx(expected, abs=1e-8)
 
 
 def test_lp_value():
@@ -74,31 +70,31 @@ def test_fd_value_rejects_vanishing_density(radial_setup):
     from entroflow.grids import GridDensity
     zeroed = GridDensity(rg, vals)
     with pytest.raises(ValueError):
-        fd_free_energy().value(zeroed)
+        FLOWS["fast_diffusion"].value(zeroed)
 
 
 # ---------------------------------------------------------------- gradients
 
 def test_entropy_gradient_at_gaussian_is_minus_x(grid, gauss):
-    field = boltzmann_entropy().otto_gradient(gauss)
+    field = FLOWS["heat"].otto_gradient(gauss)
     assert np.max(np.abs(field + grid.nodes)) <= 1e-9
 
 
 def test_fp_gradient_vanishes_at_gaussian(gauss):
-    field = fp_free_energy().otto_gradient(gauss)
+    field = FLOWS["fokker_planck"].otto_gradient(gauss)
     assert np.max(np.abs(field)) <= 1e-9
 
 
 def test_fd_gradient_vanishes_at_stationary_state(radial_setup):
     rg, stat = radial_setup
-    field = fd_free_energy().otto_gradient(stat)
+    field = FLOWS["fast_diffusion"].otto_gradient(stat)
     assert np.max(np.abs(field)) <= 1e-9
 
 
 # ---------------------------------------------------------------- production
 
 def test_fisher_information_of_standard_gaussian(gauss):
-    assert boltzmann_entropy().production(gauss) == pytest.approx(1.0, abs=1e-8)
+    assert FLOWS["heat"].production(gauss) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_fisher_information_scales_with_variance():
@@ -106,12 +102,12 @@ def test_fisher_information_scales_with_variance():
     wide = make_uniform_grid(-16.0, 16.0, 4097)
     for sigma in (0.7, 1.3, 2.0):
         d = gaussian_density(wide, sigma=sigma)
-        assert boltzmann_entropy().production(d) == pytest.approx(1.0 / sigma**2,
+        assert FLOWS["heat"].production(d) == pytest.approx(1.0 / sigma**2,
                                                                   rel=1e-6)
 
 
 def test_production_zero_at_minimizer(gauss):
-    assert fp_free_energy().production(gauss) <= 1e-12
+    assert FLOWS["fokker_planck"].production(gauss) <= 1e-12
 
 
 def test_fd_production_zero_at_stationary_state(radial_setup):
@@ -123,7 +119,7 @@ def test_fd_production_zero_at_stationary_state(radial_setup):
         states += [stationary_fd(staggered_radial_grid(10.0, 512, n))
                    for n in (5, 10)]
     for state in states:
-        assert fd_free_energy().production(state) <= 1e-12, state.grid.ambient_dim
+        assert FLOWS["fast_diffusion"].production(state) <= 1e-12, state.grid.ambient_dim
 
 
 # ---------------------------------------------------------------- dimension
@@ -136,37 +132,37 @@ def test_power_law_rejects_line_grid(method, dim):
     mu = gaussian_density(Grid(line.nodes, line.spacing, ambient_dim=dim))
     with pytest.raises(ValueError, match="radial grid with n >= 2"):
         if method == "otto_hessian_quadform":
-            otto_hessian_quadform(fd_free_energy(), mu, mu.grid.nodes)
+            otto_hessian_quadform(FLOWS["fast_diffusion"], mu, mu.grid.nodes)
         else:
-            getattr(fd_free_energy(), method)(mu)
+            getattr(FLOWS["fast_diffusion"], method)(mu)
 
 
 def test_power_law_rejects_radial_grid_below_dimension_two():
     rg = staggered_radial_grid(10.0, 64, 1)
     mu = normalize(np.exp(-rg.nodes), rg)
     with pytest.raises(ValueError, match="radial grid with n >= 2"):
-        fd_free_energy().value(mu)
+        FLOWS["fast_diffusion"].value(mu)
 
 
 def test_power_law_dimension_is_not_an_argument():
     with pytest.raises(TypeError):
-        fd_free_energy(3)
+        FreeEnergy(True, True, 3)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 10])
 def test_rho_reads_the_grid(grid, n):
     rg = staggered_radial_grid(10.0, 64, n)
-    assert fd_free_energy().rho(rg) == (n - 1.0) / n
-    assert fd_free_energy().dim_and_scale(rg) == (n, (n - 1.0) / n)
-    assert fp_free_energy().rho(rg) == fp_free_energy().rho(grid) == 1.0
-    assert boltzmann_entropy().rho(rg) == boltzmann_entropy().rho(grid) == 0.0
+    assert FLOWS["fast_diffusion"].rho(rg) == (n - 1.0) / n
+    assert FLOWS["fast_diffusion"].dim_and_scale(rg) == (n, (n - 1.0) / n)
+    assert FLOWS["fokker_planck"].rho(rg) == FLOWS["fokker_planck"].rho(grid) == 1.0
+    assert FLOWS["heat"].rho(rg) == FLOWS["heat"].rho(grid) == 0.0
 
 
 # ---------------------------------------------------------------- hessians
 
 def test_entropy_hessian_on_affine_potential(gauss):
     phi = gauss.grid.nodes.copy()
-    assert otto_hessian_quadform(boltzmann_entropy(), gauss, phi) == pytest.approx(
+    assert otto_hessian_quadform(FLOWS["heat"], gauss, phi) == pytest.approx(
         0.0, abs=1e-12)
 
 
@@ -174,14 +170,14 @@ def test_fp_hessian_on_affine_potential_equals_field_norm(grid):
     mixture = normalize(
         np.exp(-0.5 * (grid.nodes - 1.0) ** 2)
         + 0.5 * np.exp(-(grid.nodes + 2.0) ** 2), grid)
-    value = otto_hessian_quadform(fp_free_energy(), mixture, grid.nodes)
+    value = otto_hessian_quadform(FLOWS["fokker_planck"], mixture, grid.nodes)
     assert value == pytest.approx(1.0, abs=1e-10)
 
 
 def test_fd_hessian_quadratic_potential_hits_lower_bound(radial_setup):
     rg, stat = radial_setup
     phi = 0.5 * rg.nodes**2
-    value = otto_hessian_quadform(fd_free_energy(), stat, phi)
+    value = otto_hessian_quadform(FLOWS["fast_diffusion"], stat, phi)
     grad_norm = integrate(rg.nodes**2 * stat.values, rg)
     assert value == pytest.approx((2.0 / 3.0) * grad_norm, rel=1e-12)
 
@@ -214,7 +210,7 @@ def standard_phi_bank(grid, seed=2061):
 
 def test_fp_hessian_bound_over_phi_bank(grid, gauss):
     for name, phi in standard_phi_bank(grid):
-        quad = otto_hessian_quadform(fp_free_energy(), gauss, phi)
+        quad = otto_hessian_quadform(FLOWS["fokker_planck"], gauss, phi)
         lower = integrate(gradient_fd(phi, grid) ** 2 * gauss.values, grid)
         assert quad >= lower - 1e-10 * max(1.0, lower), name
 
@@ -222,7 +218,7 @@ def test_fp_hessian_bound_over_phi_bank(grid, gauss):
 def test_fd_hessian_bound_over_phi_bank(radial_setup):
     rg, stat = radial_setup
     for name, phi in standard_phi_bank(rg):
-        quad = otto_hessian_quadform(fd_free_energy(), stat, phi)
+        quad = otto_hessian_quadform(FLOWS["fast_diffusion"], stat, phi)
         lower = (2.0 / 3.0) * integrate(gradient_fd(phi, rg) ** 2 * stat.values, rg)
         assert quad >= lower - 1e-10 * max(1.0, lower), name
 
@@ -260,7 +256,7 @@ def test_fd_hessian_is_second_variation_along_push_forward(n, potential):
 
     eps = 1e-3
     second = (pushed_value(eps) - 2.0 * pushed_value(0.0) + pushed_value(-eps)) / eps**2
-    quad = otto_hessian_quadform(fd_free_energy(), mu, phi)
+    quad = otto_hessian_quadform(FLOWS["fast_diffusion"], mu, phi)
     assert quad == pytest.approx(second, rel=1e-3)
 
 
@@ -286,7 +282,7 @@ def test_hessian_identity_on_sine(gauss):
 # ---------------------------------------------------------------- invariants
 
 def test_gaussian_minimizes_entropy_at_fixed_variance(grid):
-    ent = boltzmann_entropy()
+    ent = FLOWS["heat"]
     x = grid.nodes
     base = np.exp(-0.5 * x**2)
     rng = np.random.default_rng(11)

@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 from entroflow import jko
-from entroflow.functionals import (
-    FreeEnergy,
-    boltzmann_entropy,
-    fd_free_energy,
-    fp_free_energy,
-)
+from entroflow.functionals import FLOWS, FreeEnergy
 from entroflow.grids import (
     GridDensity,
     gaussian_density,
@@ -68,11 +63,11 @@ def _assert_rejected(cases):
 
 def test_config_validation(grid, monkeypatch):
     mu = gaussian_density(grid)
-    traj = jko_trajectory(fp_free_energy(), mu, 0.05, 20, 64)
+    traj = jko_trajectory(FLOWS["fokker_planck"], mu, 0.05, 20, 64)
     assert traj.times[-1] == pytest.approx(1.0)
 
     _forbid_steps(monkeypatch)
-    fp = fp_free_energy()
+    fp = FLOWS["fokker_planck"]
     _assert_rejected([
         (fp, mu, -0.1, 10, 1024, "tau must be positive"),
         (fp, mu, 0.0, 10, 1024, "tau must be positive"),
@@ -87,7 +82,7 @@ def test_config_validation(grid, monkeypatch):
 
 def test_unsupported_functional_rejected(grid, no_steps):
     _assert_rejected([
-        (fd_free_energy(), gaussian_density(grid), 0.1, 1, 1024,
+        (FLOWS["fast_diffusion"], gaussian_density(grid), 0.1, 1, 1024,
          "Boltzmann entropy"),
     ])
 
@@ -95,7 +90,7 @@ def test_unsupported_functional_rejected(grid, no_steps):
 def test_start_that_underflows_to_zero_rejected(grid, no_steps):
     # the density underflows to 0 on part of [-8, 8]
     _assert_rejected([
-        (boltzmann_entropy(), gaussian_density(grid, 7.5, 0.05), 0.1, 1, 1024,
+        (FLOWS["heat"], gaussian_density(grid, 7.5, 0.05), 0.1, 1, 1024,
          "strictly positive"),
     ])
 
@@ -103,7 +98,7 @@ def test_start_that_underflows_to_zero_rejected(grid, no_steps):
 def test_infeasible_newton_step_is_backtracked():
     """A far outlier makes the full Newton step cross quantiles; the line
     search halves it until every increment stays above the floor."""
-    functional = fp_free_energy()
+    functional = FLOWS["fokker_planck"]
     m, tau = 256, 1.0
     x_prev = np.sort(np.random.default_rng(3).standard_normal(m))
     x_prev[0] -= 50.0
@@ -120,7 +115,7 @@ def test_infeasible_newton_step_is_backtracked():
 def test_tied_start_moves_off_the_stay_put_candidate():
     """Tied quantiles start below the increment floor; the floor drops to
     the start's smallest increment, so the step still makes progress."""
-    functional = boltzmann_entropy()
+    functional = FLOWS["heat"]
     m, tau = 256, 1.0
     x_prev = np.sort(np.random.default_rng(1).standard_normal(m))
     x_prev[101] = x_prev[100]
@@ -151,7 +146,7 @@ def _hand_assembled_newton_system(functional, x, x_prev, tau):
 def test_hessian_equals_hand_assembled_bands_bitwise(kind, monkeypatch):
     """The flux-form Hessian bands and right-hand side that the Newton
     direction hands its solver (see the ``jko`` docstring), bit for bit."""
-    functional = fp_free_energy() if kind == "fp" else boltzmann_entropy()
+    functional = FLOWS["fokker_planck"] if kind == "fp" else FLOWS["heat"]
     rng = np.random.default_rng(4)
     m, tau = 512, 0.05
     x_prev = np.sort(rng.standard_normal(m))
@@ -184,7 +179,7 @@ def test_newton_direction_solves_the_hand_assembled_hessian(kind, tau, tied):
     also where a tie floors an increment, so that H holds a coupling of
     dq / INCREMENT_FLOOR^2 and the gradient a barrier force of
     dq / INCREMENT_FLOOR."""
-    functional = fp_free_energy() if kind == "fp" else boltzmann_entropy()
+    functional = FLOWS["fokker_planck"] if kind == "fp" else FLOWS["heat"]
     rng = np.random.default_rng(4)
     m = 512
     x_prev = np.sort(rng.standard_normal(m))
@@ -208,7 +203,7 @@ def test_tied_starts_reach_the_proximal_minimizer():
     rng = np.random.default_rng(26)
     for case in range(20):
         m = int(rng.choice([64, 128, 256]))
-        functional = fp_free_energy() if case % 2 else boltzmann_entropy()
+        functional = FLOWS["fokker_planck"] if case % 2 else FLOWS["heat"]
         tau = 10.0 ** rng.uniform(-2.0, 2.0)
         x_prev = np.sort(rng.standard_normal(m))
         for k in rng.integers(1, m - 2, 3):
@@ -227,7 +222,7 @@ def test_fp_fixed_point(grid):
     the grid-density route adds the documented O(1/M + h) representation
     error on top.
     """
-    functional = fp_free_energy()
+    functional = FLOWS["fokker_planck"]
     gamma = gaussian_density(grid)
     m = 2048
     from entroflow.grids import cdf_and_quantile
@@ -246,7 +241,7 @@ def test_fp_fixed_point(grid):
 def test_entropy_step_spreads_variance_by_2tau(grid):
     tau = 0.05
     mu = gaussian_density(grid, sigma=1.0)
-    out = jko_trajectory(boltzmann_entropy(), mu, tau, 1, 2048).states[-1]
+    out = jko_trajectory(FLOWS["heat"], mu, tau, 1, 2048).states[-1]
     var = integrate(grid.nodes**2 * out.values, grid) - \
         integrate(grid.nodes * out.values, grid) ** 2
     assert var == pytest.approx(1.0 + 2.0 * tau, abs=5e-3)  # O(tau^2) + conversion
@@ -254,7 +249,7 @@ def test_entropy_step_spreads_variance_by_2tau(grid):
 
 def test_objective_decreases_vs_stay_put(grid):
     mu = normalize(np.exp(-0.5 * (grid.nodes - 1.0) ** 2), grid)
-    functional = fp_free_energy()
+    functional = FLOWS["fokker_planck"]
     tau, m = 0.05, 512
     traj = jko_trajectory(functional, mu, tau, 8, m)
     logs = traj.metadata["steps"]
@@ -270,7 +265,7 @@ def test_objective_decreases_vs_stay_put(grid):
 
 def test_constant_trajectory_from_minimizer(grid):
     gamma = gaussian_density(grid)
-    traj = jko_trajectory(fp_free_energy(), gamma, 0.05, 5, 2048)
+    traj = jko_trajectory(FLOWS["fokker_planck"], gamma, 0.05, 5, 2048)
     base = traj.states[0]
     for state in traj.states[1:]:
         # bounded by the quantile representation error of gamma
@@ -279,7 +274,7 @@ def test_constant_trajectory_from_minimizer(grid):
 
 def test_entropy_trajectory_tracks_heat_flow_variance(grid):
     tau, steps = 0.02, 10
-    traj = jko_trajectory(boltzmann_entropy(), gaussian_density(grid), tau,
+    traj = jko_trajectory(FLOWS["heat"], gaussian_density(grid), tau,
                           steps, 2048)
     assert traj.times[-1] == pytest.approx(tau * steps)
     for k, state in enumerate(traj.states):
@@ -292,11 +287,11 @@ def test_fp_jko_converges_to_pde_solution(grid):
     """Halving tau roughly halves the gap to the Fokker-Planck solver."""
     mu0 = gaussian_density(grid, mean=1.0)
     horizon = 0.4
-    pde_traj = solve(fp_free_energy(), mu0, 1e-3, horizon, snapshot_every=40)
+    pde_traj = solve(FLOWS["fokker_planck"], mu0, 1e-3, horizon, snapshot_every=40)
     pde_at = {round(t, 6): s for t, s in zip(pde_traj.times, pde_traj.states)}
     gaps = []
     for tau in (0.08, 0.04):
-        traj = jko_trajectory(fp_free_energy(), mu0, tau,
+        traj = jko_trajectory(FLOWS["fokker_planck"], mu0, tau,
                               int(round(horizon / tau)), 2048)
         gap = 0.0
         for t, state in zip(traj.times[1:], traj.states[1:]):
@@ -308,7 +303,7 @@ def test_fp_jko_converges_to_pde_solution(grid):
 
 
 def test_step_log_csv(tmp_path, grid):
-    traj = jko_trajectory(fp_free_energy(), gaussian_density(grid, mean=0.5),
+    traj = jko_trajectory(FLOWS["fokker_planck"], gaussian_density(grid, mean=0.5),
                           0.05, 3, 256)
     path = tmp_path / "steps.csv"
     write_step_log_csv(traj, path)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from entroflow import jko
-from entroflow.functionals import boltzmann_entropy, fp_free_energy
+from entroflow.functionals import FLOWS
 from entroflow.grids import cdf_and_quantile, gaussian_density, make_uniform_grid
 from entroflow.jko import (
     _increments,
@@ -39,7 +39,7 @@ def _seeded_starts(count, seed):
     rng = np.random.default_rng(seed)
     for case in range(count):
         m = int(rng.choice([64, 128, 256, 512, 1024]))
-        functional = fp_free_energy() if case % 2 else boltzmann_entropy()
+        functional = FLOWS["fokker_planck"] if case % 2 else FLOWS["heat"]
         tau = 10.0 ** rng.uniform(-2.0, 2.0)
         x_prev = np.sort(rng.uniform(0.3, 3.0) * rng.standard_normal(m)
                          + rng.uniform(-2.0, 2.0))
@@ -71,7 +71,7 @@ def test_step_at_the_roundoff_floor_leaves_nothing_to_gain(kind, tau):
     the bound that the full step before certified.  There three more full
     Newton steps lower the objective by at most 1e-14 of it (measured:
     at most 1.4e-16)."""
-    functional = fp_free_energy() if kind == "fp" else boltzmann_entropy()
+    functional = FLOWS["fokker_planck"] if kind == "fp" else FLOWS["heat"]
     grid = make_uniform_grid(-8.0, 8.0, 1025)
     x_prev = cdf_and_quantile(gaussian_density(grid, 0.5, 0.8), 65536)
     x, _ = _jko_step_quantiles(functional, x_prev, tau)
@@ -97,7 +97,7 @@ def test_step_that_went_uphill_returns_the_start(monkeypatch):
     its final objective with the stay-put start's.  With every direction
     reversed, the step from near the minimizer climbs, and the start comes
     back with its own free energy and a W2 step of 0."""
-    functional = fp_free_energy()
+    functional = FLOWS["fokker_planck"]
     grid = make_uniform_grid(-8.0, 8.0, 1025)
     x_prev = cdf_and_quantile(gaussian_density(grid, 1e-4, 1.0), 256)
     direction = jko._newton_direction
@@ -116,7 +116,7 @@ def test_step_that_went_uphill_returns_the_start(monkeypatch):
 def test_step_that_runs_out_of_iterations_raises(monkeypatch):
     """A step that needs more than MAX_INNER Newton directions fails loudly
     instead of returning its last iterate (this start takes 15)."""
-    functional = fp_free_energy()
+    functional = FLOWS["fokker_planck"]
     x_prev = np.sort(np.random.default_rng(3).standard_normal(256))
     x, row = _jko_step_quantiles(functional, x_prev, 1.0)
     assert row["inner_iters"] > 2

@@ -14,7 +14,7 @@ import pytest
 from scipy.linalg.lapack import dptsv
 
 from entroflow import jko, pde
-from entroflow.functionals import boltzmann_entropy, fp_free_energy
+from entroflow.functionals import FLOWS
 from entroflow.grids import (
     cdf_and_quantile,
     make_uniform_grid,
@@ -91,7 +91,7 @@ def _ref_fd_newton_step(grid, dt, mu_old):
             lam *= 0.5
         else:
             raise pde.SolverError("fast-diffusion Newton line search stalled")
-    if np.max(np.abs(res)) <= 10.0 * tol:
+    if np.max(np.abs(res)) <= tol:
         return mu
     raise pde.SolverError("fast-diffusion Newton did not converge")
 
@@ -225,9 +225,11 @@ def _jko_start(m, tied=False):
 
 @pytest.mark.parametrize("tau", [1e-2, 1.0])
 @pytest.mark.parametrize("m", [1024, 65536])
-@pytest.mark.parametrize("kind", ["boltzmann_entropy", "fp_free_energy"])
-def test_jko_step_is_reference_bitwise(kind, m, tau, solves):
-    functional = fp_free_energy() if kind == "fp_free_energy" else boltzmann_entropy()
+# the ids are the models' former factory names, kept so the test ids stay put
+@pytest.mark.parametrize("flow", [pytest.param("heat", id="boltzmann_entropy"),
+                                  pytest.param("fokker_planck", id="fp_free_energy")])
+def test_jko_step_is_reference_bitwise(flow, m, tau, solves):
+    functional = FLOWS[flow]
     x = x_ref = _jko_start(m)
     for _ in range(3):
         x, row = jko._jko_step_quantiles(functional, x, tau)
@@ -238,7 +240,7 @@ def test_jko_step_is_reference_bitwise(kind, m, tau, solves):
 
 
 def test_jko_step_from_tied_start_is_reference_bitwise(solves):
-    functional = boltzmann_entropy()
+    functional = FLOWS["heat"]
     tau = 1.0
     start = _jko_start(1024, tied=True)
     assert np.min(np.diff(start)) == 0.0

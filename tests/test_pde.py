@@ -11,13 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entroflow import pde
-from entroflow.functionals import (
-    FreeEnergy,
-    boltzmann_entropy,
-    fd_free_energy,
-    fp_free_energy,
-)
+from entroflow import functionals, pde
+from entroflow.functionals import FreeEnergy
 from entroflow.grids import (
     DensityTrajectory,
     Grid,
@@ -63,14 +58,14 @@ def exact_heat_gaussian(grid, t, sigma0=1.0):
 @pytest.fixture(scope="module")
 def heat_run():
     grid = make_uniform_grid(-8.0, 8.0, 1025)
-    return solve(boltzmann_entropy(), gaussian_density(grid), 2e-4, 0.5,
+    return solve(FLOWS["heat"], gaussian_density(grid), 2e-4, 0.5,
                  snapshot_every=50)
 
 
 @pytest.fixture(scope="module")
 def fp_run():
     grid = make_uniform_grid(-8.0, 8.0, 1025)
-    return solve(fp_free_energy(), gaussian_density(grid, mean=1.0), 1e-3, 1.5,
+    return solve(FLOWS["fokker_planck"], gaussian_density(grid, mean=1.0), 1e-3, 1.5,
                  snapshot_every=50)
 
 
@@ -123,7 +118,7 @@ def test_solve_rejections(no_steps):
 def test_solve_rejects_horizon_off_the_time_grid(horizon, no_steps):
     grid = make_uniform_grid(-8.0, 8.0, 65)
     with pytest.raises(ValueError, match="not a multiple of dt"):
-        solve(boltzmann_entropy(), gaussian_density(grid), 0.001, horizon)
+        solve(FLOWS["heat"], gaussian_density(grid), 0.001, horizon)
 
 
 @pytest.mark.parametrize("horizon, dt", [(math.inf, 1e-3), (math.nan, 1e-3),
@@ -152,7 +147,7 @@ def test_flow_spec_accepts_compare_pde_horizons(tau, steps):
     per_step = max(1, round(tau / min(1e-3, tau / 10.0)))
     dt = tau / per_step
     grid = make_uniform_grid(-8.0, 8.0, 65)
-    traj = solve(fp_free_energy(), gaussian_density(grid), dt, tau * steps,
+    traj = solve(FLOWS["fokker_planck"], gaussian_density(grid), dt, tau * steps,
                  snapshot_every=per_step)
     assert len(traj.states) == steps + 1
     assert traj.times[-1] == pytest.approx(tau * steps, rel=1e-12)
@@ -174,7 +169,7 @@ def test_heat_flow_mass_and_positivity(heat_run):
 
 
 def test_heat_flow_entropy_and_lp_monotone(heat_run):
-    for value in (boltzmann_entropy().value,
+    for value in (FLOWS["heat"].value,
                   lambda s: integrate(s.values**2, s.grid),
                   lambda s: integrate(s.values**3, s.grid)):
         vals = [value(s) for s in heat_run.states]
@@ -185,7 +180,7 @@ def test_heat_self_convergence_second_order_in_space():
     errs = []
     for n in (129, 257):
         grid = make_uniform_grid(-8.0, 8.0, n)
-        traj = solve(boltzmann_entropy(), gaussian_density(grid), 1e-5, 0.1,
+        traj = solve(FLOWS["heat"], gaussian_density(grid), 1e-5, 0.1,
                      snapshot_every=10**9)
         exact = exact_heat_gaussian(grid, 0.1)
         errs.append(integrate(np.abs(traj.states[-1].values - exact), grid))
@@ -198,7 +193,7 @@ def test_de_bruijn_along_heat_flow(heat_run):
 
 def test_de_bruijn_on_stationary_uniform_density():
     grid = make_uniform_grid(0.0, 1.0, 129)
-    traj = solve(boltzmann_entropy(), normalize(np.ones(129), grid), 1e-3, 0.05,
+    traj = solve(FLOWS["heat"], normalize(np.ones(129), grid), 1e-3, 0.05,
                  snapshot_every=10)
     assert de_bruijn_pde_check(traj) <= 1e-10
 
@@ -206,7 +201,7 @@ def test_de_bruijn_on_stationary_uniform_density():
 def test_de_bruijn_on_bimodal_data():
     grid = make_uniform_grid(-8.0, 8.0, 1025)
     vals = np.exp(-2.0 * (grid.nodes - 1.5) ** 2) + np.exp(-(grid.nodes + 1.5) ** 2)
-    traj = solve(boltzmann_entropy(), normalize(vals, grid), 2e-4, 0.2,
+    traj = solve(FLOWS["heat"], normalize(vals, grid), 2e-4, 0.2,
                  snapshot_every=50)
     assert de_bruijn_pde_check(traj) <= 5e-3
 
@@ -234,7 +229,7 @@ def test_de_bruijn_from_dirac_like_data_after_burn_in():
     from entroflow.grids import DensityTrajectory
 
     grid = make_uniform_grid(-8.0, 8.0, 1025)
-    traj = solve(boltzmann_entropy(), dirac_like_density(grid), 1e-4, 0.3,
+    traj = solve(FLOWS["heat"], dirac_like_density(grid), 1e-4, 0.3,
                  snapshot_every=20)
     skip = int(np.searchsorted(traj.times, 0.05))
     trimmed = DensityTrajectory(traj.times[skip:] - traj.times[skip],
@@ -249,14 +244,14 @@ def test_de_bruijn_from_dirac_like_data_after_burn_in():
 def test_fp_gaussian_is_stationary():
     grid = make_uniform_grid(-8.0, 8.0, 513)
     gamma = gaussian_density(grid)
-    traj = solve(fp_free_energy(), gamma, 1e-3, 0.1, snapshot_every=10)
+    traj = solve(FLOWS["fokker_planck"], gamma, 1e-3, 0.1, snapshot_every=10)
     for state in traj.states:
         assert integrate(np.abs(state.values - gamma.values), grid) <= 1e-8
 
 
 def test_fp_dissipation_report(fp_run):
     grid = fp_run.states[0].grid
-    report = trajectory_report(fp_run, fp_free_energy(), gaussian_density(grid))
+    report = trajectory_report(fp_run, FLOWS["fokker_planck"], gaussian_density(grid))
     assert report.production_bounded
     assert report.value_monotone
     assert report.fitted_production_rate == pytest.approx(2.0, rel=0.05)
@@ -266,15 +261,15 @@ def test_fp_dissipation_report(fp_run):
 def test_fp_report_from_minimizer_trivially_passes():
     grid = make_uniform_grid(-8.0, 8.0, 513)
     gamma = gaussian_density(grid)
-    traj = solve(fp_free_energy(), gamma, 1e-3, 0.05, snapshot_every=10)
-    report = trajectory_report(traj, fp_free_energy(), gamma)
+    traj = solve(FLOWS["fokker_planck"], gamma, 1e-3, 0.05, snapshot_every=10)
+    report = trajectory_report(traj, FLOWS["fokker_planck"], gamma)
     assert np.all(report.productions <= 1e-10)
     assert report.passed
 
 
 def test_report_csv(tmp_path, fp_run):
     grid = fp_run.states[0].grid
-    report = trajectory_report(fp_run, fp_free_energy(), gaussian_density(grid))
+    report = trajectory_report(fp_run, FLOWS["fokker_planck"], gaussian_density(grid))
     path = tmp_path / "report.csv"
     write_report_csv(report, path)
     lines = path.read_text().splitlines()
@@ -286,10 +281,14 @@ def test_report_rejects_minimizer_without_unit_mass(fp_run):
     grid = fp_run.states[0].grid
     heavy = GridDensity(grid, 2.0 * gaussian_density(grid).values)
     with pytest.raises(ValueError, match="unit mass"):
-        trajectory_report(fp_run, fp_free_energy(), heavy)
+        trajectory_report(fp_run, FLOWS["fokker_planck"], heavy)
 
 
 # ---------------------------------------------------------------- stationary states
+
+def test_flows_is_the_registry_of_functionals():
+    assert pde.FLOWS is functionals.FLOWS
+
 
 def test_stationary_state_of_unconfined_models_is_none():
     grid = make_uniform_grid(-8.0, 8.0, 129)
@@ -337,7 +336,7 @@ def test_stationary_fd_constant_matches_high_resolution_oracle():
 
 def test_stationary_state_is_fixed_point(fd_setup):
     grid, stat = fd_setup
-    traj = solve(fd_free_energy(), stat, 1e-3, 5e-3)
+    traj = solve(FLOWS["fast_diffusion"], stat, 1e-3, 5e-3)
     for state in traj.states:
         assert integrate(np.abs(state.values - stat.values), grid) <= 1e-6
 
@@ -346,11 +345,11 @@ def test_fd_relaxation_rate_and_conservation(fd_setup):
     grid, stat = fd_setup
     bump = 1.0 + 0.05 * np.exp(-0.5 * (grid.nodes - 2.0) ** 2)
     mu0 = normalize(stat.values * bump, grid)
-    traj = solve(fd_free_energy(), mu0, 2e-3, 2.5, snapshot_every=50)
+    traj = solve(FLOWS["fast_diffusion"], mu0, 2e-3, 2.5, snapshot_every=50)
     for state in traj.states:
         assert abs(state.mass - 1.0) <= 1e-8
         assert state.values.min() > 0.0
-    report = trajectory_report(traj, fd_free_energy(), stat)
+    report = trajectory_report(traj, FLOWS["fast_diffusion"], stat)
     assert report.value_monotone
     assert report.fitted_value_rate is not None
     assert report.fitted_value_rate >= 2.0 * (2.0 / 3.0) * 0.95
@@ -364,7 +363,7 @@ def test_fd_newton_out_of_iterations_is_solver_error(fd_setup, monkeypatch):
     mu0 = normalize(stat.values * bump, grid)
     monkeypatch.setattr(pde, "NEWTON_MAX_ITER", 0)
     with pytest.raises(SolverError, match="fast-diffusion Newton did not converge"):
-        solve(fd_free_energy(), mu0, 2e-3, 2e-3)
+        solve(FLOWS["fast_diffusion"], mu0, 2e-3, 2e-3)
 
 
 def _barenblatt_l1(dim, radius, cells, dt, horizon, b0=0.6):
@@ -376,7 +375,7 @@ def _barenblatt_l1(dim, radius, cells, dt, horizon, b0=0.6):
         warnings.simplefilter("ignore")   # the dim-3 truncation tail
         c = stationary_fd(grid).values[0] ** (-1.0 / dim) - 0.5 * grid.nodes[0] ** 2
     mu0 = barenblatt_width_state(grid, c, b0, 0.0)
-    final = solve(fd_free_energy(), mu0, dt, horizon, snapshot_every=10**6).states[-1]
+    final = solve(FLOWS["fast_diffusion"], mu0, dt, horizon, snapshot_every=10**6).states[-1]
     exact = barenblatt_width_state(grid, c, b0, horizon)
     return integrate(np.abs(final.values - exact.values), grid)
 
@@ -419,7 +418,7 @@ def test_fokker_planck_converges_to_the_ornstein_uhlenbeck_gaussian(runs, expect
     errors = []
     for num_nodes, dt in runs:
         grid = make_uniform_grid(-8.0, 8.0, num_nodes)
-        final = solve(fp_free_energy(), gaussian_density(grid, 1.0, 0.5), dt, 0.5,
+        final = solve(FLOWS["fokker_planck"], gaussian_density(grid, 1.0, 0.5), dt, 0.5,
                       snapshot_every=10**6).states[-1]
         exact = ou_gaussian_state(grid, 1.0, 0.5, 0.5)
         errors.append(integrate(np.abs(final.values - exact.values), grid))
@@ -444,13 +443,13 @@ def test_radial_grid_with_a_zero_newton_row_is_rejected(dim, radius, cells, reje
     """From dim 140 the innermost cell measure underflows to 0, and where
     the first face area does too, Newton's row 0 would be zero."""
     grid = staggered_radial_grid(radius, cells, dim)
-    mu0 = stationary_state(fd_free_energy(), grid)
+    mu0 = stationary_state(FLOWS["fast_diffusion"], grid)
     if rejected:
         with pytest.raises(ValueError, match=f"at dimension {dim}, radius {radius:g} "
                                              f"and {cells} cells the inner cells"):
-            solve(fd_free_energy(), mu0, 1e-4, 1e-4)
+            solve(FLOWS["fast_diffusion"], mu0, 1e-4, 1e-4)
     else:
-        assert solve(fd_free_energy(), mu0, 1e-3, 2e-3).states[-1].values.min() > 0.0
+        assert solve(FLOWS["fast_diffusion"], mu0, 1e-3, 2e-3).states[-1].values.min() > 0.0
 
 
 # ---------------------------------------------------------------- scipy oracles
@@ -506,7 +505,7 @@ def test_fd_tail_mass_matches_adaptive_quadrature(dim, cells, radius):
 def test_brentq_port_is_scipy_bitwise(f, a, b):
     from scipy.optimize import brentq
 
-    assert _brentq(f, a, b, xtol=1e-14, rtol=8.9e-16) == brentq(
+    assert _brentq(f, a, b) == brentq(
         f, a, b, xtol=1e-14, rtol=8.9e-16)
 
 
@@ -514,13 +513,13 @@ def test_brentq_port_failures_are_solver_errors():
     from scipy.optimize import brentq
 
     with pytest.raises(SolverError, match="not bracketed"):
-        _brentq(lambda x: x**2 + 1.0, -1.0, 1.0, xtol=1e-14, rtol=8.9e-16)
+        _brentq(lambda x: x**2 + 1.0, -1.0, 1.0)
     # a triple root: scipy's brentq runs out of iterations here too
     triple = (lambda x: (x - 0.3) ** 3, -1.0, 2.0)
     with pytest.raises(RuntimeError, match="converge"):
         brentq(*triple, xtol=1e-14, rtol=8.9e-16)
     with pytest.raises(SolverError, match="did not converge"):
-        _brentq(*triple, xtol=1e-14, rtol=8.9e-16)
+        _brentq(*triple)
 
 
 @pytest.mark.parametrize("error", [ValueError("f(a) is out of range"), KeyError("c")])
@@ -531,7 +530,7 @@ def test_brentq_passes_errors_of_f_through(error):
         return x - 0.2
 
     with pytest.raises(type(error)) as raised:
-        _brentq(f, 0.0, 1.0, xtol=1e-14, rtol=8.9e-16)
+        _brentq(f, 0.0, 1.0)
     assert raised.value is error
 
 
@@ -796,10 +795,10 @@ def test_extension_falls_back_to_scipy(package, name, broken, monkeypatch, tmp_p
             SymmetrizedLDL(-SYMMETRIZABLE)
         with pytest.raises(SolverError, match="dptsv failed with info=2"):
             solve_banded(INDEFINITE.copy(), np.ones(3))
-        assert _brentq(math.cos, 1.0, 2.0, xtol=1e-14, rtol=8.9e-16) == brentq(
+        assert _brentq(math.cos, 1.0, 2.0) == brentq(
             math.cos, 1.0, 2.0, xtol=1e-14, rtol=8.9e-16)
         with pytest.raises(SolverError, match="not bracketed"):
-            _brentq(lambda x: x**2 + 1.0, -1.0, 1.0, xtol=1e-14, rtol=8.9e-16)
+            _brentq(lambda x: x**2 + 1.0, -1.0, 1.0)
     finally:
         pde._extension.cache_clear()
 

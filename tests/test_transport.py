@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entroflow.functionals import boltzmann_entropy
+from entroflow.functionals import FLOWS
 from entroflow.grids import (
     DensityTrajectory,
     cumulative_cdf,
@@ -157,7 +157,7 @@ def test_velocity_of_stationary_pair(grid):
 
 
 def test_velocity_along_heat_flow_matches_entropy_gradient(grid):
-    traj = solve(boltzmann_entropy(), gaussian_density(grid), 1e-3, 0.12,
+    traj = solve(FLOWS["heat"], gaussian_density(grid), 1e-3, 0.12,
                  snapshot_every=10)
     before, after = traj.states[-2], traj.states[-1]
     dt = traj.times[-1] - traj.times[-2]
