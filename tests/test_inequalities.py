@@ -164,15 +164,14 @@ def test_sobolev_sensitivity(sobolev_grid):
 # --------------------------------------------------------------- EEP checks
 
 def test_eep_fp_at_gaussian(grid):
-    lhs, rhs = eep_check_fp(gaussian_density(grid), stationary=gaussian_density(grid))
+    lhs, rhs = eep_check_fp(gaussian_density(grid))
     assert abs(lhs) <= 1e-10
     assert abs(rhs) <= 1e-10
 
 
 def test_eep_fp_translated_gaussian_equality(grid):
     for m in (0.5, 1.0, 2.0):
-        lhs, rhs = eep_check_fp(gaussian_density(grid, mean=m),
-                                stationary=gaussian_density(grid))
+        lhs, rhs = eep_check_fp(gaussian_density(grid, mean=m))
         assert lhs == pytest.approx(0.5 * m**2, abs=1e-6)
         assert rhs == pytest.approx(0.5 * m**2, abs=1e-6)
 
@@ -180,13 +179,12 @@ def test_eep_fp_translated_gaussian_equality(grid):
 def test_eep_fp_mixture_strict(grid):
     mu = normalize(np.exp(-0.5 * (grid.nodes - 1.0) ** 2)
                    + np.exp(-0.5 * (grid.nodes + 1.0) ** 2), grid)
-    lhs, rhs = eep_check_fp(mu, stationary=gaussian_density(grid))
+    lhs, rhs = eep_check_fp(mu)
     assert 0.0 < lhs < rhs
 
 
 def test_eep_fp_sensitivity(grid):
-    lhs, rhs = eep_check_fp(gaussian_density(grid, mean=1.0),
-                            stationary=gaussian_density(grid))
+    lhs, rhs = eep_check_fp(gaussian_density(grid, mean=1.0))
     assert lhs > 0.9 * rhs + scale_tol(rhs)
 
 
@@ -311,8 +309,7 @@ def test_bank_checker_returns_its_two_sides(name, grid, sobolev_grid, radial_set
         "lsi": lambda: lsi_check(lsi_bank(grid, 1, seed=7)[0][1], grid),
         "sobolev": lambda: sobolev_check(
             sobolev_bank(sobolev_grid, 1, seed=7)[0][1], sobolev_grid),
-        "eep_fp": lambda: eep_check_fp(eep_fp_bank(grid, 1, seed=7)[0][1],
-                                        stationary=gaussian_density(grid)),
+        "eep_fp": lambda: eep_check_fp(eep_fp_bank(grid, 1, seed=7)[0][1]),
         "eep_fd": lambda: eep_check_fd(
             eep_fd_bank(g, 1, seed=7, stationary=stat)[0][1], stationary=stat),
         "zugmeyer": lambda: zugmeyer_check(*zugmeyer_bank(1, seed=7)[0][1:]),

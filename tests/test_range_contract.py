@@ -11,8 +11,10 @@ that underflow, flags the command rejects) and runs it in process through
   every float of the summary finite (None allowed);
 * exit 2, with stderr starting ``config error:`` and no output directory;
 * a traceback whose last line matches a class of ``KNOWN_FAILURES``, each a
-  defect that an open bullet of ROADMAP item 1 names.  One class there is
-  an exit 2 after output was written, whose message is a numerical failure.
+  defect that an open bullet of ROADMAP item 1 names, raised by the command
+  it was found in (the same message from another command is broken).  One
+  class there is an exit 2 after output was written, whose message is a
+  numerical failure.
 
 Any other traceback breaks the contract.  A class leaves ``KNOWN_FAILURES``
 when item 1 mends it; a new class is shrunk to a minimal argv and listed.
@@ -44,24 +46,29 @@ from tempfile import TemporaryDirectory
 from entroflow import banks, pde
 from entroflow.cli import JKO_FUNCTIONALS, main
 
-# the last line of a failure -> the open ROADMAP item-1 bullet of its defect,
-# with a minimal argv where the sweep found one
+# (the command it was found in, the last line of the failure) -> the open
+# ROADMAP item-1 bullet of its defect, with a minimal argv where the sweep
+# found one; both are regexes, the command matched at the start of the argv
+LINEAR = r"simulate --flow (heat|fokker_planck) "
+FAST_DIFFUSION = r"simulate --flow fast_diffusion "
 KNOWN_FAILURES = {
-    r"SolverError: fast-diffusion Newton line search stalled":
+    (FAST_DIFFUSION, r"SolverError: fast-diffusion Newton line search stalled"):
         "Fast-diffusion Newton: the stop test does not scale with the face-flux "
         "roundoff (simulate --flow fast_diffusion --N 8192 --diagnose)",
-    r"SolverError: dptsv failed":
+    (FAST_DIFFUSION, r"SolverError: dptsv failed"):
         "Fast-diffusion Newton: at a large step the Newton band is not positive "
         "definite in doubles (simulate --flow fast_diffusion --dt 1e13 --T 1e13)",
-    r"SolverError: mass drifted": "Mass drift of the linear step",
-    r"SolverError: dpttrf failed":
+    (LINEAR, r"SolverError: mass drifted"): "Mass drift of the linear step",
+    (LINEAR, r"SolverError: dpttrf failed"):
         "Mass drift of the linear step: larger single steps end in tracebacks",
-    r"SolverError: positivity lost": "Fokker-Planck on wide domains",
-    r"HypothesisViolation": "Zugmeyer hypothesis check: an absolute slack",
-    r"FlowDivergence":
+    (r"simulate --flow fokker_planck ", r"SolverError: positivity lost"):
+        "Fokker-Planck on wide domains",
+    (r"check --inequality zugmeyer ", r"HypothesisViolation"):
+        "Zugmeyer hypothesis check: an absolute slack",
+    (r"diagnose ", r"FlowDivergence"):
         "CLI: an internal RuntimeError is a traceback, not exit 3; here RK4 "
         "beyond its stability limit (diagnose --dt 1 --T 2)",
-    r"config error: density has zero mass":
+    (LINEAR, r"config error: density has zero mass"):
         "CLI: every ValueError is a config error; here a linear step underflows "
         "to zero after the first snapshot is written "
         "(simulate --domain -4 1 --dt 1e110 --T 4e110)",
@@ -155,28 +162,31 @@ def config(seed: int) -> list[str]:
     return rng.choice(COMMANDS)(rng)
 
 
-def _failure(kind: str, last: str) -> str:
-    """The pattern of ``KNOWN_FAILURES`` that ``last`` matches, else a broken
-    outcome of that ``kind`` whose class leaves the numbers of ``last`` out."""
-    known = [pattern for pattern in KNOWN_FAILURES if re.search(pattern, last)]
+def _failure(argv: list[str], kind: str, last: str) -> str:
+    """The class of ``KNOWN_FAILURES`` that ``argv`` and ``last`` match, else a
+    broken outcome of that ``kind`` whose class leaves the numbers of ``last`` out."""
+    command = " ".join(argv) + " "
+    known = [f"{pattern} ({where.strip()})" for where, pattern in KNOWN_FAILURES
+             if re.match(where, command) and re.search(pattern, last)]
     return known[0] if known else f"broken: {kind} {re.sub(NUMBER, '#', last.strip())}"
 
 
 def outcome(argv: list[str], out: Path) -> str:
     """The outcome class of running ``argv`` with its output in ``out``:
-    ``exit 0``, ``exit 1``, ``exit 2`` or a pattern of ``KNOWN_FAILURES``;
+    ``exit 0``, ``exit 1``, ``exit 2`` or a class of ``KNOWN_FAILURES``;
     anything else is returned as ``broken: <why>``."""
     stderr = io.StringIO()
     try:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr), \
-                warnings.catch_warnings(action="ignore"):
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore")
             code = main([*argv, "--out", str(out)])
     except Exception as err:   # every traceback is classified
-        return _failure("traceback", traceback.format_exception_only(err)[-1])
+        return _failure(argv, "traceback", traceback.format_exception_only(err)[-1])
     if code == 2:
         if not stderr.getvalue().startswith("config error:"):
             return f"broken: exit 2 with stderr {stderr.getvalue()!r}"
-        return _failure("exit 2 after output", stderr.getvalue()) if out.exists() else "exit 2"
+        return _failure(argv, "exit 2 after output", stderr.getvalue()) if out.exists() else "exit 2"
     if code not in (0, 1):
         return f"broken: exit {code}"
     if not ((out / "manifest.json").is_file() and (out / "summary.json").is_file()):
