@@ -61,8 +61,11 @@ class CheckRow:
     case_id: str
     lhs: float
     rhs: float
-    margin: float
     passed: bool
+
+    @property
+    def margin(self) -> float:
+        return self.rhs - self.lhs
 
 
 def lsi_bank(grid: Grid, count: int, seed: int) -> list[tuple[str, np.ndarray]]:
@@ -109,9 +112,10 @@ def eep_fp_bank(grid: Grid, count: int, seed: int) -> list[tuple[str, GridDensit
     return cases
 
 
-def eep_fd_bank(grid: Grid, count: int, seed: int,
+def eep_fd_bank(count: int, seed: int,
                 stationary: GridDensity) -> list[tuple[str, GridDensity]]:
     rng = np.random.default_rng(seed)
+    grid = stationary.grid
     r = grid.nodes
     n = grid.ambient_dim
     norm_const = stationary.values[0] ** (-1.0 / n) - 0.5 * r[0] ** 2
@@ -178,7 +182,7 @@ def run_inequality_bank(name: str, seed: int, count: int | None) -> list[CheckRo
                 passed = abs(ratio - 1.0) <= c_opt_gap
             else:
                 passed = ratio <= 1.0 + 1e-6
-            rows.append(CheckRow(case_id, lhs, rhs, rhs - lhs, bool(passed)))
+            rows.append(CheckRow(case_id, lhs, rhs, bool(passed)))
     elif name == "eep_fp":
         grid = make_uniform_grid(*DEFAULT_LINE_DOMAIN, 2049)
         for case_id, mu in eep_fp_bank(grid, count, seed):
@@ -187,17 +191,16 @@ def run_inequality_bank(name: str, seed: int, count: int | None) -> list[CheckRo
     elif name == "eep_fd":
         grid = staggered_radial_grid(DEFAULT_RADIUS, 512, 3)
         stationary = stationary_state(FLOWS["fast_diffusion"], grid)
-        for case_id, mu in eep_fd_bank(grid, count, seed, stationary):
+        for case_id, mu in eep_fd_bank(count, seed, stationary):
             lhs, rhs = eep_check_fd(mu, stationary=stationary)
             rows.append(_row(case_id, lhs, rhs))
     else:
         for case_id, problem, u in zugmeyer_bank(count, seed):
             lhs, rhs = zugmeyer_check(problem, u)
             passed = (lhs <= rhs + scale_tol(rhs)) and (lhs >= -scale_tol(rhs))
-            rows.append(CheckRow(case_id, lhs, rhs, rhs - lhs, bool(passed)))
+            rows.append(CheckRow(case_id, lhs, rhs, bool(passed)))
     return rows
 
 
 def _row(case_id: str, lhs: float, rhs: float) -> CheckRow:
-    return CheckRow(case_id, lhs, rhs, rhs - lhs,
-                    bool(lhs <= rhs + scale_tol(rhs)))
+    return CheckRow(case_id, lhs, rhs, bool(lhs <= rhs + scale_tol(rhs)))

@@ -74,13 +74,11 @@ class Trajectory:
 def integrate_flow(spec: PotentialSpec, x0, dt: float, horizon: float) -> Trajectory:
     """Classical RK4 trajectory of dx/dt = -grad E from x0.
 
-    A horizon that is not a multiple of ``dt`` raises ``ValueError``
-    (see ``pde.step_count``).  |grad E|^2 at a stored state comes from the
-    RK4 stage ``k1 = -grad E``: negation is exact, so it equals the value
-    from ``grad`` bit for bit.
+    A step and horizon that ``pde.step_count`` rejects raise ``ValueError``
+    (a dt that is not positive, a horizon off its grid).  |grad E|^2 at a
+    stored state comes from the RK4 stage ``k1 = -grad E``: negation is
+    exact, so it equals the value from ``grad`` bit for bit.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
     steps = step_count(horizon, dt)
     x = np.asarray(x0, dtype=float).reshape(spec.dim)
     states = np.empty((steps + 1, spec.dim))

@@ -179,10 +179,6 @@ class ZugmeyerProblem:
     v_values: np.ndarray
     c: float
 
-    def u_function(self, x: np.ndarray) -> np.ndarray:
-        """U(x) = x psi(x) - h(x)."""
-        return x * self.psi(x) - self.h(x)
-
 
 def check_hypotheses(problem: ZugmeyerProblem, u_values) -> HypothesesReport:
     """Numerical verification of the structural hypotheses for ``u_values``.
@@ -199,7 +195,7 @@ def check_hypotheses(problem: ZugmeyerProblem, u_values) -> HypothesesReport:
     xs = np.geomspace(1e-8 * max(top, 1.0), max(top, 1.0), 512)
     hpp = np.gradient(np.gradient(problem.h(xs), xs), xs)
     convexity_min = float(np.min(hpp))
-    u_of_x = problem.u_function(xs)
+    u_of_x = xs * problem.psi(xs) - problem.h(xs)   # U(x) = x psi(x) - h(x)
     uprime = np.gradient(u_of_x, xs)
     n = problem.domain.ambient_dim
     hyp1 = xs * uprime + (1.0 - n) / n * u_of_x

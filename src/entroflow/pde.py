@@ -46,7 +46,7 @@ Fast diffusion with confinement (radial geometry, n > 2)
     26 (2001) 101), which LAPACK dptsv solves.
 
 All boundaries are no-flux; the boundary flux is identically zero by
-construction.
+construction.  ``step_count`` judges a run's step ``dt`` and horizon.
 """
 
 from __future__ import annotations
@@ -76,33 +76,20 @@ class SolverError(RuntimeError):
     pass
 
 
-def _extension_path(package: str, name: str) -> str:
-    """File of scipy's compiled extension ``scipy/<package>/<name>*``,
-    found without importing any scipy module."""
-    spec = importlib.util.find_spec("scipy")
-    if spec is None:
-        raise ImportError("scipy is not installed")
-    folder = os.path.join(spec.submodule_search_locations[0], package)
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = os.path.join(folder, name + suffix)
-        if os.path.isfile(path):
-            return path
-    raise ImportError(f"no {name} extension in {folder}")
-
-
 @functools.cache
 def _extension(package: str, name: str):
-    """scipy's compiled extension ``scipy.<package>.<name>``, loaded by file
-    path without the package init (over 80 modules for ``scipy.linalg``),
-    or on ``ImportError`` (e.g. a changed file layout) imported from scipy.
-    It registers in ``sys.modules`` under the private name ``entroflow.<name>``:
-    under scipy's own name, a later scipy import would lack that attribute."""
+    """scipy's compiled extension ``scipy.<package>.<name>``, found by
+    ``PathFinder`` in scipy's folder and loaded without the package init (over
+    80 modules for ``scipy.linalg``), or with no loadable file there imported
+    from scipy.  It registers in ``sys.modules`` under the private name
+    ``entroflow.<name>``: under scipy's own, a later scipy import would lack it."""
     try:
-        spec = importlib.util.spec_from_file_location(
-            f"entroflow.{name}", _extension_path(package, name))
-        module = importlib.util.module_from_spec(spec)
+        folder = os.path.join(
+            importlib.util.find_spec("scipy").submodule_search_locations[0], package)
+        spec = importlib.machinery.PathFinder.find_spec(f"entroflow.{name}", [folder])
+        module = importlib.util.module_from_spec(spec)   # a None spec: AttributeError
         spec.loader.exec_module(module)
-    except ImportError:
+    except (ImportError, AttributeError):
         module = importlib.import_module(f"scipy.{package}.{name}")
     return module
 
@@ -176,13 +163,15 @@ def step_count(horizon: float, dt: float) -> int:
     """Number of steps of size ``dt`` that end at ``horizon``.
 
     A horizon off the time grid raises ``ValueError`` instead of being
-    rounded to the nearest step, and so does a non-finite horizon or step
-    and a horizon of more than ``MAX_STEPS`` steps.  The relative tolerance
-    admits multiples up to roundoff, such as ``steps * tau`` with
-    ``dt = tau / per_step``.
+    rounded to the nearest step, and so does a non-finite horizon or step, a
+    step that is not positive and a horizon of more than ``MAX_STEPS`` steps.
+    The relative tolerance admits multiples up to roundoff, such as
+    ``steps * tau`` with ``dt = tau / per_step``.
     """
     if not (np.isfinite(horizon) and np.isfinite(dt)):
         raise ValueError(f"horizon {horizon} and dt {dt} must be finite")
+    if not dt > 0.0:
+        raise ValueError("dt must be positive")
     if horizon < dt:
         raise ValueError(f"horizon {horizon} shorter than dt {dt}")
     if horizon / dt > MAX_STEPS:
@@ -214,19 +203,19 @@ def _bernoulli(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def flux_bands(diag, left, right, row_scale) -> np.ndarray:
+def flux_bands(left, right, row_scale) -> np.ndarray:
     """``[upper, diag, lower]`` band array of the tridiagonal operator
 
-        u -> diag u + row_scale (J_{i+1/2} - J_{i-1/2}),
+        u -> u + row_scale (J_{i+1/2} - J_{i-1/2}),
 
-    with face flux J_{i+1/2} = left_i u_i - right_i u_{i+1} on the n - 1
-    interior faces and no flux through the ends.  ``diag`` is a scalar or
-    one value per row, ``row_scale`` one factor per row (a step over the
-    cell measure).  It never solves: every solve goes through
+    the backward-Euler matrix I + dt M of the linear step, with face flux
+    J_{i+1/2} = left_i u_i - right_i u_{i+1} on the n - 1 interior faces and
+    no flux through the ends; ``row_scale`` is one factor per row (a step
+    over the cell measure).  It never solves: every solve goes through
     ``solve_banded``, whose calls ``perfbench/traced_entry.py`` counts per caller.
     """
     upper, main, lower = bands = np.zeros((3, np.size(left) + 1))
-    main[:] = diag
+    main[:] = 1.0
     main[:-1] += row_scale[:-1] * left
     main[1:] += row_scale[1:] * right
     upper[1:] = -(row_scale[:-1] * right)
@@ -240,7 +229,7 @@ def _linear_step_matrix(model: FreeEnergy, grid: Grid, dt: float) -> np.ndarray:
     x = grid.nodes
     dv = 0.5 * (x[1:] ** 2 - x[:-1] ** 2) if model.confined else np.zeros(x.size - 1)
     # B(dV) weighs mu_i and B(-dV) mu_{i+1} in the face flux J_{i+1/2}
-    return flux_bands(1.0, _bernoulli(dv), _bernoulli(-dv),
+    return flux_bands(_bernoulli(dv), _bernoulli(-dv),
                       dt / (grid.quad_weights * grid.spacing))
 
 
@@ -320,15 +309,13 @@ def solve(model: FreeEnergy, mu0: GridDensity, dt: float, horizon: float,
     in steps ``dt`` up to ``horizon``; snapshots every ``snapshot_every``
     steps plus the final state.  A model that is no flow, the wrong grid
     (geometry, n <= 2, inner cells with neither measure nor face area),
-    dt <= 0, ``snapshot_every`` < 1 or a horizon that ``step_count`` rejects
+    ``snapshot_every`` < 1 or a dt and horizon that ``step_count`` rejects
     raise ``ValueError`` before the first snapshot.
     Each snapshot goes to ``emit(t, state)`` as it is made and is not kept,
     so memory stays O(N); without ``emit`` they are collected and returned."""
     grid = mu0.grid
     if model not in FLOWS.values():
         raise ValueError(f"{model} is not the free energy of a flow in FLOWS")
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
     steps = step_count(horizon, dt)
     if snapshot_every < 1:
         raise ValueError("snapshot_every must be >= 1")
@@ -369,12 +356,13 @@ def solve(model: FreeEnergy, mu0: GridDensity, dt: float, horizon: float,
         else:
             mu = solve_banded(factors, mu)
         if k % snapshot_every == 0 or k == steps:
-            state = GridDensity(grid, mu if newton else mu / factors.scale)
-            if abs(state.mass - 1.0) > 1e-8:
-                raise SolverError(f"mass drifted to {state.mass} at step {k}")
-            if np.any(state.values <= 0.0):
+            values = mu if newton else mu / factors.scale
+            mass = integrate(values, grid)   # judged here: GridDensity would raise ValueError
+            if not abs(mass - 1.0) <= 1e-8:
+                raise SolverError(f"mass drifted to {mass} at step {k}")
+            if np.any(values <= 0.0):
                 raise SolverError(f"positivity lost at step {k}")
-            emit(k * dt, state)
+            emit(k * dt, GridDensity(grid, values))
 
     return DensityTrajectory(np.asarray(times), states) if states else None
 

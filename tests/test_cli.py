@@ -781,3 +781,16 @@ def test_solver_error_mid_run_leaves_the_snapshots_made(tmp_path, monkeypatch):
     assert sorted(path.name for path in tmp_path.glob("snapshot_*.csv")) == [
         "snapshot_0000.csv", "snapshot_0001.csv", "snapshot_0002.csv"]
     assert not (tmp_path / "summary.json").exists()
+
+
+def test_an_underflowed_linear_step_is_a_solver_error(tmp_path):
+    """A linear step whose snapshot underflows to zero mass is judged a mass
+    drift before it becomes a density: a SolverError after the first
+    snapshot, not a config error."""
+    with pytest.raises(pde.SolverError, match="mass drifted to 0.0 at step 4"):
+        main(["simulate", "--domain", "-4", "1", "--dt", "1e110", "--T", "4e110",
+              "--out", str(tmp_path)])
+    assert (tmp_path / "manifest.json").exists()
+    assert sorted(path.name for path in tmp_path.glob("snapshot_*.csv")) == [
+        "snapshot_0000.csv"]
+    assert not (tmp_path / "summary.json").exists()

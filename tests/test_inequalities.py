@@ -204,8 +204,8 @@ def test_eep_fd_rejects_line_density(grid):
 
 
 def test_eep_fd_dilated_and_bumped(radial_setup):
-    g, stat = radial_setup
-    for case_id, mu in eep_fd_bank(g, 12, seed=3, stationary=stat):
+    _, stat = radial_setup
+    for case_id, mu in eep_fd_bank(12, seed=3, stationary=stat):
         lhs, rhs = eep_check_fd(mu, stationary=stat)
         assert lhs <= rhs + scale_tol(rhs), case_id
         assert lhs >= -scale_tol(rhs), case_id
@@ -304,14 +304,14 @@ def test_run_bank_rows_and_order():
 @pytest.mark.parametrize("name", BANK_NAMES)
 def test_bank_checker_returns_its_two_sides(name, grid, sobolev_grid, radial_setup):
     """Every checker a bank runs returns (lhs, rhs) and nothing else."""
-    g, stat = radial_setup
+    _, stat = radial_setup
     first_case = {
         "lsi": lambda: lsi_check(lsi_bank(grid, 1, seed=7)[0][1], grid),
         "sobolev": lambda: sobolev_check(
             sobolev_bank(sobolev_grid, 1, seed=7)[0][1], sobolev_grid),
         "eep_fp": lambda: eep_check_fp(eep_fp_bank(grid, 1, seed=7)[0][1]),
         "eep_fd": lambda: eep_check_fd(
-            eep_fd_bank(g, 1, seed=7, stationary=stat)[0][1], stationary=stat),
+            eep_fd_bank(1, seed=7, stationary=stat)[0][1], stationary=stat),
         "zugmeyer": lambda: zugmeyer_check(*zugmeyer_bank(1, seed=7)[0][1:]),
     }
     sides = first_case[name]()

@@ -1,4 +1,4 @@
-import importlib
+import importlib.util
 import json
 import math
 import os
@@ -134,6 +134,12 @@ def test_step_count_rejects_more_than_max_steps(horizon, dt):
     # 1e300 / 1e-10 overflows to inf
     with pytest.raises(ValueError, match="more than 100000000 steps"):
         step_count(horizon, dt)
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.5])
+def test_step_count_rejects_a_non_positive_dt(dt):
+    with pytest.raises(ValueError, match="dt must be positive"):
+        step_count(1.0, dt)
 
 
 def test_step_count_accepts_max_steps():
@@ -771,16 +777,17 @@ def test_extension_falls_back_to_scipy(package, name, broken, monkeypatch, tmp_p
     from scipy.optimize import brentq
     corrupt = tmp_path / (name + EXTENSION_SUFFIXES[0])
     corrupt.write_bytes(b"not a shared library")
-    extension_path = pde._extension_path
+    find_spec = importlib.machinery.PathFinder.find_spec
 
-    def lookup(where, what):
-        if (where, what) != (package, name):
-            return extension_path(where, what)
+    def lookup(fullname, path=None, target=None):
+        if fullname != f"entroflow.{name}":
+            return find_spec(fullname, path, target)
         if broken == "layout":   # no extension where scipy used to keep it
-            raise ImportError(f"no {name} extension")
-        return str(corrupt)      # an extension file that does not load
+            return None
+        # an extension file that does not load
+        return importlib.util.spec_from_file_location(fullname, corrupt)
 
-    monkeypatch.setattr(pde, "_extension_path", lookup)
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", staticmethod(lookup))
     pde._extension.cache_clear()
     try:
         assert pde._extension(package, name) is importlib.import_module(
@@ -900,12 +907,12 @@ def _dense(bands):
 def test_flux_bands_is_the_divergence_of_face_fluxes():
     rng = np.random.default_rng(11)
     n = 9
-    diag, u, scale = rng.uniform(0.5, 2.0, (3, n))
+    u, scale = rng.uniform(0.5, 2.0, (2, n))
     left, right = rng.uniform(0.1, 1.0, (2, n - 1))
     flux = np.zeros(n + 1)          # J at the n + 1 faces, zero at both ends
     flux[1:-1] = left * u[:-1] - right * u[1:]
-    expected = diag * u + scale * (flux[1:] - flux[:-1])
-    bands = flux_bands(diag, left, right, scale)
+    expected = u + scale * (flux[1:] - flux[:-1])
+    bands = flux_bands(left, right, scale)
     assert np.allclose(_dense(bands) @ u, expected, rtol=1e-14, atol=0.0)
     factors = SymmetrizedLDL(bands)   # both off-diagonals are negative
     y = solve_banded(factors, expected * factors.scale) / factors.scale
@@ -914,7 +921,7 @@ def test_flux_bands_is_the_divergence_of_face_fluxes():
 
 def test_flux_bands_symmetric_for_equal_face_weights():
     cross = np.random.default_rng(12).uniform(0.1, 3.0, 15)
-    dense = _dense(flux_bands(np.full(16, 0.5), cross, cross, np.ones(16)))
+    dense = _dense(flux_bands(cross, cross, np.ones(16)))
     assert np.array_equal(dense, dense.T)
 
 
