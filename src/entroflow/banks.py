@@ -44,14 +44,15 @@ from .inequalities import (
     eep_check_fd,
     eep_check_fp,
     lsi_check,
+    one_plus_log,
     scale_tol,
     sobolev_check,
-    xlogx,
+    x_log_x,
     zugmeyer_check,
 )
 from .pde import stationary_state
 
-BANK_NAMES = ("lsi", "sobolev", "eep_fp", "eep_fd", "zugmeyer")
+# The bank table: each bank's name and its default case count.
 DEFAULT_COUNTS = {"lsi": 200, "sobolev": 50, "eep_fp": 200, "eep_fd": 200,
                   "zugmeyer": 200}
 
@@ -139,7 +140,6 @@ def zugmeyer_bank(count: int, seed: int) -> list[tuple[str, ZugmeyerProblem, np.
     rng = np.random.default_rng(seed)
     grid = make_uniform_grid(0.0, 1.0, 257)
     x = grid.nodes
-    h, psi = xlogx()
     cases = []
     for i in range(count):
         c = rng.uniform(0.5, 4.0)
@@ -156,15 +156,15 @@ def zugmeyer_bank(count: int, seed: int) -> list[tuple[str, ZugmeyerProblem, np.
             phi = np.cos(np.pi * rng.integers(1, 5) * x) * x
         u = v * (1.0 + eps * phi)
         u = u * (integrate(v, grid) / integrate(u, grid))
-        problem = ZugmeyerProblem(h, psi, grid, v, c)
+        problem = ZugmeyerProblem(x_log_x, one_plus_log, grid, v, c)
         cases.append((f"zugmeyer-{i:03d}", problem, u))
     return cases
 
 
 def run_inequality_bank(name: str, seed: int, count: int | None) -> list[CheckRow]:
     """Run a named checker over its seeded bank; rows ordered by case id."""
-    if name not in BANK_NAMES:
-        raise ValueError(f"unknown bank {name!r}; choose from {BANK_NAMES}")
+    if name not in DEFAULT_COUNTS:
+        raise ValueError(f"unknown bank {name!r}; choose from {list(DEFAULT_COUNTS)}")
     count = DEFAULT_COUNTS[name] if count is None else count
     rows = []
     if name == "lsi":

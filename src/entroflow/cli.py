@@ -271,7 +271,7 @@ def _cmd_diagnose(args):
 
     rng = np.random.default_rng(args.seed)
     rows = []
-    for spec in finite_flow.builtin_potential_bank():
+    for spec in finite_flow.POTENTIALS:
         x0 = rng.uniform(-1.5, 1.5, size=spec.dim)
         traj = finite_flow.integrate_flow(spec, x0, dt, horizon)
         finite_flow.write_trajectory_csv(traj, out / f"trajectory_{spec.name}.csv")
@@ -342,7 +342,8 @@ def _cmd_jko(args):
 
 def _cmd_check(args):
     if args.inequality is None:
-        raise ConfigError("inequality", f"choose one of {', '.join(banks.BANK_NAMES)}")
+        raise ConfigError("inequality",
+                          f"choose one of {', '.join(banks.DEFAULT_COUNTS)}")
     if args.count is not None:
         _positive(args.count, "count")
 
@@ -438,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("check", _cmd_check, "run an inequality checker over its "
                                      "seeded bank")
     p.add_argument("--seed", type=int, default=7, help="PRNG seed (PCG64)")
-    p.add_argument("--inequality", choices=list(banks.BANK_NAMES))
+    p.add_argument("--inequality", choices=list(banks.DEFAULT_COUNTS))
     p.add_argument("--count", type=int,
                    help="number of cases (default by bank)")
 

@@ -34,7 +34,8 @@ class FlowDivergence(RuntimeError):
 @dataclass(frozen=True)
 class PotentialSpec:
     """Potential E with its gradient, convexity constant rho and minimizer
-    beta; the dimension is beta's size."""
+    beta; the dimension is beta's size.  Specs are shared, so beta is a
+    read-only copy."""
 
     name: str
     energy: Callable[[np.ndarray], float]
@@ -45,9 +46,10 @@ class PotentialSpec:
     def __post_init__(self):
         if self.rho <= 0.0:
             raise ValueError("rho must be positive")
-        m = np.asarray(self.minimizer, dtype=float)
+        m = np.array(self.minimizer, dtype=float)
         if m.ndim != 1 or m.size < 1:
             raise ValueError("minimizer must be a nonempty 1d array")
+        m.flags.writeable = False
         object.__setattr__(self, "minimizer", m)
 
     @property
@@ -156,40 +158,18 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
         (traj.times, traj.states, traj.energies, traj.grad_norms_sq)))
 
 
-def quadratic_potential() -> PotentialSpec:
-    """E = |x|^2/2 in 2D, rho = 1, beta = 0; flow is exactly exp(-t) x."""
-    return PotentialSpec(
-        "quadratic",
-        energy=lambda x: 0.5 * float(np.dot(x, x)),
-        grad=lambda x: np.asarray(x, dtype=float),
-        rho=1.0,
-        minimizer=np.zeros(2),
-    )
+_ANISO_HESS = np.diag([2.0, 5.0])
+_ANISO_HESS.flags.writeable = False
 
-
-def quartic_potential() -> PotentialSpec:
-    """E = x^2/2 + x^4/4 in 1D; Hess = 1 + 3 x^2 >= 1."""
-    return PotentialSpec(
-        "quartic",
-        energy=lambda x: 0.5 * float(x[0] ** 2) + 0.25 * float(x[0] ** 4),
-        grad=lambda x: np.array([x[0] + x[0] ** 3]),
-        rho=1.0,
-        minimizer=np.zeros(1),
-    )
-
-
-def anisotropic_quadratic_potential() -> PotentialSpec:
-    """E = (2 x1^2 + 5 x2^2)/2; rho = smallest Hessian eigenvalue = 2."""
-    a = np.diag([2.0, 5.0])
-    return PotentialSpec(
-        "anisotropic_quadratic",
-        energy=lambda x: 0.5 * float(x @ a @ x),
-        grad=lambda x: a @ np.asarray(x, dtype=float),
-        rho=2.0,
-        minimizer=np.zeros(2),
-    )
-
-
-def builtin_potential_bank() -> list[PotentialSpec]:
-    return [quadratic_potential(), quartic_potential(),
-            anisotropic_quadratic_potential()]
+# The built-in bank in diagnose's order: (name, E, grad E, rho, beta) each.
+POTENTIALS = (
+    # E = |x|^2/2 in 2D, rho = 1, beta = 0; flow is exactly exp(-t) x.
+    PotentialSpec("quadratic", lambda x: 0.5 * float(np.dot(x, x)),
+                  lambda x: np.asarray(x, dtype=float), 1.0, np.zeros(2)),
+    # E = x^2/2 + x^4/4 in 1D; Hess = 1 + 3 x^2 >= 1.
+    PotentialSpec("quartic", lambda x: 0.5 * float(x[0] ** 2) + 0.25 * float(x[0] ** 4),
+                  lambda x: np.array([x[0] + x[0] ** 3]), 1.0, np.zeros(1)),
+    # E = (2 x1^2 + 5 x2^2)/2; rho = smallest Hessian eigenvalue = 2.
+    PotentialSpec("anisotropic_quadratic", lambda x: 0.5 * float(x @ _ANISO_HESS @ x),
+                  lambda x: _ANISO_HESS @ np.asarray(x, dtype=float), 2.0, np.zeros(2)),
+)

@@ -401,8 +401,7 @@ def cdf_and_quantile(density: GridDensity, num_quantiles: int) -> np.ndarray:
     construction.
     """
     if density.grid.is_radial:
-        raise ValueError("quantile transform is for line densities; use the "
-                         "radial profile route for radial geometry")
+        raise ValueError("the quantile transform is for line densities")
     if num_quantiles < 8:
         raise ValueError("need at least 8 quantile nodes")
     cdf = cumulative_cdf(density)
@@ -465,7 +464,8 @@ def read_density_csv(path) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"unrecognized density CSV header: {header!r}")
     # Every row is "node,value": a row with one or three fields would
     # otherwise shift every later row of the flat parse below.
-    for row, line in enumerate(body.split("\n"), start=2):
+    lines = body.split("\n")
+    for row, line in enumerate(lines, start=2):
         if line.count(",") != 1:
             raise ValueError(f"density CSV line {row} does not have two "
                              f"fields: {line!r}")
@@ -473,4 +473,8 @@ def read_density_csv(path) -> tuple[np.ndarray, np.ndarray]:
     data = np.fromiter(map(float, tokens), float, len(tokens)).reshape(-1, 2)
     if data.shape[0] < 2:
         raise ValueError("density CSV needs at least two rows")
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if bad.size:
+        raise ValueError(f"density CSV line {bad[0] + 2} has a non-finite node "
+                         f"or value: {lines[bad[0]]!r}")
     return data[:, 0], data[:, 1]

@@ -247,15 +247,13 @@ def zugmeyer_check(problem: ZugmeyerProblem, u_values) -> tuple[float, float]:
     return lhs, rhs
 
 
-def xlogx() -> tuple[Callable, Callable]:
-    """The pair (H, Psi) = (x log x, 1 + log x) with H(0) = 0 exactly."""
+def x_log_x(x):
+    """H = x log x with H(0) = 0 exactly: the Zugmeyer bank's H."""
+    x = np.asarray(x, dtype=float)
+    return np.where(x > 0.0, x * np.log(np.maximum(x, 1e-300)), 0.0)
 
-    def h(x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x > 0.0, x * np.log(np.maximum(x, 1e-300)), 0.0)
 
-    def psi(x):
-        x = np.asarray(x, dtype=float)
-        return 1.0 + np.log(np.maximum(x, 1e-300))
-
-    return h, psi
+def one_plus_log(x):
+    """Psi = H' = 1 + log x for H = ``x_log_x``."""
+    x = np.asarray(x, dtype=float)
+    return 1.0 + np.log(np.maximum(x, 1e-300))

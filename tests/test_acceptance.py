@@ -10,10 +10,10 @@ import pytest
 from entroflow.banks import run_inequality_bank
 from entroflow.finite_flow import (
     DECAY_TOL,
+    POTENTIALS,
     eep_inequality_check,
     integrate_flow,
     production_decay_check,
-    quadratic_potential,
 )
 from entroflow.functionals import FLOWS
 from entroflow.grids import (
@@ -28,7 +28,8 @@ from entroflow.inequalities import (
     HypothesisViolation,
     ZugmeyerProblem,
     lsi_check,
-    xlogx,
+    one_plus_log,
+    x_log_x,
     zugmeyer_check,
 )
 from entroflow.jko import jko_trajectory
@@ -101,7 +102,7 @@ def jko_bundle():
 
 
 def test_criterion_1_finite_dimensional_equality_case():
-    spec = quadratic_potential()
+    spec = POTENTIALS[0]   # the quadratic
     x0 = np.array([1.0, 0.0])
     lhs, rhs = eep_inequality_check(spec, x0)
     eep_ok = abs(lhs - rhs) <= 1e-9
@@ -240,10 +241,10 @@ def test_criterion_9_zugmeyer_bank_and_refusal():
     bank_ok = all(r.passed for r in rows) and len(rows) == 200
 
     grid = make_uniform_grid(0.0, 1.0, 257)
-    h, psi = xlogx()
     v = np.exp(-0.5 * (grid.nodes - 0.5) ** 2)
     v = v / integrate(v, grid)
-    inflated = ZugmeyerProblem(h, psi, grid, v, c=2.0)  # true constant is 1
+    # the true constant is 1
+    inflated = ZugmeyerProblem(x_log_x, one_plus_log, grid, v, c=2.0)
     try:
         zugmeyer_check(inflated, v.copy())
         refused = False

@@ -117,7 +117,7 @@ def test_diagnose_trajectory_csvs_match_row_oracle(tmp_path):
     assert main(["diagnose", "--out", str(tmp_path)]) == 0
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     rng = np.random.default_rng(manifest["seed"])   # as diagnose draws its starts
-    for spec in finite_flow.builtin_potential_bank():
+    for spec in finite_flow.POTENTIALS:
         traj = finite_flow.integrate_flow(spec, rng.uniform(-1.5, 1.5, size=spec.dim),
                                           manifest["dt"], manifest["T"])
         table = np.column_stack((traj.times, traj.states, traj.energies,
@@ -645,6 +645,10 @@ def test_config_values_are_converted_as_their_flags(tmp_path):
      "radius: must be positive and finite, got inf"),
     (["simulate", "--flow", "fast_diffusion", "--radius", "nan"],
      "radius: must be positive and finite, got nan"),
+    (["simulate", "--flow", "heat", *SMALL_RUN, "--init", "csv:{nan}"],
+     "init: density CSV line 66 has a non-finite node or value: '0,nan'"),
+    (["w2", "--N", "129", "--mu", "csv:{nan}"],
+     "mu: density CSV line 66 has a non-finite node or value"),
 ], ids=["jko-quantiles", "jko-compare-pde-quantiles", "w2-quantiles", "jko-steps",
         "simulate-positivity", "jko-positivity", "simulate-mass", "jko-mass",
         "jko-compare-pde-mass", "w2-mu-mass", "w2-nu-mass",
@@ -663,7 +667,8 @@ def test_config_values_are_converted_as_their_flags(tmp_path):
         "simulate-fast-diffusion-N", "simulate-heat-empty-domain",
         "simulate-heat-reversed-domain-and-N", "simulate-heat-infinite-domain",
         "jko-infinite-domain", "w2-infinite-domain-and-N", "simulate-heat-nan-domain",
-        "simulate-fast-diffusion-infinite-radius", "simulate-fast-diffusion-nan-radius"])
+        "simulate-fast-diffusion-infinite-radius", "simulate-fast-diffusion-nan-radius",
+        "simulate-csv-nan", "w2-mu-csv-nan"])
 @pytest.mark.filterwarnings("error")
 def test_rejected_input_writes_nothing(argv, fragment, tmp_path, capsys, monkeypatch):
     # a density of mass 1.01 on the 129 nodes of SMALL_RUN
@@ -671,8 +676,14 @@ def test_rejected_input_writes_nothing(argv, fragment, tmp_path, capsys, monkeyp
     grid = make_uniform_grid(-8.0, 8.0, 129)
     write_density_csv(GridDensity(grid, 1.01 * gaussian_density(grid).values),
                       heavy)
+    # the unit-mass Gaussian on the same nodes, its value at x = 0 a nan
+    nan = tmp_path / "nan.csv"
+    write_density_csv(gaussian_density(grid), nan)
+    lines = nan.read_text().split("\n")
+    lines[65] = lines[65].partition(",")[0] + ",nan"
+    nan.write_text("\n".join(lines))
     out = tmp_path / "out"
-    argv = [arg.format(heavy=heavy, missing=tmp_path / "missing.csv")
+    argv = [arg.format(heavy=heavy, nan=nan, missing=tmp_path / "missing.csv")
             for arg in argv]
     if fragment.startswith(("quantiles:", "steps:", "init:")):   # before any PDE step
         monkeypatch.setattr(pde, "solve", None)   # a call raises TypeError

@@ -3,21 +3,21 @@ import math
 import numpy as np
 import pytest
 
+from entroflow import finite_flow
 from entroflow.finite_flow import (
     DECAY_TOL,
     FlowDivergence,
+    POTENTIALS,
     PotentialSpec,
-    anisotropic_quadratic_potential,
-    builtin_potential_bank,
     de_bruijn_residual,
     eep_inequality_check,
     entropy_decay_check,
     integrate_flow,
     production_decay_check,
-    quadratic_potential,
-    quartic_potential,
     write_trajectory_csv,
 )
+
+QUADRATIC, QUARTIC, ANISOTROPIC = POTENTIALS
 
 
 def fd_hessian(spec: PotentialSpec, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
@@ -61,13 +61,13 @@ def validate_potential(spec: PotentialSpec, box: np.ndarray, seed: int = 0) -> N
 
 @pytest.fixture(scope="module")
 def quad_traj():
-    return integrate_flow(quadratic_potential(), np.array([1.0, 0.0]),
+    return integrate_flow(QUADRATIC, np.array([1.0, 0.0]),
                           dt=1e-3, horizon=1.0)
 
 
 @pytest.fixture(scope="module")
 def quartic_traj():
-    return integrate_flow(quartic_potential(), np.array([1.0]),
+    return integrate_flow(QUARTIC, np.array([1.0]),
                           dt=1e-3, horizon=5.0)
 
 
@@ -79,12 +79,12 @@ def test_quadratic_flow_is_exact_exponential(quad_traj):
 
 
 def test_flow_from_minimizer_stays_put():
-    traj = integrate_flow(quadratic_potential(), np.zeros(2), dt=1e-2, horizon=1.0)
+    traj = integrate_flow(QUADRATIC, np.zeros(2), dt=1e-2, horizon=1.0)
     assert np.max(np.abs(traj.states)) == 0.0
 
 
 def test_quartic_self_convergence():
-    spec = quartic_potential()
+    spec = QUARTIC
     coarse = integrate_flow(spec, np.array([1.0]), dt=1e-3, horizon=1.0)
     fine = integrate_flow(spec, np.array([1.0]), dt=1e-5, horizon=1.0)
     assert abs(coarse.states[-1][0] - fine.states[-1][0]) <= 1e-6
@@ -105,8 +105,8 @@ def test_divergence_detection():
 
 
 def test_energy_monotone_along_flows(quad_traj, quartic_traj):
-    for spec, traj in ((quadratic_potential(), quad_traj),
-                       (quartic_potential(), quartic_traj)):
+    for spec, traj in ((QUADRATIC, quad_traj),
+                       (QUARTIC, quartic_traj)):
         energies = np.array([spec.energy(x) for x in traj.states])
         assert np.all(np.diff(energies) <= 1e-10)
 
@@ -118,12 +118,12 @@ def test_de_bruijn_residual_quadratic(quad_traj):
 
 
 def test_de_bruijn_residual_constant_trajectory():
-    traj = integrate_flow(quadratic_potential(), np.zeros(2), dt=1e-2, horizon=0.1)
+    traj = integrate_flow(QUADRATIC, np.zeros(2), dt=1e-2, horizon=0.1)
     assert de_bruijn_residual(traj) <= 1e-14
 
 
 def test_de_bruijn_residual_quartic_is_second_order(quartic_traj):
-    spec = quartic_potential()
+    spec = QUARTIC
     assert de_bruijn_residual(quartic_traj) <= 100.0 * 1e-3**2
     finer = integrate_flow(spec, np.array([1.0]), dt=5e-4, horizon=5.0)
     ratio = de_bruijn_residual(quartic_traj) / de_bruijn_residual(finer)
@@ -133,38 +133,38 @@ def test_de_bruijn_residual_quartic_is_second_order(quartic_traj):
 # ---------------------------------------------------------------- decay checks
 
 def test_production_decay_equality_for_quadratic(quad_traj):
-    ratio = production_decay_check(quadratic_potential(), quad_traj)
+    ratio = production_decay_check(QUADRATIC, quad_traj)
     assert ratio != 0.0   # not the value of a vanishing start
     assert ratio <= 1.0 + DECAY_TOL
     assert ratio == pytest.approx(1.0, abs=1e-6)
 
 
 def test_production_decay_quartic(quartic_traj):
-    ratio = production_decay_check(quartic_potential(), quartic_traj)
+    ratio = production_decay_check(QUARTIC, quartic_traj)
     assert ratio <= 1.0 + DECAY_TOL
 
 
 def test_decay_checks_degenerate_start():
-    spec = quadratic_potential()
+    spec = QUADRATIC
     traj = integrate_flow(spec, np.zeros(2), dt=1e-2, horizon=0.5)
     assert production_decay_check(spec, traj) == 0.0   # passes the verdict
     assert entropy_decay_check(spec, traj) == 0.0
 
 
 def test_entropy_decay_equality_for_quadratic(quad_traj):
-    ratio = entropy_decay_check(quadratic_potential(), quad_traj)
+    ratio = entropy_decay_check(QUADRATIC, quad_traj)
     assert ratio <= 1.0 + DECAY_TOL
     assert ratio == pytest.approx(1.0, abs=1e-6)
 
 
 def test_entropy_decay_quartic(quartic_traj):
-    assert entropy_decay_check(quartic_potential(), quartic_traj) <= 1.0 + DECAY_TOL
+    assert entropy_decay_check(QUARTIC, quartic_traj) <= 1.0 + DECAY_TOL
 
 
 def test_entropy_decay_below_a_wrong_minimizer_is_inf(quad_traj):
     """An energy excess over the stated minimizer that turns negative along
     the flow fails the entropy decay outright."""
-    spec = quadratic_potential()
+    spec = QUADRATIC
     misplaced = PotentialSpec(spec.name, spec.energy, spec.grad, rho=spec.rho,
                               minimizer=np.array([0.5, 0.0]))
     assert entropy_decay_check(misplaced, quad_traj) == math.inf
@@ -172,16 +172,27 @@ def test_entropy_decay_below_a_wrong_minimizer_is_inf(quad_traj):
 
 def test_inflated_rho_is_detected_on_quartic(quartic_traj):
     """Doubling rho beyond the true bound must fail: the checker is sensitive."""
-    spec = quartic_potential()
+    spec = QUARTIC
     inflated = PotentialSpec(spec.name, spec.energy, spec.grad, rho=2.0,
                              minimizer=spec.minimizer)
     assert not production_decay_check(inflated, quartic_traj) <= 1.0 + DECAY_TOL
 
 
+def test_rho_claimed_a_ten_thousandth_high_fails_on_quadratic(quad_traj):
+    """|grad E|^2 decays exactly like exp(-2t), so a claimed rho of 1 + 1e-4
+    gives a worst ratio near exp(2e-4) at t = 1, above the slack."""
+    spec = QUADRATIC
+    claimed = PotentialSpec(spec.name, spec.energy, spec.grad, rho=1.0 + 1e-4,
+                            minimizer=spec.minimizer)
+    ratio = production_decay_check(claimed, quad_traj)
+    assert ratio == pytest.approx(math.exp(2e-4), rel=1e-9)
+    assert ratio > 1.0 + DECAY_TOL
+
+
 # ---------------------------------------------------------------- EEP
 
 def test_eep_equality_for_quadratic():
-    spec = quadratic_potential()
+    spec = QUADRATIC
     for x in (np.array([1.0, 0.5]), np.array([-2.0, 3.0])):
         lhs, rhs = eep_inequality_check(spec, x)
         assert lhs == pytest.approx(0.5 * float(x @ x), abs=1e-12)
@@ -189,13 +200,13 @@ def test_eep_equality_for_quadratic():
 
 
 def test_eep_at_minimizer():
-    lhs, rhs = eep_inequality_check(quadratic_potential(), np.zeros(2))
+    lhs, rhs = eep_inequality_check(QUADRATIC, np.zeros(2))
     assert lhs == 0.0
     assert rhs == 0.0
 
 
 def test_eep_quartic_hand_values():
-    lhs, rhs = eep_inequality_check(quartic_potential(), np.array([1.0]))
+    lhs, rhs = eep_inequality_check(QUARTIC, np.array([1.0]))
     assert lhs == pytest.approx(0.75, abs=1e-12)
     assert rhs == pytest.approx(2.0, abs=1e-12)
     assert lhs <= rhs
@@ -205,7 +216,7 @@ def test_eep_quartic_hand_values():
 
 def test_builtin_bank_passes_all_checks():
     rng = np.random.default_rng(3)
-    for spec in builtin_potential_bank():
+    for spec in POTENTIALS:
         x0 = rng.uniform(-1.5, 1.5, size=spec.dim)
         traj = integrate_flow(spec, x0, dt=1e-3, horizon=3.0)
         box = np.stack([traj.states.min(axis=0) - 0.1,
@@ -231,7 +242,7 @@ def test_validate_potential_catches_bad_gradient():
 
 
 def test_bank_minimizers_are_critical_points():
-    for spec in builtin_potential_bank():
+    for spec in POTENTIALS:
         assert spec.minimizer.shape == (spec.dim,)
         assert np.all(np.asarray(spec.grad(spec.minimizer)) == 0.0), spec.name
 
@@ -242,7 +253,7 @@ def test_bank_rho_bounds_the_hessian_eigenvalues():
                 "quartic": lambda x: np.array([[1.0 + 3.0 * x[0] ** 2]]),
                 "anisotropic_quadratic": lambda x: np.diag([2.0, 5.0])}
     rng = np.random.default_rng(5)
-    for spec in builtin_potential_bank():
+    for spec in POTENTIALS:
         for _ in range(32):
             x = rng.uniform(-1.5, 1.5, size=spec.dim)
             assert spec.rho <= np.linalg.eigvalsh(hessians[spec.name](x)).min()
@@ -251,23 +262,34 @@ def test_bank_rho_bounds_the_hessian_eigenvalues():
 
 
 def test_potential_spec_needs_a_nonempty_1d_minimizer():
-    spec = quadratic_potential()
+    spec = QUADRATIC
     for bad in (np.zeros(0), np.zeros((2, 1)), 0.0):
         with pytest.raises(ValueError, match="minimizer"):
             PotentialSpec(spec.name, spec.energy, spec.grad, spec.rho, bad)
 
 
+def test_bank_minimizers_are_read_only_copies():
+    for spec in POTENTIALS:
+        with pytest.raises(ValueError, match="read-only"):
+            spec.minimizer[0] = 1.0
+    beta = np.zeros(2)
+    spec = PotentialSpec("copy", QUADRATIC.energy, QUADRATIC.grad, 1.0, beta)
+    assert beta.flags.writeable and not spec.minimizer.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        finite_flow._ANISO_HESS[0, 0] = 1.0
+
+
 def test_integrate_flow_rejects_horizon_off_the_time_grid():
     with pytest.raises(ValueError, match="not a multiple"):
-        integrate_flow(quadratic_potential(), np.ones(2), dt=1e-3,
+        integrate_flow(QUADRATIC, np.ones(2), dt=1e-3,
                        horizon=1.0004)
     with pytest.raises(ValueError, match="shorter than dt"):
-        integrate_flow(quadratic_potential(), np.ones(2), dt=1e-3,
+        integrate_flow(QUADRATIC, np.ones(2), dt=1e-3,
                        horizon=5e-4)
 
 
 def test_anisotropic_rho_is_smallest_eigenvalue():
-    spec = anisotropic_quadratic_potential()
+    spec = ANISOTROPIC
     hess = fd_hessian(spec, np.zeros(2))
     assert spec.rho == pytest.approx(np.linalg.eigvalsh(hess).min())
 

@@ -549,6 +549,18 @@ def test_read_density_csv_names_row_without_two_fields(tmp_path, body, line):
         read_density_csv(path)
 
 
+@pytest.mark.parametrize("body, line", [
+    ("0,1\n1,nan\n2,1\n3,1", 3),     # a nan value
+    ("0,1\n1,1\ninf,1\n3,1", 4),     # an infinite node
+    ("0,1\n1,1\n2,1\n3,-inf", 5),    # the last value
+])
+def test_read_density_csv_names_a_non_finite_row(tmp_path, body, line):
+    path = tmp_path / "bad.csv"
+    path.write_text("x,value\n" + body + "\n")
+    with pytest.raises(ValueError, match=f"line {line} has a non-finite node or value"):
+        read_density_csv(path)
+
+
 def test_read_density_csv_rejects_a_single_row(tmp_path):
     path = tmp_path / "one.csv"
     path.write_text("x,value\n0,1\n")

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from entroflow.banks import (
-    BANK_NAMES,
+    DEFAULT_COUNTS,
+    _row,
     eep_fd_bank,
     eep_fp_bank,
     lsi_bank,
@@ -29,10 +30,11 @@ from entroflow.inequalities import (
     eep_check_fd,
     eep_check_fp,
     lsi_check,
+    one_plus_log,
     scale_tol,
     sobolev_check,
     sobolev_optimal_constant,
-    xlogx,
+    x_log_x,
     zugmeyer_check,
 )
 from entroflow.pde import stationary_fd, stationary_state
@@ -213,16 +215,15 @@ def test_eep_fd_dilated_and_bumped(radial_setup):
 
 # ---------------------------------------------------------------- Zugmeyer
 
-def xlogx_problem(c=1.0, num=257):
+def x_log_x_problem(c=1.0, num=257):
     g = make_uniform_grid(0.0, 1.0, num)
-    h, psi = xlogx()
     v = np.exp(-0.5 * c * (g.nodes - 0.5) ** 2)
     v = v / integrate(v, g)
-    return ZugmeyerProblem(h, psi, g, v, c), g
+    return ZugmeyerProblem(x_log_x, one_plus_log, g, v, c), g
 
 
 def test_zugmeyer_equal_functions():
-    problem, g = xlogx_problem()
+    problem, g = x_log_x_problem()
     lhs, rhs = zugmeyer_check(problem, problem.v_values.copy())
     assert check_hypotheses(problem, problem.v_values).ok
     assert abs(lhs) <= 1e-12
@@ -230,7 +231,7 @@ def test_zugmeyer_equal_functions():
 
 
 def test_zugmeyer_perturbation_holds():
-    problem, g = xlogx_problem()
+    problem, g = x_log_x_problem()
     u = problem.v_values * (1.0 + 0.1 * np.sin(2.0 * np.pi * g.nodes))
     u = u * (integrate(problem.v_values, g) / integrate(u, g))
     lhs, rhs = zugmeyer_check(problem, u)
@@ -238,7 +239,7 @@ def test_zugmeyer_perturbation_holds():
 
 
 def test_zugmeyer_localized_perturbation_margin():
-    problem, g = xlogx_problem(c=2.0)
+    problem, g = x_log_x_problem(c=2.0)
     bump = np.exp(-0.5 * ((g.nodes - 0.3) / 0.05) ** 2)
     u = problem.v_values * (1.0 + 0.25 * bump)
     u = u * (integrate(problem.v_values, g) / integrate(u, g))
@@ -250,10 +251,9 @@ def test_zugmeyer_localized_perturbation_margin():
 def test_zugmeyer_refuses_inflated_constant():
     """C larger than the actual convexity of -log v must be refused."""
     g = make_uniform_grid(0.0, 1.0, 257)
-    h, psi = xlogx()
     v = np.exp(-0.5 * 1.0 * (g.nodes - 0.5) ** 2)
     v = v / integrate(v, g)
-    problem = ZugmeyerProblem(h, psi, g, v, c=2.0)
+    problem = ZugmeyerProblem(x_log_x, one_plus_log, g, v, c=2.0)
     report = check_hypotheses(problem, problem.v_values)
     assert not report.ok
     with pytest.raises(HypothesisViolation) as err:
@@ -262,7 +262,7 @@ def test_zugmeyer_refuses_inflated_constant():
 
 
 def test_zugmeyer_mass_mismatch():
-    problem, g = xlogx_problem()
+    problem, g = x_log_x_problem()
     with pytest.raises(ValueError):
         zugmeyer_check(problem, 1.1 * problem.v_values)
 
@@ -281,10 +281,9 @@ def test_zugmeyer_dimension_comes_from_the_domain(grid, holds):
 
 def test_zugmeyer_radial_hypotheses():
     g = staggered_radial_grid(1.0, 128, 3)
-    h, psi = xlogx()
     v = np.exp(-0.5 * 1.5 * g.nodes**2)
     v = v / integrate(v, g)
-    problem = ZugmeyerProblem(h, psi, g, v, c=1.5)
+    problem = ZugmeyerProblem(x_log_x, one_plus_log, g, v, c=1.5)
     assert check_hypotheses(problem, problem.v_values).ok
     u = v * (1.0 + 0.1 * np.exp(-0.5 * ((g.nodes - 0.5) / 0.1) ** 2))
     u = u * (integrate(v, g) / integrate(u, g))
@@ -301,7 +300,7 @@ def test_run_bank_rows_and_order():
     assert all(r.passed for r in rows)
 
 
-@pytest.mark.parametrize("name", BANK_NAMES)
+@pytest.mark.parametrize("name", list(DEFAULT_COUNTS))
 def test_bank_checker_returns_its_two_sides(name, grid, sobolev_grid, radial_setup):
     """Every checker a bank runs returns (lhs, rhs) and nothing else."""
     _, stat = radial_setup
@@ -317,6 +316,13 @@ def test_bank_checker_returns_its_two_sides(name, grid, sobolev_grid, radial_set
     sides = first_case[name]()
     assert type(sides) is tuple and len(sides) == 2
     assert all(isinstance(side, float) for side in sides)
+
+
+@pytest.mark.parametrize("rhs", [0.25, 1.0, 40.0])
+def test_bank_row_fails_a_hundred_thousandth_above_its_rhs(rhs):
+    """The verdict's slack is 1e-6 of max(1, |rhs|), below 1e-5 relative."""
+    assert _row("case", rhs, rhs).passed
+    assert not _row("case", rhs * (1.0 + 1e-5), rhs).passed
 
 
 def test_run_bank_unknown_name():

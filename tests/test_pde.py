@@ -34,6 +34,7 @@ from entroflow.pde import (
     _fd_tail_mass,
     _linear_step_matrix,
     dirac_like_density,
+    dissipation_report,
     flux_bands,
     solve,
     solve_banded,
@@ -262,6 +263,30 @@ def test_fp_dissipation_report(fp_run):
     assert report.value_monotone
     assert report.fitted_production_rate == pytest.approx(2.0, rel=0.05)
     assert report.fitted_value_rate == pytest.approx(2.0, rel=0.05)
+
+
+def test_production_a_tenth_above_its_bound_is_not_bounded():
+    """Fokker-Planck's rho is 1, so the bound is exp(-2t) production(mu_0):
+    a production on it passes, and one 10% above it at one time fails."""
+    grid = make_uniform_grid(-8.0, 8.0, 65)
+    times = np.array([0.0, 0.5, 1.0])
+    bound = 3.0 * np.exp(-2.0 * times)
+    for planted, bounded in ((bound, True), (bound * [1.0, 1.1, 1.0], False)):
+        report = dissipation_report(FLOWS["fokker_planck"], grid, times,
+                                    [2.0, 1.0, 0.5], planted, None)
+        assert report.production_bounded == bounded
+        assert report.value_monotone
+
+
+def test_value_rising_by_a_millionth_is_not_monotone():
+    grid = make_uniform_grid(-8.0, 8.0, 65)
+    times = np.array([0.0, 0.5, 1.0])
+    for values, monotone in (([3.0, 3.0, 1.0], True),
+                             ([3.0, 3.0 * (1.0 + 1e-6), 1.0], False)):
+        report = dissipation_report(FLOWS["fokker_planck"], grid, times, values,
+                                    3.0 * np.exp(-2.0 * times), None)
+        assert report.value_monotone == monotone
+        assert report.production_bounded
 
 
 def test_fp_report_from_minimizer_trivially_passes():

@@ -139,7 +139,7 @@ def _jko(rng):
 
 
 def _check(rng):
-    argv = ["check", "--inequality", rng.choice(banks.BANK_NAMES),
+    argv = ["check", "--inequality", rng.choice(list(banks.DEFAULT_COUNTS)),
             "--seed", str(rng.randint(-2, 2**32 - 1))]
     return argv + ["--count", str(rng.randint(-1, 6))] * (rng.random() < 0.8)
 
